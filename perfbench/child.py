@@ -3,8 +3,10 @@
 Usage: python child.py PLAN.json
 
 The plan (written by run.py) names a work directory, the specs, the rounds,
-the run length and whether to trace.  The child imports z2forms, writes the
-spec files and prints ``ready`` on stdout; that moment ends set-up.  With
+the run length and the tracing: ``off``, ``computed`` (only the untimed
+hooks behind the computed counts) or ``full``.  The child imports z2forms,
+writes the spec files and prints ``ready`` on stdout; that moment ends
+set-up.  With
 ``setup_only`` it exits there.  Otherwise it runs every job in-process
 through ``z2forms.cli.main`` with its own ``--out`` directory, starts a new
 round only while the run is predicted to end within the run length, and
@@ -32,10 +34,13 @@ def run(plan: dict) -> dict:
         return {}
 
     tracer = None
-    if plan["trace"]:
+    if plan["trace"] != "off":
         import tracing
         tracer = tracing.Tracer()
-        tracing.install(tracer)
+        if plan["trace"] == "full":
+            tracing.install(tracer)
+        else:
+            tracing.install_computed(tracer)
         main = sys.modules["z2forms.cli"].main
 
     rounds = plan["rounds"]

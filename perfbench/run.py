@@ -6,11 +6,11 @@ Usage (from the repository root):
     python3 perfbench/run.py --workload all
 
 ``--trace 0`` reports the end-to-end metrics of an untraced run.
-``--trace 1`` also makes a traced run of the same plan and reports the
-per-layer metrics, with the tracing overhead measured against the untraced
-run.  Every job's report is checked; the last stdout line is one JSON
-object {"correct", "attempted", "failed", "metrics"}, and the exit code is
-1 when an output check fails.  See perfbench/README.md for the workloads and
+``--trace 1`` splits the run length between an untraced and a traced run of
+the same plan and reports the per-layer metrics, with the tracing overhead
+measured against the untraced run.  Every job's report is checked; the last
+stdout line is one JSON object {"correct", "attempted", "failed",
+"metrics"}, and the exit code is 1 when an output check fails.  See perfbench/README.md for the workloads and
 the metric definitions.
 """
 from __future__ import annotations
@@ -201,7 +201,7 @@ def layer_metrics(trace: dict, jobs: int) -> dict:
         return sum(v for j, c, v in trace["computed"] if c == name and j == 0)
 
     per = 1.0 / jobs
-    continues = total("branch.continue", "calls")
+    segments = counter("counts", "branch.segments")
     draws = total("defining.sigma_distance", "calls", caller="suites.sampler")
     pairs = first_job("morphisms.gauss_linking_pairs")
     fill = first_job("sun.lu_fill_nnz")
@@ -215,11 +215,11 @@ def layer_metrics(trace: dict, jobs: int) -> dict:
         "suites.sampler_accept_ratio":
             counter("counts", "suites.points_requested") / draws if draws else 0.0,
         "report.to_json_s": total("report.to_json", "incl") * per,
-        "branch.continue_calls": continues * per,
+        "branch.continue_calls": total("branch.continue", "calls") * per,
         "branch.continue_s": total("branch.continue", "incl") * per,
         "branch.h_evals_per_continue":
-            total("defining.value", "calls", caller="branch.continue") / continues
-            if continues else 0.0,
+            total("defining.value", "calls", caller="branch.continue") / segments
+            if segments else 0.0,
         "branch.monodromy_s": total("branch.monodromy", "incl") * per,
         "branch.winding_s": total("branch.winding", "incl") * per,
         "defining.value_calls": total("defining.value", "calls") * per,
@@ -266,23 +266,21 @@ COMPUTED = ("sun.lu_fill_nnz", "sun.lu_bytes_computed",
             "morphisms.gauss_linking_bytes_computed")
 
 
-def check_computed(key: str, metrics: dict, audit: dict) -> None:
-    """The computed counts of a plan's first job must repeat run to run."""
-    STATE.mkdir(exist_ok=True)
-    path = STATE / "computed.json"
-    try:
-        known = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        known = {}
-    now = {name: metrics[name] for name in COMPUTED}
-    if key in known and known[key] != now:
-        audit["violations"].append(
-            f"computed counts changed between runs: {known[key]} -> {now}")
-        return
-    known[key] = now
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(known, sort_keys=True, indent=1))
-    os.replace(tmp, path)
+def computed_by_job(trace: dict) -> dict:
+    jobs: dict = {}
+    for job, name, value in trace["computed"]:
+        jobs.setdefault(job, {})[name] = value
+    return jobs
+
+
+def check_computed(timed: dict, traced: dict, audit: dict) -> None:
+    """Each job run in both runs must give both the same computed counts."""
+    a, b = computed_by_job(timed["trace"]), computed_by_job(traced["trace"])
+    for i in range(min(len(timed["jobs"]), len(traced["jobs"]))):
+        if a.get(i) != b.get(i):
+            audit["violations"].append(
+                f"job {i}: computed counts differ between the untraced and "
+                f"the traced run: {a.get(i)} vs {b.get(i)}")
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +290,10 @@ def check_computed(key: str, metrics: dict, audit: dict) -> None:
 def run_workload(workload: str, seed: int, seconds: int, trace: bool,
                  deadline: float) -> dict:
     plan = workloads.plan(workload, seed)
-    plan.update(seconds=seconds, trace=False, setup_only=False)
+    # a traced invocation takes as long as an untraced one: half of the
+    # run length untraced (with the computed-count hooks), half traced
+    plan.update(seconds=seconds / 2 if trace else seconds,
+                trace="computed" if trace else "off", setup_only=False)
     rundir = STATE / f"run-{os.getpid()}-{workload}"
     shutil.rmtree(rundir, ignore_errors=True)
     try:
@@ -304,8 +305,8 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool,
         check_jobs(timed, rundir / "timed", plan, audit)
         traced = None
         if trace:
-            setup_s, traced = spawn(dict(plan, trace=True), rundir / "traced",
-                                    deadline)
+            setup_s, traced = spawn(dict(plan, trace="full"),
+                                    rundir / "traced", deadline)
             setups.append(setup_s)
             traced_audit = new_audit()
             check_jobs(traced, rundir / "traced", plan, traced_audit)
@@ -314,6 +315,7 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool,
                 if i in audit["reports"] and audit["reports"][i] != text:
                     audit["violations"].append(
                         f"job {i}: traced report differs from untraced")
+            check_computed(timed, traced, audit)
             (STATE / f"trace-{workload}.json").write_text(
                 json.dumps(traced["trace"]))
     finally:
@@ -328,6 +330,7 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool,
         "attempted": n + (len(traced["jobs"]) if traced else 0),
         "failed": audit["failed"] + (traced_audit["failed"] if traced else 0),
         "audit": audit, "setups": setups, "jobs": n,
+        "loop_s": timed["loop_s"],
         "rounds": timed["rounds"],
         "e2e": {
             "setup_s": statistics.median(setups),
@@ -351,7 +354,6 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool,
             "trace.jobs_per_s_untraced": out["e2e"]["jobs_per_s"],
             "trace.overhead_frac": 1.0 - traced_rate / out["e2e"]["jobs_per_s"],
         })
-        check_computed(f"{workload}:{seed}", layer, audit)
         out["layer"] = layer
     return out
 
@@ -367,7 +369,9 @@ def load_spec() -> dict:
 def print_workload(res: dict, spec: dict) -> None:
     audit = res["audit"]
     print(f"== {res['workload']} seed={res['seed']}: {res['jobs']} jobs in "
-          f"{res['rounds']} rounds, closed loop, 1 client")
+          f"{res['rounds']} rounds ({res['loop_s']:.1f} s), closed loop, "
+          f"1 client" + (", untraced half of a traced run" if "layer" in res
+                         else ""))
     print("env " + json.dumps(res["env"], sort_keys=True))
     for m in spec["end_to_end"]:
         print(f"  {m['name']:<18} {res['e2e'][m['name']]:12.6g} {m['unit']}")

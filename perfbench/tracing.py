@@ -7,6 +7,10 @@ wrapped calls nested in it).  Job, suite and sun-stage calls are recorded
 as spans (name, start, end, parent span, job id); hot per-point calls are
 only aggregated, per enclosing span and calling frame, to keep the cost of
 a call small.  Nothing is written until ``Tracer.dump`` at the end of a run.
+
+``install_computed`` installs only the untimed hooks behind the computed
+counts, so that an untraced run yields them too and the two runs of one
+invocation can be compared job for job.
 """
 from __future__ import annotations
 
@@ -74,6 +78,20 @@ class Tracer:
 
         return traced
 
+    def hook(self, fn, before=None, after=None):
+        """``fn`` with ``before``/``after`` callbacks and no timing."""
+
+        @functools.wraps(fn)
+        def hooked(*args, **kwargs):
+            if before is not None:
+                before(self, args, kwargs)
+            result = fn(*args, **kwargs)
+            if after is not None:
+                after(self, args, result)
+            return result
+
+        return hooked
+
     def dump(self) -> dict:
         """Aggregates per job, ready for JSON."""
         return {
@@ -100,10 +118,14 @@ def _wrap_method(tracer, cls, attr, name, **kw):
     setattr(cls, attr, tracer.wrap(cls.__dict__[attr], name, **kw))
 
 
-def _wrap_cached(tracer, cls, attr, name, **kw):
-    prop = cached_property(tracer.wrap(cls.__dict__[attr].func, name, **kw))
+def _replace_cached(cls, attr, wrap):
+    prop = cached_property(wrap(cls.__dict__[attr].func))
     prop.__set_name__(cls, attr)
     setattr(cls, attr, prop)
+
+
+def _wrap_cached(tracer, cls, attr, name, **kw):
+    _replace_cached(cls, attr, lambda fn: tracer.wrap(fn, name, **kw))
 
 
 #: bytes per segment pair of the O(N*M) temporaries in gauss_linking:
@@ -112,6 +134,29 @@ LINKING_BYTES_PER_PAIR = 8 * 8
 
 #: bytes per stored LU nonzero: float64 value plus int32 row index
 LU_BYTES_PER_NNZ = 8 + 4
+
+
+def _next_job(tr, args, kwargs):
+    tr.job += 1
+
+
+def _linking_pairs(tr, args, kwargs):
+    pairs = (len(args[0].vertices()) - 1) * (len(args[1].vertices()) - 1)
+    tr.add(tr.computed, "morphisms.gauss_linking_pairs", pairs)
+
+
+def _lu_fill(tr, args, lu):
+    tr.add(tr.computed, "sun.lu_fill_nnz", int(lu.nnz))
+
+
+def install_computed(tracer: Tracer) -> None:
+    from z2forms import cli, morphisms, sun
+
+    _patch_everywhere(cli, "main", tracer.hook(cli.main, before=_next_job))
+    _patch_everywhere(morphisms, "gauss_linking",
+                      tracer.hook(morphisms.gauss_linking, before=_linking_pairs))
+    _replace_cached(sun.DoubleCoverGrid, "_lu",
+                    lambda fn: tracer.hook(fn, after=_lu_fill))
 
 
 def install(tracer: Tracer) -> None:
@@ -139,9 +184,19 @@ def install(tracer: Tracer) -> None:
     # report
     _wrap_method(tracer, report.VerificationReport, "to_json", "report.to_json")
 
-    # branch
-    for fn in ("continue_straight", "continue_branch"):
-        _patch_everywhere(branch, fn, w(getattr(branch, fn), "branch.continue"))
+    # branch: segments walked, the base of the refinement waste ratio
+    def one_segment(tr, args, kwargs):
+        tr.add(tr.counts, "branch.segments", 1)
+
+    def path_segments(tr, args, kwargs):
+        tr.add(tr.counts, "branch.segments", len(args[1].vertices()) - 1)
+
+    _patch_everywhere(branch, "continue_straight",
+                      w(branch.continue_straight, "branch.continue",
+                        before=one_segment))
+    _patch_everywhere(branch, "continue_branch",
+                      w(branch.continue_branch, "branch.continue",
+                        before=path_segments))
     _patch_everywhere(branch, "principal_state",
                       w(branch.principal_state, "branch.principal_state"))
     _patch_everywhere(branch, "monodromy", w(branch.monodromy, "branch.monodromy"))
@@ -173,13 +228,9 @@ def install(tracer: Tracer) -> None:
         _patch_everywhere(fd, fn, w(getattr(fd, fn), "fd.stencil"))
 
     # morphisms
-    def linking_pairs(tr, args, kwargs):
-        pairs = (len(args[0].vertices()) - 1) * (len(args[1].vertices()) - 1)
-        tr.add(tr.computed, "morphisms.gauss_linking_pairs", pairs)
-
     _patch_everywhere(morphisms, "gauss_linking",
                       w(morphisms.gauss_linking, "morphisms.gauss_linking",
-                        before=linking_pairs))
+                        before=_linking_pairs))
     for fn, name in (("covering_degree", "morphisms.covering_degree"),
                      ("stereographic_pole", "morphisms.stereographic_pole"),
                      ("stereographic_project", "morphisms.other"),
@@ -191,13 +242,9 @@ def install(tracer: Tracer) -> None:
 
     # sun: stages as spans
     grid = sun.DoubleCoverGrid
-
-    def lu_fill(tr, args, lu):
-        tr.add(tr.computed, "sun.lu_fill_nnz", int(lu.nnz))
-
     _wrap_method(tracer, grid, "__post_init__", "sun.grid", span=True)
     _wrap_cached(tracer, grid, "_matrix_csr", "sun.assembly", span=True)
-    _wrap_cached(tracer, grid, "_lu", "sun.factor", span=True, after=lu_fill)
+    _wrap_cached(tracer, grid, "_lu", "sun.factor", span=True, after=_lu_fill)
     _wrap_method(tracer, grid, "solve", "sun.solve", span=True)
     _wrap_method(tracer, grid, "rhs_from_source", "sun.rhs", span=True)
 
