@@ -8,8 +8,9 @@ hooks behind the computed counts) or ``full``.  The child imports z2forms,
 writes the spec files and prints ``ready`` on stdout; that moment ends
 set-up.  With
 ``setup_only`` it exits there.  Otherwise it runs every job in-process
-through ``z2forms.cli.main`` with its own ``--out`` directory, starts a new
-round only while the run is predicted to end within the run length, and
+through ``z2forms.cli.main`` with its own ``--out`` directory.  It always
+completes the plan's pass (every round once); after that it starts a new
+round only while the run is predicted to end within the run length.  It
 writes per-job exit codes and latencies (and the trace) to result.json.
 Reports are checked afterwards by run.py, outside the timed loop.
 """
@@ -70,7 +71,8 @@ def run(plan: dict) -> dict:
                              "latency_s": t1 - t0, **job})
             done += 1
             elapsed = time.perf_counter() - start
-            if elapsed * (done + 1) / done > plan["seconds"]:
+            if done >= len(rounds) and \
+                    elapsed * (done + 1) / done > plan["seconds"]:
                 break
     finally:
         sys.stdout, sys.stderr = real_stdout, real_stderr

@@ -133,36 +133,53 @@ def _finite(values) -> bool:
 
 
 def check_jobs(result: dict, workdir: Path, plan: dict, audit: dict) -> None:
-    """Check every job's report against its exit code; fills ``audit``."""
+    """Check every job's report against its exit code; fills ``audit``.
+
+    Each distinct job of the plan counts once: every run of it, in this
+    child or an earlier one of the invocation, must give the same exit code
+    and a byte-identical report.
+    """
     for i, job in enumerate(result["jobs"]):
+        jid, code = job["id"], job["code"]
         kind = plan["specs"][job["spec"]]["kind"]
-        if job["code"] not in (0, 1):
-            audit["failed"] += 1
-            audit["errors"][f"{kind} {job['suite']}: exit {job['code']} "
-                            f"{job['error'] or ''}".strip()] += 1
+        first = jid not in audit["codes"]
+        if first:
+            audit["codes"][jid] = code
+        elif audit["codes"][jid] != code:
+            audit["violations"].append(
+                f"job {jid}: exit {code}, but exit {audit['codes'][jid]} "
+                f"on an earlier run of it")
+        if code not in (0, 1):
+            if first:
+                audit["errors"][f"{kind} {job['suite']}: exit {code} "
+                                f"{job['error'] or ''}".strip()] += 1
             continue
-        if job["code"] == 1:
-            audit["failed"] += 1
         path = workdir / "out" / str(i) / f"report-{job['suite']}.json"
         try:
-            report = json.loads(path.read_text())
+            text = path.read_bytes()
+            report = json.loads(text)
         except (OSError, json.JSONDecodeError) as exc:
-            audit["violations"].append(f"job {i}: no readable report ({exc})")
+            audit["violations"].append(f"job {jid}: no readable report ({exc})")
+            continue
+        if audit["reports"].setdefault(jid, text) != text:
+            audit["violations"].append(
+                f"job {jid}: report differs from an earlier run of it")
+            continue
+        if not first:
             continue
         checks = report["checks"]
-        if report["passed"] != (job["code"] == 0) or \
+        if report["passed"] != (code == 0) or \
                 report["passed"] != all(c["passed"] for c in checks):
             audit["violations"].append(
-                f"job {i}: report passed={report['passed']} but exit "
-                f"{job['code']}")
+                f"job {jid}: report passed={report['passed']} but exit {code}")
         if report["suite"] != job["suite"] or report["seed"] != job["seed"]:
-            audit["violations"].append(f"job {i}: report is for another job")
+            audit["violations"].append(f"job {jid}: report is for another job")
         for c in checks:
             if c["name"] == "sun.null_combination_reduction":
                 d = c["details"]
                 if not (_finite(d["a1_matrix"]) and _finite(d["null_vector"])):
                     audit["violations"].append(
-                        f"job {i}: A1 table or null vector not finite")
+                        f"job {jid}: A1 table or null vector not finite")
             if not c["passed"]:
                 audit["failing"][f"{c['name']} [{kind}]"] += 1
                 continue
@@ -172,11 +189,18 @@ def check_jobs(result: dict, workdir: Path, plan: dict, audit: dict) -> None:
                     audit["unmapped"].add(c["name"])
             elif margin < audit["margin"][0]:
                 audit["margin"] = (margin, f"{c['name']} [{kind}]")
-        audit["reports"][i] = path.read_bytes()
+
+
+def check_pass(result: dict, plan: dict, audit: dict) -> None:
+    """A run must have run every job of the plan's pass."""
+    missing = len({job["id"] for rnd in plan["rounds"] for job in rnd}
+                  - {job["id"] for job in result["jobs"]})
+    if missing:
+        audit["violations"].append(f"{missing} jobs of the pass never ran")
 
 
 def new_audit() -> dict:
-    return {"failed": 0, "errors": Counter(), "failing": Counter(),
+    return {"codes": {}, "errors": Counter(), "failing": Counter(),
             "violations": [], "unmapped": set(), "margin": (math.inf, ""),
             "reports": {}}
 
@@ -303,18 +327,14 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool,
         setups.append(setup_s)
         audit = new_audit()
         check_jobs(timed, rundir / "timed", plan, audit)
+        check_pass(timed, plan, audit)
         traced = None
         if trace:
             setup_s, traced = spawn(dict(plan, trace="full"),
                                     rundir / "traced", deadline)
             setups.append(setup_s)
-            traced_audit = new_audit()
-            check_jobs(traced, rundir / "traced", plan, traced_audit)
-            audit["violations"] += traced_audit["violations"]
-            for i, text in traced_audit["reports"].items():
-                if i in audit["reports"] and audit["reports"][i] != text:
-                    audit["violations"].append(
-                        f"job {i}: traced report differs from untraced")
+            check_jobs(traced, rundir / "traced", plan, audit)
+            check_pass(traced, plan, audit)
             check_computed(timed, traced, audit)
             (STATE / f"trace-{workload}.json").write_text(
                 json.dumps(traced["trace"]))
@@ -323,12 +343,16 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool,
 
     lat = [j["latency_s"] for j in timed["jobs"]]
     n = len(lat)
+    # operations are the distinct jobs of the pass, so that the counts
+    # depend on the seed only; repeats are re-measurements of them
+    attempted = len(audit["codes"])
+    failed = sum(code != 0 for code in audit["codes"].values())
     out = {
         "workload": workload, "seed": seed,
         "env": dict(timed["env"], pinned={k: child_env()[k]
                                           for k in THREAD_VARS + (MALLOC_VAR,)}),
-        "attempted": n + (len(traced["jobs"]) if traced else 0),
-        "failed": audit["failed"] + (traced_audit["failed"] if traced else 0),
+        "attempted": attempted,
+        "failed": failed,
         "audit": audit, "setups": setups, "jobs": n,
         "loop_s": timed["loop_s"],
         "rounds": timed["rounds"],
@@ -338,7 +362,7 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool,
             "job_s_p50": statistics.median(lat),
             "peak_rss_mb": timed["peak_rss_kb"] / 1024.0,
         },
-        "jobs_failed_frac": audit["failed"] / n,
+        "jobs_failed_frac": failed / attempted,
         "job_s_p90": statistics.quantiles(lat, n=10)[-1]
         if n * 0.1 >= P90_TAIL else None,
     }
@@ -384,7 +408,7 @@ def print_workload(res: dict, spec: dict) -> None:
         print(f"  {'job_s_p90':<18} {res['job_s_p90']:12.6g} s  "
               f"({res['jobs']} jobs)")
     print(f"  {'jobs_failed_frac':<18} {res['jobs_failed_frac']:12.6g} frac "
-          f"({audit['failed']} of {res['jobs']})")
+          f"({res['failed']} of the pass's {res['attempted']} jobs)")
     if math.isfinite(audit["margin"][0]):
         print(f"  {'check_margin_min':<18} {audit['margin'][0]:12.6g} frac "
               f"({audit['margin'][1]})")

@@ -12,6 +12,8 @@ share of the median, next to the metric's bound from BENCHMARK.json.  For
 alone, without the set-up-only probes.  With ``--sets 2`` or more, every
 set repeats the same seeds, and each later set's median is compared with
 the first: the shift is the share by which it is worse (negative: better).
+Each set's total of jobs attempted and failed is printed per workload; sets
+of the same seeds must agree on both.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ ROOT = HERE.parent
 SINGLE_SETUP = "setup_s(child only)"
 
 
-def run_once(workload: str, seed: int, seconds: int) -> dict[str, float]:
+def run_once(workload: str, seed: int,
+             seconds: int) -> tuple[dict[str, float], int, int]:
     proc = subprocess.run(
         [sys.executable, str(HERE / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -38,10 +41,11 @@ def run_once(workload: str, seed: int, seconds: int) -> dict[str, float]:
         print(proc.stdout + proc.stderr, file=sys.stderr)
         raise SystemExit(proc.returncode or 1)
     lines = proc.stdout.strip().splitlines()
-    values = {k: v["value"] for k, v in json.loads(lines[-1])["metrics"].items()}
+    result = json.loads(lines[-1])
+    values = {k: v["value"] for k, v in result["metrics"].items()}
     samples = next(line for line in lines if "setup_s samples" in line)
     values[SINGLE_SETUP] = float(samples.split()[-1])
-    return values
+    return values, result["attempted"], result["failed"]
 
 
 def spread(vals: list[float]) -> float:
@@ -65,15 +69,22 @@ def main() -> int:
     seeds = range(args.first_seed, args.first_seed + args.seeds)
     worst_spread = worst_shift = 0.0
     medians: dict[tuple, list[float]] = {}
+    counts: dict[str, set] = {}
     for s in range(args.sets):
         for workload in args.workloads:
             values: dict[str, list[float]] = {name: [] for name in bounds}
+            attempted = failed = 0
             for seed in seeds:
-                for name, v in run_once(workload, seed,
-                                        spec["run_seconds"]).items():
+                run, a, f = run_once(workload, seed, spec["run_seconds"])
+                for name, v in run.items():
                     values[name].append(v)
+                attempted, failed = attempted + a, failed + f
                 print(f"set {s} {workload} seed={seed} " + " ".join(
-                    f"{k}={v[-1]:.6g}" for k, v in values.items()), flush=True)
+                    f"{k}={v[-1]:.6g}" for k, v in values.items())
+                    + f" failed={f}/{a}", flush=True)
+            counts.setdefault(workload, set()).add((attempted, failed))
+            print(f"set {s} {workload:<10} failed {failed} of {attempted}",
+                  flush=True)
             for name, vals in values.items():
                 sp = spread(vals) / bounds[name]
                 med = statistics.median(vals)
@@ -90,7 +101,10 @@ def main() -> int:
                 print(line, flush=True)
     print(f"largest spread/bound: {worst_spread:.2f}; "
           f"largest worsening shift/bound: {worst_shift:.2f}")
-    return 0
+    disagree = [w for w, c in counts.items() if len(c) > 1]
+    print("sets disagree on jobs attempted or failed: " +
+          (", ".join(disagree) if disagree else "none"))
+    return 1 if disagree else 0
 
 
 if __name__ == "__main__":

@@ -2,9 +2,12 @@
 
 A plan is a list of rounds; a round is the fixed set of jobs one workload
 repeats, so every run measures the same job mix whatever its length.  The
-benchmark seed chooses the spec parameters and the ``--seed`` each job
-passes to ``z2forms verify``; the program sees only the spec files and
-those seeds.
+rounds together are the plan's *pass*: its distinct jobs, each with an
+``id``.  A run always completes the pass and then repeats its rounds while
+time remains, so the jobs attempted, and which of them fail, depend on the
+seed alone, not on how fast the run went.  The benchmark seed chooses the
+spec parameters and the ``--seed`` each job passes to ``z2forms verify``;
+the program sees only the spec files and those seeds.
 """
 from __future__ import annotations
 
@@ -17,8 +20,9 @@ WORKLOADS = ("checks", "topology", "sun-1024", "sun-sweep")
 #: spec variants drawn per descriptor kind; rounds cycle through them
 VARIANTS = 8
 
-#: rounds generated per plan; a run that outlasts them starts over
-ROUNDS = 256
+#: rounds in a plan's pass; one pass takes well under half of run_seconds
+#: (about 5, 14, 20 and 14 s), so a traced invocation completes it twice
+PASS_ROUNDS = {"checks": 16, "topology": 4, "sun-1024": 2, "sun-sweep": 1}
 
 CHECK_SUITES = ("harmonicity", "monodromy", "vanishing-order")
 
@@ -100,13 +104,14 @@ def _job_seed(rng: random.Random) -> int:
 def plan(workload: str, seed: int) -> dict:
     """Specs (name -> JSON object) and rounds (lists of jobs) for a workload."""
     rng = random.Random(f"perfbench:{workload}:{seed}")
+    n_rounds = PASS_ROUNDS[workload]
     specs: dict[str, dict] = {}
     rounds: list[list[dict]] = []
     if workload == "checks":
         for v in range(VARIANTS):
             for kind, spec in check_specs(rng).items():
                 specs[f"{kind}-{v}"] = spec
-        for r in range(ROUNDS):
+        for r in range(n_rounds):
             v = r % VARIANTS
             rounds.append([
                 _job(f"{kind}-{v}", suite, _job_seed(rng))
@@ -123,20 +128,22 @@ def plan(workload: str, seed: int) -> dict:
                                   rng.uniform(0, 2 * math.pi))
                 specs[f"fiber{p}{q}-{v}"] = {"kind": "fiber", "p": p, "q": q,
                                              "base": _cx(base)}
-        for r in range(ROUNDS):
+        for r in range(n_rounds):
             v = r % VARIANTS
             rounds.append([_job(f"fiber{p}{q}-{v}", "topology", _job_seed(rng))
                            for p, q in FIBERS])
     elif workload == "sun-1024":
         specs["sun"] = {"kind": "sun", "degrees": SUN_DEGREES}
         rounds = [[_job("sun", "sun", _job_seed(rng), 1024)]
-                  for _ in range(ROUNDS)]
+                  for _ in range(n_rounds)]
     elif workload == "sun-sweep":
         specs["sun"] = {"kind": "sun", "degrees": SUN_DEGREES}
         grids = [rng.randint(lo, hi) for lo, hi in SWEEP_STRATA]
         rounds = [[_job("sun", "sun", _job_seed(rng), g) for g in grids]
-                  for _ in range(ROUNDS)]
+                  for _ in range(n_rounds)]
     else:
         raise ValueError(f"unknown workload {workload!r}")
+    for i, job in enumerate(job for rnd in rounds for job in rnd):
+        job["id"] = i
     return {"workload": workload, "seed": seed, "specs": specs,
             "rounds": rounds}
