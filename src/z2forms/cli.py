@@ -29,6 +29,15 @@ def _load_spec(path: str) -> dict:
         raise SchemaError("$", f"cannot read spec {path!r}: {exc}") from exc
 
 
+def _load_descriptor(args) -> dict:
+    """Normalize the spec, with ``--grid`` overriding a sun spec's grid."""
+    spec = _load_spec(args.spec)
+    if args.grid is not None and isinstance(spec, dict) \
+            and spec.get("kind") == "sun":
+        spec = {**spec, "grid": args.grid}
+    return normalize_descriptor(spec)
+
+
 def _parse_tols(pairs: list[str]) -> dict:
     out = {}
     for item in pairs:
@@ -54,9 +63,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    descriptor = normalize_descriptor(_load_spec(args.spec))
-    if args.grid and descriptor.get("kind") == "sun":
-        descriptor["grid"] = args.grid
+    descriptor = _load_descriptor(args)
     report = run_suite(args.suite, descriptor, seed=args.seed,
                        tolerances=_parse_tols(args.tol))
     for check in report.checks:
@@ -117,7 +124,7 @@ def _export_field(descriptor: dict, out: Path) -> None:
 
 
 def cmd_export(args) -> int:
-    descriptor = normalize_descriptor(_load_spec(args.spec))
+    descriptor = _load_descriptor(args)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -133,8 +140,6 @@ def cmd_export(args) -> int:
         else:
             if descriptor["kind"] != "sun":
                 raise SchemaError("$.kind", "field export needs a sun descriptor")
-            if args.grid:
-                descriptor["grid"] = args.grid
             _export_field(descriptor, out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,8 @@ claims with independent finite-difference / combinatorial oracles.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .branch import HalfPower, continue_straight, monodromy, principal_state, winding_number
@@ -17,8 +19,8 @@ from .forms import AxialForm, PlanarForm, ReHPowerForm, sample_sigma, vanishing_
 from .morphisms import core_fiber, covering_degree, fiber, fiber_windings, linking_on_sphere
 from .paths import circle
 from .report import Check, VerificationReport
-from .sun import (Cutoff, DoubleCoverGrid, SunPipeline, ZonalPoly,
-                  manufactured_error)
+from .sun import (MAX_ZONAL_DEGREE, Cutoff, DoubleCoverGrid, SunPipeline,
+                  ZonalPoly, manufactured_error)
 
 SUITES = ("harmonicity", "monodromy", "vanishing-order", "topology", "sun")
 
@@ -58,23 +60,50 @@ def normalize_descriptor(spec: dict, path: str = "$") -> dict:
         return {"kind": "fiber", "p": p, "q": q,
                 "base": [float(base[0]), float(base[1])]}
     if kind == "sun":
-        degrees = [int(k) for k in spec.get("degrees", [0, 1, 2, 3, 4])]
-        cutoff = spec.get("cutoff", "quintic")
-        if cutoff not in ("quintic", "cubic"):
-            raise SchemaError(f"{path}.cutoff", f"unknown cutoff {cutoff!r}")
-        out = {
-            "kind": "sun",
-            "degrees": degrees,
-            "grid": int(spec.get("grid", 512)),
-            "truncation": float(spec.get("truncation", 20.0)),
-            "cutoff": cutoff,
-            "r1": float(spec.get("r1", 3.0)),
-            "r2": float(spec.get("r2", 5.0)),
-        }
-        if out["grid"] < 64:
-            raise SchemaError(f"{path}.grid", "grid must be >= 64")
-        return out
+        return _normalize_sun(spec, path)
     raise SchemaError(f"{path}.kind", f"unknown descriptor kind {kind!r}")
+
+
+def _finite(value, path: str, integer: bool = False):
+    """A finite JSON number (integral if ``integer``), else a SchemaError."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value) and (not integer or value == int(value))
+    except OverflowError:
+        ok = False
+    if not ok:
+        kind = "integer" if integer else "number"
+        raise SchemaError(path, f"expected a finite {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _normalize_sun(spec: dict, path: str) -> dict:
+    degrees = spec.get("degrees", [0, 1, 2, 3, 4])
+    if not isinstance(degrees, list) or not degrees:
+        raise SchemaError(f"{path}.degrees", "expected a non-empty list")
+    degrees = [_finite(k, f"{path}.degrees[{i}]", integer=True)
+               for i, k in enumerate(degrees)]
+    for i, k in enumerate(degrees):
+        if not 0 <= k <= MAX_ZONAL_DEGREE:
+            raise SchemaError(f"{path}.degrees[{i}]", f"zonal degree {k} "
+                              f"outside [0, {MAX_ZONAL_DEGREE}]")
+    cutoff = spec.get("cutoff", "quintic")
+    if cutoff not in ("quintic", "cubic"):
+        raise SchemaError(f"{path}.cutoff", f"unknown cutoff {cutoff!r}")
+    out = {"kind": "sun", "degrees": degrees, "cutoff": cutoff,
+           "grid": _finite(spec.get("grid", 512), f"{path}.grid", integer=True)}
+    for key, default in (("truncation", 20.0), ("r1", 3.0), ("r2", 5.0)):
+        out[key] = _finite(spec.get(key, default), f"{path}.{key}")
+    if out["grid"] < 64:
+        raise SchemaError(f"{path}.grid", "grid must be >= 64")
+    if not out["r1"] > 1.0:
+        raise SchemaError(f"{path}.r1", "need r1 > 1 (the circle has rho = 1)")
+    if not out["r2"] > out["r1"]:
+        raise SchemaError(f"{path}.r2", f"need r2 > r1 = {out['r1']}")
+    if not out["truncation"] > out["r2"]:
+        raise SchemaError(f"{path}.truncation",
+                          f"need truncation > r2 = {out['r2']}")
+    return out
 
 
 def _form_from(descriptor: dict):

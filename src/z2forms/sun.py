@@ -159,31 +159,25 @@ class Cutoff:
         return out[()] if out.ndim == 0 else out
 
 
-def source_meridian(p: ZonalPoly, chi: Cutoff, s: float, x3: float) -> float:
+def source_meridian(p: ZonalPoly, chi: Cutoff, s, x3):
     """H = p * Delta(chi) + 2 grad(chi) . grad(p) without the sheet sign.
 
     For a radial cutoff and homogeneous harmonic terms, Euler's identity
     x . grad(p_k) = k p_k gives the closed form
     H = sum_k c_k p_k (chi'' + (2 + 2k) chi' / rho); Delta p = 0 is exact.
-    Supported in the shell r1 <= rho <= r2.
+    Supported in the shell r1 < rho < r2; accepts scalars or arrays.
     """
-    rho = float(np.hypot(s, x3))
-    if rho <= chi.r1 or rho >= chi.r2:
-        return 0.0
-    d1, d2 = chi.dchi(rho), chi.d2chi(rho)
-    return sum(c * zonal_meridian(k, s, x3) * (d2 + (2.0 + 2.0 * k) * d1 / rho)
-               for k, c in p.terms)
-
-
-def source_on_cover(p: ZonalPoly, chi: Cutoff, xi: float, eta: float) -> float:
-    """H at a double-cover chart point, including the sheet sign.
-
-    The two large-|x| sheets are the xi > 0 and xi < 0 components of the
-    chart; the support of H never meets the xi = 0 line.
-    """
-    s = 1.0 + xi * xi - eta * eta
-    x3 = 2.0 * xi * eta
-    return float(np.sign(xi)) * source_meridian(p, chi, s, x3) if xi != 0.0 else 0.0
+    s, x3 = np.asarray(s, dtype=float), np.asarray(x3, dtype=float)
+    rho = np.hypot(s, x3)
+    out = np.zeros(rho.shape)
+    m = (rho > chi.r1) & (rho < chi.r2)
+    if m.any():
+        rm, cosphi = rho[m], x3[m] / rho[m]
+        d1, d2 = chi.dchi(rm), chi.d2chi(rm)
+        for k, c in p.terms:
+            out[m] += (c * rm**k * legendre_values(k, cosphi)
+                       * (d2 + (2.0 + 2.0 * k) * d1 / rm))
+    return out[()] if out.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------
@@ -212,7 +206,6 @@ class DoubleCoverGrid:
         self.s = 1.0 + self.xi**2 - self.eta**2
         self.x3 = 2.0 * self.xi * self.eta
         self.rho = np.hypot(self.s, self.x3)
-        self.sheet = np.where(self.xi >= 0.0, 1.0, -1.0)
         self.active = (self.s > 0.0) & (self.rho < self.truncation)
         idx = -np.ones((self.n, self.n), dtype=np.int64)
         idx[self.active] = np.arange(int(self.active.sum()))
@@ -224,7 +217,15 @@ class DoubleCoverGrid:
 
     @cached_property
     def _lu(self):
-        return spla.splu(self._matrix_csr.tocsc())
+        # -A is symmetric positive definite: each face weight enters both of
+        # its nodes' rows alike, the diagonal holds minus the sum of all face
+        # weights (Dirichlet faces included), and every connected part of the
+        # active region reaches the Dirichlet truncation circle.  So diagonal
+        # pivots in any symmetric order are stable, and minimum degree on
+        # A + A^T has about half the fill of the default COLAMD order.
+        return spla.splu(self._matrix_csr.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
 
     def _matrix(self) -> sp.coo_matrix:
         """Five-point finite-volume matrix of div(s grad .), face-weighted."""
@@ -261,21 +262,10 @@ class DoubleCoverGrid:
 
     def rhs_from_source(self, p: ZonalPoly, chi: Cutoff) -> np.ndarray:
         """4 |zeta|^2 s H on the active nodes (flattened)."""
-        ii, jj = np.nonzero(self.active)
-        xi, eta = self.xi[ii, jj], self.eta[ii, jj]
-        s, x3, rho = self.s[ii, jj], self.x3[ii, jj], self.rho[ii, jj]
-        out = np.zeros(ii.size)
-        m = (rho > chi.r1) & (rho < chi.r2) & (xi != 0.0)
-        if m.any():
-            rm, cosphi = rho[m], x3[m] / rho[m]
-            d1, d2 = chi.dchi(rm), chi.d2chi(rm)
-            hv = np.zeros(rm.size)
-            for k, c in p.terms:
-                hv += (c * rm**k * legendre_values(k, cosphi)
-                       * (d2 + (2.0 + 2.0 * k) * d1 / rm))
-            out[m] = (np.sign(xi[m]) * 4.0 * (xi[m] ** 2 + eta[m] ** 2)
-                      * s[m] * hv)
-        return out
+        a = self.active
+        xi, eta, s = self.xi[a], self.eta[a], self.s[a]
+        h = source_meridian(p, chi, s, self.x3[a])
+        return np.sign(xi) * 4.0 * (xi**2 + eta**2) * s * h
 
     def solve(self, rhs_active: np.ndarray, check: bool = True) -> np.ndarray:
         """Solve div(s grad V) = rhs; returns V on the full grid (0 outside)."""
@@ -323,20 +313,17 @@ def extract_a1(u_fn, radii, n_theta: int = 256,
                max_rel_residual: float = 0.2) -> LeadingCoefficients:
     """Fit per-ring half-angle projections of u against sqrt(r).
 
-    ``u_fn(r, theta)`` samples the section near the circle; theta runs over
-    [0, 4 pi) on the double cover.  Per ring,
+    ``u_fn(r, theta)`` samples the section near the circle and broadcasts
+    over arrays: it is called once, on radii as a column against the theta
+    row.  theta runs over [0, 4 pi) on the double cover.  Per ring,
     a(r) = (1/2pi) integral u cos(theta/2) dtheta (sin likewise); then A1
     comes from least squares of a(r) against sqrt(r).
     """
     radii = np.asarray(radii, dtype=float)
     theta = 4.0 * np.pi * np.arange(n_theta) / n_theta
-    cosh, sinh_ = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    proj_c = np.empty_like(radii)
-    proj_s = np.empty_like(radii)
-    for i, r in enumerate(radii):
-        u = np.array([u_fn(r, t) for t in theta])
-        proj_c[i] = 2.0 * np.mean(u * cosh)
-        proj_s[i] = 2.0 * np.mean(u * sinh_)
+    u = u_fn(radii[:, None], theta)
+    proj_c = 2.0 * np.mean(u * np.cos(theta / 2.0), axis=1)
+    proj_s = 2.0 * np.mean(u * np.sin(theta / 2.0), axis=1)
     sq = np.sqrt(radii)
     denom = float(sq @ sq)
     a_plus = float(proj_c @ sq) / denom
@@ -351,11 +338,13 @@ def extract_a1(u_fn, radii, n_theta: int = 256,
 
 
 def ring_rms_slope(u_fn, radii, n_theta: int = 256) -> float:
-    """Log-log slope of the ring RMS of u; >= 1.4 certifies r^{3/2} decay."""
+    """Log-log slope of the ring RMS of u; >= 1.4 certifies r^{3/2} decay.
+
+    ``u_fn(r, theta)`` broadcasts over arrays, as in :func:`extract_a1`.
+    """
     radii = np.asarray(radii, dtype=float)
     theta = 4.0 * np.pi * np.arange(n_theta) / n_theta
-    vals = np.array([np.sqrt(np.mean([u_fn(r, t) ** 2 for t in theta]))
-                     for r in radii])
+    vals = np.sqrt(np.mean(u_fn(radii[:, None], theta) ** 2, axis=1))
     slope, _ = np.polyfit(np.log(radii), np.log(np.maximum(vals, 1e-300)), 1)
     return float(slope)
 
@@ -388,13 +377,16 @@ class SunPipeline:
         return self.grid.solve(self.grid.rhs_from_source(p, self.cutoff))
 
     def near_circle_fn(self, v_grid: np.ndarray):
-        """u = U - V as a function of (r, theta); U vanishes near the circle."""
+        """u = U - V as a function of (r, theta); U vanishes near the circle.
+
+        The returned ``u_fn(r, theta)`` broadcasts over arrays and makes one
+        interpolator call per call.
+        """
         interp = self.grid.interpolator(v_grid)
 
         def u_fn(r, theta):
             zr = np.sqrt(r)
-            return -float(interp((zr * np.cos(theta / 2.0),
-                                  zr * np.sin(theta / 2.0))))
+            return -interp((zr * np.cos(theta / 2.0), zr * np.sin(theta / 2.0)))
 
         return u_fn
 

@@ -86,6 +86,38 @@ class TestVerify:
         assert main(["verify", "--spec", spec, "--suite", "topology"]) == 2
 
 
+class TestSunSchema:
+    """Malformed sun specs exit 2 with a schema error naming the JSON path."""
+
+    @pytest.mark.parametrize("patch, path", [
+        ({"grid": "big"}, "$.grid"),
+        ({"grid": 96.5}, "$.grid"),
+        ({"truncation": float("nan")}, "$.truncation"),
+        ({"r1": "3"}, "$.r1"),
+        ({"r2": float("inf")}, "$.r2"),
+        ({"degrees": [0, "two", 2]}, "$.degrees[1]"),
+        ({"degrees": [0, 1, float("nan")]}, "$.degrees[2]"),
+        ({"r1": 6}, "$.r2"),
+        ({"r1": 0.5}, "$.r1"),
+        ({"truncation": 5.0}, "$.truncation"),
+        ({"degrees": [0, 1, 13]}, "$.degrees[2]"),
+    ], ids=["grid-text", "grid-fraction", "truncation-nan", "r1-text",
+            "r2-inf", "degree-text", "degree-nan", "r1-above-r2",
+            "r1-inside-circle", "truncation-inside-cutoff", "degree-too-large"])
+    def test_bad_sun_spec_is_schema_error(self, tmp_path, capsys, patch, path):
+        spec = write_spec(tmp_path, "s.json",
+                          {"kind": "sun", "grid": 96, **patch})
+        assert main(["verify", "--spec", spec, "--suite", "sun"]) == 2
+        assert f"schema error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["-5", "0", "10"])
+    def test_bad_grid_flag_is_schema_error(self, tmp_path, capsys, grid):
+        spec = write_spec(tmp_path, "s.json", {"kind": "sun"})
+        assert main(["verify", "--spec", spec, "--suite", "sun",
+                     "--grid", grid]) == 2
+        assert "schema error: $.grid:" in capsys.readouterr().err
+
+
 class TestExport:
     def test_sigma_csv_residual(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "n.json", {"kind": "node", "a": 1,

@@ -1,6 +1,7 @@
 """Tests for the circle-branched harmonic function construction."""
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from z2forms.errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
                             NoNullDirection)
@@ -11,6 +12,7 @@ from z2forms.sun import (Cutoff, DoubleCoverGrid, RadialBump, SunPipeline,
                          zonal, zonal_meridian)
 
 RNG = np.random.default_rng(2718)
+N_TEST = 192
 
 
 # --------------------------------------------------------------------------
@@ -124,6 +126,20 @@ class TestGrid:
         want = 2.0 * g.solve(r1) - 3.0 * g.solve(r2)
         assert np.max(np.abs(v - want)) < 1e-9 * np.max(np.abs(want))
 
+    def test_matrix_exactly_symmetric(self):
+        a = DoubleCoverGrid(n=N_TEST)._matrix_csr
+        assert (a != a.T).nnz == 0
+        assert (a.diagonal() < 0.0).all()
+
+    def test_symmetric_lu_matches_colamd_with_less_fill(self):
+        g = DoubleCoverGrid(n=N_TEST)
+        ref = spla.splu(g._matrix_csr.tocsc())
+        rhs = g.rhs_from_source(ZonalPoly(((0, 1.0), (3, -0.5))), Cutoff())
+        want = ref.solve(rhs)
+        got = g._lu.solve(rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert g._lu.nnz <= 0.6 * ref.nnz
+
     def test_ring_window_guard(self):
         with pytest.raises(GridTooCoarse):
             DoubleCoverGrid(n=24).ring_window()
@@ -180,8 +196,6 @@ class TestExtraction:
 # --------------------------------------------------------------------------
 # pipeline
 
-N_TEST = 192
-
 
 @pytest.fixture(scope="module")
 def pipeline():
@@ -212,12 +226,29 @@ class TestPipeline:
         c_fn = pipeline.near_circle_fn(pipeline.solve_for(ZonalPoly.single(2)))
         radii = pipeline.ring_radii()
         theta = 4.0 * np.pi * np.arange(128) / 128
-        ratios = []
-        for r in radii:
-            u = np.array([c_fn(r, t) for t in theta])
-            ratios.append(2.0 * np.mean(u * np.cos(theta / 2)) / np.sqrt(r))
-        ratios = np.abs(ratios)
+        u = c_fn(radii[:, None], theta)
+        ratios = np.abs(2.0 * np.mean(u * np.cos(theta / 2), axis=1)
+                        / np.sqrt(radii))
         assert ratios.max() / ratios.min() < 1.5
+
+    def test_array_extraction_matches_pointwise_loop(self, pipeline):
+        """One broadcast u_fn call gives what a per-point loop gives."""
+        v = pipeline.solve_for(ZonalPoly.single(1))
+        u_fn = pipeline.near_circle_fn(v)
+        radii = pipeline.ring_radii()
+        theta = 4.0 * np.pi * np.arange(pipeline.n_theta) / pipeline.n_theta
+        u = np.array([[float(u_fn(r, t)) for t in theta] for r in radii])
+        proj_c = 2.0 * np.mean(u * np.cos(theta / 2), axis=1)
+        proj_s = 2.0 * np.mean(u * np.sin(theta / 2), axis=1)
+        sq = np.sqrt(radii)
+        want = np.array([proj_c @ sq, proj_s @ sq]) / (sq @ sq)
+        got = pipeline.a1_of(v).as_array()
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+        want_slope, _ = np.polyfit(np.log(radii),
+                                   np.log(np.sqrt(np.mean(u**2, axis=1))), 1)
+        got_slope = ring_rms_slope(u_fn, radii, pipeline.n_theta)
+        assert got_slope == pytest.approx(want_slope, rel=1e-12)
 
     def test_null_combination_kills_leading_term(self, pipeline):
         out = pipeline.run(range(5))
