@@ -5,8 +5,7 @@ from .branch import (BranchState, HalfPower, continue_branch, continue_straight,
                      winding_number)
 from .defining import (BivariatePolynomial, DefiningFunction, Node,
                        ProductOfLines, RamifiedCover, UnivariatePolynomial)
-from .forms import (AxialForm, PlanarForm, ReHPowerForm, eval_planar,
-                    eval_r3_form, family_nodal, sample_sigma,
+from .forms import (AxialForm, PlanarForm, ReHPowerForm, sample_sigma,
                     vanishing_order)
 from .paths import Polyline, circle
 from .report import Check, VerificationReport
@@ -18,8 +17,8 @@ __all__ = [
     "monodromy", "principal_half_power", "principal_state", "winding_number",
     "BivariatePolynomial", "DefiningFunction", "Node", "ProductOfLines",
     "RamifiedCover", "UnivariatePolynomial",
-    "AxialForm", "PlanarForm", "ReHPowerForm", "eval_planar", "eval_r3_form",
-    "family_nodal", "sample_sigma", "vanishing_order",
+    "AxialForm", "PlanarForm", "ReHPowerForm", "sample_sigma",
+    "vanishing_order",
     "Polyline", "circle",
     "Check", "VerificationReport", "normalize_descriptor", "run_suite",
     "Cutoff", "DoubleCoverGrid", "SunPipeline", "ZonalPoly", "zonal",

@@ -37,11 +37,6 @@ class HalfPower:
         return (2 * self.k + 1) / 2.0
 
 
-def principal_sqrt(v: complex) -> complex:
-    """Principal square root, argument of the result in (-pi/2, pi/2]."""
-    return cmath.sqrt(v)
-
-
 def principal_half_power(v: complex, k: HalfPower | int = 1) -> complex:
     """v**((2k+1)/2) using the principal square root."""
     if isinstance(k, int):

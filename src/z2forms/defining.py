@@ -7,6 +7,7 @@ R^2).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,12 +31,24 @@ def _cx(v) -> list[float]:
     return [v.real, v.imag]
 
 
+def _finite(value, path: str, integer: bool = False):
+    """A finite JSON number (integral if ``integer``), else a SchemaError."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value) and (not integer or value == int(value))
+    except OverflowError:
+        ok = False
+    if not ok:
+        kind = "integer" if integer else "number"
+        raise SchemaError(path, f"expected a finite {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _from_cx(v, path: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
+    """A finite number or [re, im] pair, else a SchemaError."""
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise SchemaError(path, f"expected number or [re, im], got {v!r}")
+        return complex(_finite(v[0], f"{path}[0]"), _finite(v[1], f"{path}[1]"))
+    return complex(_finite(v, path))
 
 
 class DefiningFunction:
@@ -274,7 +287,9 @@ def from_dict(spec: dict, path: str = "$") -> DefiningFunction:
             return RamifiedCover(a=_from_cx(spec.get("a", 1), f"{path}.a"))
         if kind == "bivariate":
             return BivariatePolynomial(tuple(
-                (t[0], t[1], _from_cx(t[2], f"{path}.terms[{i}][2]"))
+                (_finite(t[0], f"{path}.terms[{i}][0]", integer=True),
+                 _finite(t[1], f"{path}.terms[{i}][1]", integer=True),
+                 _from_cx(t[2], f"{path}.terms[{i}][2]"))
                 for i, t in enumerate(spec["terms"])))
         if kind == "planar":
             return UnivariatePolynomial(tuple(

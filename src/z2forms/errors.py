@@ -25,12 +25,12 @@ class EmptyIntersection(Z2FormsError):
     """No points of the zero locus found inside the requested window."""
 
 
+class SamplerExhausted(Z2FormsError):
+    """A rejection sampler used up its draw budget before finding enough points."""
+
+
 class NotOnSphere(Z2FormsError):
     """Input point does not lie on the unit sphere to tolerance."""
-
-
-class ImageOnBranchLocus(Z2FormsError):
-    """The image of a point under a map lies on the branching locus."""
 
 
 class ImageAtInfinity(Z2FormsError):

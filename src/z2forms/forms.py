@@ -4,10 +4,20 @@ Three construction families:
 
 * ``ReHPowerForm`` -- f = Re h^(3/2) (and higher half powers) on R^4 for a
   bivariate holomorphic germ h; omega = df.
-* ``PlanarForm`` -- omega = Re(p(z)^(1/2) dz) on R^2 for a univariate
-  polynomial p.
-* ``AxialForm`` -- the R^3 family with potential z * Re(w^(3/2)), whose
-  vanishing order is 3/2 at the origin but 1/2 elsewhere on the axis.
+* ``PlanarForm`` -- omega = Re(h(z)^(1/2) dz) on R^2 for a univariate
+  polynomial h.
+* ``AxialForm`` -- the R^3 family f = z * Re(w^(3/2)) with germ w = x + i y,
+  whose vanishing order is 3/2 at the origin but 1/2 elsewhere on the axis;
+  omega = 2 df.
+
+All three share one branch-aware protocol: a germ ``h`` whose square root
+the form is built on; ``state_at(point)``, the principal ``BranchState``;
+``eval_omega(state)``, the covector on the state's branch;
+``magnitude(point)``, |omega|, which no branch choice changes; and
+``f_near(center_state)``, the harmonic function the harmonicity suite
+checks, continued along straight segments from the center's branch.  That
+function is f for the first and third families and the covector omega,
+each of whose components is harmonic, for planar forms.
 
 Covector components are real arrays in the coordinates
 (Re z, Im z, Re w, Im w), (x, y) and (x, y, z) respectively.
@@ -21,8 +31,8 @@ import numpy as np
 
 from .branch import (BranchState, EPS_SIGMA, HalfPower, continue_straight,
                      principal_state)
-from .defining import (DefiningFunction, Node, ProductOfLines,
-                       UnivariatePolynomial, to_complex, to_complex_pair)
+from .defining import (DefiningFunction, ProductOfLines,
+                       UnivariatePolynomial)
 from .errors import EmptyIntersection, OnBranchLocus
 
 #: residual contract for sampled points of the zero locus
@@ -34,13 +44,40 @@ def _require_off_locus(hv: complex):
         raise OnBranchLocus(f"|h| = {abs(hv):.3e} below cutoff {EPS_SIGMA}")
 
 
+def _half_powers(state: BranchState, k: HalfPower) -> tuple[complex, complex]:
+    """h^((2k+1)/2) and h^((2k-1)/2) on the state's branch."""
+    _require_off_locus(state.h_value)
+    high = state.h_value ** k.k * state.sqrt_value
+    return high, high / state.h_value
+
+
 def _re_covector(a: complex) -> np.ndarray:
     """Components of Re(a dz) in the real coordinates of z = x + iy."""
     return np.array([a.real, -a.imag])
 
 
+class _BranchForm:
+    """The protocol shared by the three families (see the module docstring)."""
+
+    h: DefiningFunction
+    dimension: int
+
+    def state_at(self, point) -> BranchState:
+        return principal_state(self.h, point)
+
+    def magnitude(self, point) -> float:
+        """|omega|; independent of the branch choice."""
+        return float(np.linalg.norm(self.eval_omega(self.state_at(point))))
+
+    def f_near(self, center: BranchState):
+        """f as a plain function near ``center``, branch continued from it."""
+        def f(point):
+            return self.eval_f(continue_straight(self.h, center, point))
+        return f
+
+
 @dataclass(frozen=True)
-class ReHPowerForm:
+class ReHPowerForm(_BranchForm):
     """f = Re h^((2k+1)/2) and omega = df on R^4 (= C^2)."""
 
     h: DefiningFunction
@@ -52,125 +89,60 @@ class ReHPowerForm:
 
     dimension = 4
 
-    def state_at(self, point) -> BranchState:
-        return principal_state(self.h, point)
-
     def eval_f(self, state: BranchState) -> float:
-        """sign * Re(h^((2k+1)/2)) continued to the state's point."""
-        _require_off_locus(state.h_value)
-        return (state.h_value ** self.k.k * state.sqrt_value).real
+        """Re(h^((2k+1)/2)) on the state's branch."""
+        return _half_powers(state, self.k)[0].real
 
     def eval_omega(self, state: BranchState) -> np.ndarray:
         """The covector (2k+1)/2 * Re(h^((2k-1)/2) (h_z dz + h_w dw))."""
-        _require_off_locus(state.h_value)
         hz, hw = self.h.partials_at(state.at)
-        # h^((2k-1)/2) = h^k * sqrt(h) / h, consistent with the state's sign
-        pref = self.k.exponent * state.h_value ** self.k.k \
-            * state.sqrt_value / state.h_value
+        pref = self.k.exponent * _half_powers(state, self.k)[1]
         return np.concatenate([_re_covector(pref * hz), _re_covector(pref * hw)])
-
-    def magnitude(self, point) -> float:
-        """|omega|; independent of the branch choice."""
-        hv = self.h.value_at(point)
-        _require_off_locus(hv)
-        hz, hw = self.h.partials_at(point)
-        return (self.k.exponent * abs(hv) ** (self.k.exponent - 1.0)
-                * np.hypot(abs(hz), abs(hw)))
-
-    def f_near(self, center: BranchState):
-        """f as a plain function near ``center``, branch continued from it."""
-        def f(point):
-            return self.eval_f(continue_straight(self.h, center, point))
-        return f
-
-    def to_dict(self) -> dict:
-        d = self.h.to_dict()
-        d["k"] = self.k.k
-        return d
 
 
 @dataclass(frozen=True)
-class PlanarForm:
-    """omega = Re(p(z)^(1/2) dz) on R^2."""
+class PlanarForm(_BranchForm):
+    """omega = Re(h(z)^(1/2) dz) on R^2."""
 
-    p: UnivariatePolynomial
+    h: UnivariatePolynomial
     dimension = 2
-
-    def state_at(self, point) -> BranchState:
-        return principal_state(self.p, point)
 
     def eval_omega(self, state: BranchState) -> np.ndarray:
         _require_off_locus(state.h_value)
         return _re_covector(state.sqrt_value)
 
-    def magnitude(self, point) -> float:
-        pv = self.p.value_at(point)
-        _require_off_locus(pv)
-        return np.sqrt(abs(pv))
-
-    def to_dict(self) -> dict:
-        return self.p.to_dict()
-
-
-def eval_planar(p: UnivariatePolynomial, state: BranchState) -> np.ndarray:
-    """Covector of Re(p^(1/2) dz) at a continuation state."""
-    return PlanarForm(p).eval_omega(state)
+    def f_near(self, center: BranchState):
+        """omega near ``center``, branch continued from it; each component
+        is harmonic."""
+        def f(point):
+            return self.eval_omega(continue_straight(self.h, center, point))
+        return f
 
 
 @dataclass(frozen=True)
-class AxialForm:
-    """The R^3 family: potential z * Re(w^((2k+1)/2)), omega = 2 d(potential).
+class AxialForm(_BranchForm):
+    """The R^3 family: f = z * Re(w^((2k+1)/2)) and omega = 2 df.
 
-    Coordinates (x, y, z) with w = x + i y; the branching set is the z-axis.
+    Coordinates (x, y, z) with germ w = x + i y; the branching set is the
+    z-axis and z is a plain coordinate.
     """
 
     k: HalfPower = field(default_factory=HalfPower)
+    h = UnivariatePolynomial((0.0, 1.0))
     dimension = 3
 
-    def _split(self, point):
-        p = np.asarray(point, dtype=float)
-        return complex(p[0], p[1]), p[2]
+    def eval_f(self, state: BranchState) -> float:
+        """z * Re(w^((2k+1)/2)) on the state's branch."""
+        return state.at[2] * _half_powers(state, self.k)[0].real
 
-    def potential(self, point, sign: int = +1) -> float:
-        w, z = self._split(point)
-        _require_off_locus(w)
-        return sign * z * (w ** self.k.k * cmath.sqrt(w)).real
+    def eval_omega(self, state: BranchState) -> np.ndarray:
+        """2 Re(w^((2k+1)/2)) dz + (2k+1) z Re(w^((2k-1)/2) dw) in (x, y, z).
 
-    def eval_omega(self, point, sign: int = +1) -> np.ndarray:
-        w, z = self._split(point)
-        return eval_r3_form(z, w, sign=sign, k=self.k.k)
-
-    def magnitude(self, point) -> float:
-        w, z = self._split(point)
-        _require_off_locus(w)
-        m = self.k.exponent
-        half_low = w ** self.k.k * cmath.sqrt(w) / w  # w^((2k-1)/2)
-        dz_comp = 2.0 * (w ** self.k.k * cmath.sqrt(w)).real
-        return np.sqrt((2.0 * m * z) ** 2 * abs(half_low) ** 2 + dz_comp**2)
-
-    def to_dict(self) -> dict:
-        return {"kind": "r3", "k": self.k.k}
-
-
-def eval_r3_form(z_coord: float, w: complex, sign: int = +1, k: int = 1) -> np.ndarray:
-    """Covector 2 Re(w^((2k+1)/2)) dz + (2k+1) z Re(w^((2k-1)/2) dw) in (x, y, z).
-
-    The paper case is k = 1: omega = 2 Re(w^(3/2)) dz + 3 z Re(w^(1/2) dw).
-    """
-    _require_off_locus(w)
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    high = w**k * cmath.sqrt(w)          # w^((2k+1)/2), principal
-    low = high / w                       # w^((2k-1)/2)
-    dw_part = sign * (2 * k + 1) * z_coord * low
-    return np.array([dw_part.real, -dw_part.imag, sign * 2.0 * high.real])
-
-
-def family_nodal(a: complex, b: complex, c: complex,
-                 k: int = 1) -> ReHPowerForm:
-    """The deformation family h = (z - b)(w - c) - a; a = 0 degenerates to
-    the union of lines {z = b} and {w = c}."""
-    return ReHPowerForm(Node(a=a, b=b, c=c), HalfPower(k))
+        The paper case is k = 1: omega = 2 Re(w^(3/2)) dz + 3 z Re(w^(1/2) dw).
+        """
+        high, low = _half_powers(state, self.k)
+        dw_part = (2 * self.k.k + 1) * state.at[2] * low
+        return np.array([dw_part.real, -dw_part.imag, 2.0 * high.real])
 
 
 # --------------------------------------------------------------------------

@@ -113,15 +113,11 @@ def pullback(mp: SmoothMap, covector_at_image, point) -> np.ndarray:
     return mp.jacobian(point).T @ v
 
 
-def pullback_form(mp: SmoothMap, form, point, sign: int = +1) -> np.ndarray:
-    """Pull back a planar Z2 form; the branch sign is supplied explicitly
-    (continue it along a path with the composed germ to change it)."""
-    from .branch import principal_state
-
-    def cov(image_pt):
-        return sign * form.eval_omega(principal_state(form.p, image_pt))
-
-    return pullback(mp, cov, point)
+def pullback_form(mp: SmoothMap, form, point) -> np.ndarray:
+    """Pull back a planar Z2 form on the principal branch at the image point
+    (continue a state with the composed germ to reach the other branch)."""
+    return pullback(mp, lambda image_pt: form.eval_omega(form.state_at(image_pt)),
+                    point)
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,11 @@ claims with independent finite-difference / combinatorial oracles.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .branch import HalfPower, continue_straight, monodromy, principal_state, winding_number
-from .defining import (DefiningFunction, ProductOfLines, UnivariatePolynomial,
-                       from_dict)
-from .errors import SchemaError
+from .branch import HalfPower, monodromy, winding_number
+from .defining import _finite, from_dict
+from .errors import SamplerExhausted, SchemaError
 from .fd import fd_laplacian, rms
 from .forms import AxialForm, PlanarForm, ReHPowerForm, sample_sigma, vanishing_order
 from .morphisms import core_fiber, covering_degree, fiber, fiber_windings, linking_on_sphere
@@ -25,6 +22,12 @@ from .sun import (MAX_ZONAL_DEGREE, Cutoff, DoubleCoverGrid, SunPipeline,
 SUITES = ("harmonicity", "monodromy", "vanishing-order", "topology", "sun")
 
 BIVARIATE_KINDS = ("lines", "node", "ramified", "bivariate")
+
+#: descriptor kinds that build a form (see ``_form_from``)
+FORM_KINDS = BIVARIATE_KINDS + ("planar", "axial")
+
+#: rejection-sampler budget: draws allowed per requested point
+SAMPLER_DRAWS_PER_POINT = 100
 
 
 # --------------------------------------------------------------------------
@@ -38,43 +41,31 @@ def normalize_descriptor(spec: dict, path: str = "$") -> dict:
     kind = spec["kind"]
     if kind in BIVARIATE_KINDS + ("planar",):
         out = from_dict(spec, path).to_dict()
-        out["k"] = int(spec.get("k", 1))
-        if out["k"] < 1:
-            raise SchemaError(f"{path}.k", "half-power index must be >= 1")
+        out["k"] = _half_power_index(spec, path)
         return out
     if kind == "axial":
-        k = int(spec.get("k", 1))
-        if k < 1:
-            raise SchemaError(f"{path}.k", "half-power index must be >= 1")
-        return {"kind": "axial", "k": k}
+        return {"kind": "axial", "k": _half_power_index(spec, path)}
     if kind == "fiber":
-        try:
-            p, q = int(spec.get("p", 1)), int(spec.get("q", 1))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}.p", str(exc)) from exc
+        p = _finite(spec.get("p", 1), f"{path}.p", integer=True)
+        q = _finite(spec.get("q", 1), f"{path}.q", integer=True)
         if p < 1 or q < 1 or np.gcd(p, q) != 1:
             raise SchemaError(f"{path}.p", "need coprime positive (p, q)")
         base = spec.get("base", [0.7, 0.2])
         if not (isinstance(base, (list, tuple)) and len(base) == 2):
             raise SchemaError(f"{path}.base", "expected [re, im]")
         return {"kind": "fiber", "p": p, "q": q,
-                "base": [float(base[0]), float(base[1])]}
+                "base": [_finite(v, f"{path}.base[{i}]")
+                         for i, v in enumerate(base)]}
     if kind == "sun":
         return _normalize_sun(spec, path)
     raise SchemaError(f"{path}.kind", f"unknown descriptor kind {kind!r}")
 
 
-def _finite(value, path: str, integer: bool = False):
-    """A finite JSON number (integral if ``integer``), else a SchemaError."""
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    try:
-        ok = ok and math.isfinite(value) and (not integer or value == int(value))
-    except OverflowError:
-        ok = False
-    if not ok:
-        kind = "integer" if integer else "number"
-        raise SchemaError(path, f"expected a finite {kind}, got {value!r}")
-    return int(value) if integer else float(value)
+def _half_power_index(spec: dict, path: str) -> int:
+    k = _finite(spec.get("k", 1), f"{path}.k", integer=True)
+    if k < 1:
+        raise SchemaError(f"{path}.k", "half-power index must be >= 1")
+    return k
 
 
 def _normalize_sun(spec: dict, path: str) -> dict:
@@ -107,10 +98,13 @@ def _normalize_sun(spec: dict, path: str) -> dict:
 
 
 def _form_from(descriptor: dict):
+    k = HalfPower(descriptor["k"])
+    if descriptor["kind"] == "axial":
+        return AxialForm(k)
     h = from_dict(descriptor)
     if descriptor["kind"] == "planar":
         return PlanarForm(h)
-    return ReHPowerForm(h, HalfPower(descriptor.get("k", 1)))
+    return ReHPowerForm(h, k)
 
 
 def _sun_pipeline(descriptor: dict, grid_override: int | None = None) -> SunPipeline:
@@ -125,14 +119,22 @@ def _sun_pipeline(descriptor: dict, grid_override: int | None = None) -> SunPipe
 # seeded sampling
 
 
-def _points_off_locus(h: DefiningFunction, count: int, seed: int,
+def _points_off_locus(form, count: int, seed: int,
                       min_dist: float = 0.1, window: float = 2.0):
+    """``count`` seeded points of the form's space at least about
+    ``min_dist`` from its branching locus, by bounded rejection sampling."""
     rng = np.random.default_rng(seed)
-    dim = 4 if h.arity == 2 else 2
+    budget = SAMPLER_DRAWS_PER_POINT * count
     points = []
+    draws = 0
     while len(points) < count:
-        x = rng.uniform(-window, window, size=dim)
-        if h.sigma_distance_bound(x) > min_dist:
+        if draws == budget:
+            raise SamplerExhausted(
+                f"{len(points)} of {count} points off the locus after {draws} "
+                f"draws ({draws - len(points)} rejected, min_dist {min_dist})")
+        draws += 1
+        x = rng.uniform(-window, window, size=form.dimension)
+        if form.h.sigma_distance_bound(x) > min_dist:
             points.append(x)
     return points
 
@@ -141,66 +143,34 @@ def _points_off_locus(h: DefiningFunction, count: int, seed: int,
 # harmonicity
 
 
-def _richardson_over_points(local_field_at, points,
-                            steps=(1e-2, 5e-3)) -> float:
-    residuals = {s: [] for s in steps}
-    for pt in points:
-        f = local_field_at(pt)
-        for s in steps:
-            residuals[s].append(fd_laplacian(f, pt, s))
-    return rms(residuals[steps[0]]) / rms(residuals[steps[1]])
-
-
 def run_harmonicity(descriptor: dict, seed: int, tol: dict) -> list[Check]:
+    """Richardson ratio of the FD Laplacian of ``f_near`` over seeded points,
+    one check per component of the harmonic function."""
     lo = tol.get("ratio_lo", 3.4)
     hi = tol.get("ratio_hi", 4.6)
     count = int(tol.get("points", 200))
     kind = descriptor["kind"]
-    checks = []
-    if kind in BIVARIATE_KINDS:
-        form = _form_from(descriptor)
-        pts = _points_off_locus(form.h, count, seed)
-
-        def local(pt):
-            return form.f_near(principal_state(form.h, pt))
-
-        ratio = _richardson_over_points(local, pts)
-        checks.append(Check(
-            "harmonicity.richardson_ratio", lo < ratio < hi,
-            {"ratio_lo": lo, "ratio_hi": hi},
-            {"points": count, "ratio": ratio, "steps": [1e-2, 5e-3]}))
-    elif kind == "planar":
-        form = _form_from(descriptor)
-        pts = _points_off_locus(form.p, count, seed)
-        for comp in (0, 1):
-            def local(pt, comp=comp):
-                st = principal_state(form.p, pt)
-
-                def f(y):
-                    return form.eval_omega(continue_straight(form.p, st, y))[comp]
-
-                return f
-
-            ratio = _richardson_over_points(local, pts)
-            checks.append(Check(
-                f"harmonicity.component[{comp}].richardson_ratio",
-                lo < ratio < hi, {"ratio_lo": lo, "ratio_hi": hi},
-                {"points": count, "ratio": ratio}))
-    elif kind == "axial":
-        form = AxialForm(HalfPower(descriptor["k"]))
-        rng = np.random.default_rng(seed)
-        pts = []
-        while len(pts) < count:
-            x = rng.uniform(-2, 2, size=3)
-            if np.hypot(x[0], x[1]) > 0.3:
-                pts.append(x)
-        ratio = _richardson_over_points(lambda pt: form.potential, pts)
-        checks.append(Check(
-            "harmonicity.potential.richardson_ratio", lo < ratio < hi,
-            {"ratio_lo": lo, "ratio_hi": hi},
-            {"points": count, "ratio": ratio}))
-    else:
+    if kind not in FORM_KINDS:
         raise SchemaError("$.kind", f"suite 'harmonicity' does not apply to {kind!r}")
+    if count < 1:
+        raise SchemaError("$.tol", f"points must be >= 1, got {count}")
+    form = _form_from(descriptor)
+    steps = (1e-2, 5e-3)
+    residuals = []
+    for pt in _points_off_locus(form, count, seed):
+        f = form.f_near(form.state_at(pt))
+        residuals.append([np.atleast_1d(fd_laplacian(f, pt, s)) for s in steps])
+    residuals = np.array(residuals)  # points x steps x components
+    n_comp = residuals.shape[2]
+    checks = []
+    for comp in range(n_comp):
+        ratio = rms(residuals[:, 0, comp]) / rms(residuals[:, 1, comp])
+        name = ("harmonicity.richardson_ratio" if n_comp == 1 else
+                f"harmonicity.component[{comp}].richardson_ratio")
+        checks.append(Check(name, lo < ratio < hi,
+                            {"ratio_lo": lo, "ratio_hi": hi},
+                            {"points": count, "ratio": ratio,
+                             "steps": list(steps)}))
     return checks
 
 
@@ -310,22 +280,21 @@ def run_monodromy(descriptor: dict, seed: int, tol: dict) -> list[Check]:
 def run_vanishing_order(descriptor: dict, seed: int, tol: dict) -> list[Check]:
     band = tol.get("slope_tol", 0.05)
     kind = descriptor["kind"]
+    if kind not in FORM_KINDS:
+        raise SchemaError("$.kind",
+                          f"suite 'vanishing-order' does not apply to {kind!r}")
+    form = _form_from(descriptor)
     checks = []
     if kind == "axial":
-        form = AxialForm(HalfPower(descriptor["k"]))
         for base, want, label in (([0, 0, 0], descriptor["k"] + 0.5, "origin"),
-                                  ([0, 0, 1], 0.5, "axis point")):
+                                  ([0, 0, 1], descriptor["k"] - 0.5, "axis point")):
             slope = vanishing_order(form.magnitude, base, [1, 0, 0])
             checks.append(Check(
                 f"vanishing-order[{label}]", abs(slope - want) < band,
                 {"slope_tol": band}, {"slope": slope, "expected": want}))
         return checks
-    if kind not in BIVARIATE_KINDS + ("planar",):
-        raise SchemaError("$.kind",
-                          f"suite 'vanishing-order' does not apply to {kind!r}")
-    form = _form_from(descriptor)
     if kind == "planar":
-        roots = np.roots(list(reversed(form.p.coeffs)))
+        roots = np.roots(list(reversed(form.h.coeffs)))
         simple = [c for c, m in _cluster_roots(roots) if m == 1]
         for root in simple[:3]:
             slope = vanishing_order(form.magnitude, [root.real, root.imag],

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 import json
+import time
 
 import numpy as np
 import pytest
@@ -116,6 +117,42 @@ class TestSunSchema:
         assert main(["verify", "--spec", spec, "--suite", "sun",
                      "--grid", grid]) == 2
         assert "schema error: $.grid:" in capsys.readouterr().err
+
+
+class TestFormSchema:
+    """Malformed form and fiber specs exit 2 with a schema error naming the
+    JSON path, never a traceback or a silent truncation."""
+
+    @pytest.mark.parametrize("spec, path", [
+        ({"kind": "axial", "k": "x"}, "$.k"),
+        ({"kind": "ramified", "k": "x"}, "$.k"),
+        ({"kind": "axial", "k": 1.5}, "$.k"),
+        ({"kind": "fiber", "p": 2, "q": 3, "base": ["a", 1]}, "$.base[0]"),
+        ({"kind": "node", "a": float("nan")}, "$.a"),
+        ({"kind": "planar", "p": [float("nan"), 1]}, "$.p[0]"),
+        ({"kind": "bivariate", "terms": [[1.5, 1, 1.0]]}, "$.terms[0][0]"),
+    ], ids=["axial-k-text", "ramified-k-text", "axial-k-fraction",
+            "fiber-base-text", "node-a-nan", "planar-coeff-nan",
+            "bivariate-exponent-fraction"])
+    def test_bad_spec_is_schema_error(self, tmp_path, capsys, spec, path):
+        spec = write_spec(tmp_path, "s.json", spec)
+        assert main(["verify", "--spec", spec, "--suite", "monodromy"]) == 2
+        assert f"schema error: {path}:" in capsys.readouterr().err
+
+
+class TestSamplerBound:
+    def test_sampler_gives_up_with_counts(self, tmp_path, capsys):
+        # sigma_distance_bound stays below min_dist everywhere in the window
+        spec = write_spec(tmp_path, "b.json", {"kind": "bivariate",
+                                               "terms": [[40, 0, 1], [0, 40, 1]]})
+        t0 = time.monotonic()
+        rc = main(["verify", "--spec", spec, "--suite", "harmonicity"])
+        elapsed = time.monotonic() - t0
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "0 of 200 points" in err and "20000 draws" in err
+        assert "20000 rejected" in err
+        assert elapsed < 10.0
 
 
 class TestExport:

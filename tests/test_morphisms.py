@@ -70,8 +70,7 @@ class TestPullback:
 
         def cov(form):
             def f(img):
-                from z2forms.branch import principal_state
-                return form.eval_omega(principal_state(form.p, img))
+                return form.eval_omega(form.state_at(img))
             return f
 
         a, b = 2.0, -0.7
