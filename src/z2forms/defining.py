@@ -44,6 +44,14 @@ def _finite(value, path: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def _entries(value, count: int, path: str) -> list:
+    """A JSON list of exactly ``count`` entries, else a SchemaError."""
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise SchemaError(path, f"expected a list of {count} entries, "
+                                f"got {value!r}")
+    return value
+
+
 def _from_cx(v, path: str) -> complex:
     """A finite number or [re, im] pair, else a SchemaError."""
     if isinstance(v, (list, tuple)) and len(v) == 2:
@@ -274,11 +282,12 @@ def from_dict(spec: dict, path: str = "$") -> DefiningFunction:
     kind = spec["kind"]
     try:
         if kind == "lines":
-            lines = spec["lines"]
+            lines = [_entries(ab, 2, f"{path}.lines[{i}]")
+                     for i, ab in enumerate(spec["lines"])]
             return ProductOfLines(tuple(
-                (_from_cx(ab[0], f"{path}.lines[{i}][0]"),
-                 _from_cx(ab[1], f"{path}.lines[{i}][1]"))
-                for i, ab in enumerate(lines)))
+                (_from_cx(a, f"{path}.lines[{i}][0]"),
+                 _from_cx(b, f"{path}.lines[{i}][1]"))
+                for i, (a, b) in enumerate(lines)))
         if kind == "node":
             return Node(a=_from_cx(spec.get("a", 0), f"{path}.a"),
                         b=_from_cx(spec.get("b", 0), f"{path}.b"),
@@ -286,11 +295,13 @@ def from_dict(spec: dict, path: str = "$") -> DefiningFunction:
         if kind == "ramified":
             return RamifiedCover(a=_from_cx(spec.get("a", 1), f"{path}.a"))
         if kind == "bivariate":
+            terms = [_entries(t, 3, f"{path}.terms[{i}]")
+                     for i, t in enumerate(spec["terms"])]
             return BivariatePolynomial(tuple(
                 (_finite(t[0], f"{path}.terms[{i}][0]", integer=True),
                  _finite(t[1], f"{path}.terms[{i}][1]", integer=True),
                  _from_cx(t[2], f"{path}.terms[{i}][2]"))
-                for i, t in enumerate(spec["terms"])))
+                for i, t in enumerate(terms)))
         if kind == "planar":
             return UnivariatePolynomial(tuple(
                 _from_cx(c, f"{path}.p[{i}]") for i, c in enumerate(spec["p"])))

@@ -153,13 +153,22 @@ def sample_sigma(h: DefiningFunction, window, count: int,
                  seed: int = 0) -> list[np.ndarray]:
     """Point clouds on Sigma = {h = 0} inside a coordinate window.
 
-    ``window`` is a (4, 2) array of per-coordinate bounds in
-    (Re z, Im z, Re w, Im w).  For ``ProductOfLines`` the lines are
+    ``window`` is a (2 * arity, 2) array of per-coordinate bounds in
+    (Re z, Im z) or (Re z, Im z, Re w, Im w).  For a univariate h, Sigma is
+    the finite set of roots of h: one cloud of the roots inside the window,
+    whatever ``count`` and ``seed``.  For ``ProductOfLines`` the lines are
     parameterized exactly; otherwise for seeded z samples the roots in w
     come from companion-matrix rootfinding, polished by Newton to a
     residual below 1e-9.
     """
-    window = np.asarray(window, dtype=float).reshape(4, 2)
+    window = np.asarray(window, dtype=float).reshape(2 * h.arity, 2)
+    if h.arity == 1:
+        roots = h.roots()
+        pts = np.column_stack([roots.real, roots.imag])
+        inside = np.all((pts >= window[:, 0]) & (pts <= window[:, 1]), axis=1)
+        if not inside.any():
+            raise EmptyIntersection("no roots of h in window")
+        return [pts[inside]]
     if isinstance(h, ProductOfLines):
         return _sample_lines(h, window, count)
 

@@ -6,6 +6,8 @@ claims with independent finite-difference / combinatorial oracles.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .branch import HalfPower, monodromy, winding_number
@@ -16,8 +18,8 @@ from .forms import AxialForm, PlanarForm, ReHPowerForm, sample_sigma, vanishing_
 from .morphisms import core_fiber, covering_degree, fiber, fiber_windings, linking_on_sphere
 from .paths import circle
 from .report import Check, VerificationReport
-from .sun import (MAX_ZONAL_DEGREE, Cutoff, DoubleCoverGrid, SunPipeline,
-                  ZonalPoly, manufactured_error)
+from .sun import (MAX_GRID, MAX_ZONAL_DEGREE, Cutoff, DoubleCoverGrid,
+                  SunPipeline, ZonalPoly, manufactured_error)
 
 SUITES = ("harmonicity", "monodromy", "vanishing-order", "topology", "sun")
 
@@ -48,7 +50,7 @@ def normalize_descriptor(spec: dict, path: str = "$") -> dict:
     if kind == "fiber":
         p = _finite(spec.get("p", 1), f"{path}.p", integer=True)
         q = _finite(spec.get("q", 1), f"{path}.q", integer=True)
-        if p < 1 or q < 1 or np.gcd(p, q) != 1:
+        if p < 1 or q < 1 or math.gcd(p, q) != 1:
             raise SchemaError(f"{path}.p", "need coprime positive (p, q)")
         base = spec.get("base", [0.7, 0.2])
         if not (isinstance(base, (list, tuple)) and len(base) == 2):
@@ -85,8 +87,9 @@ def _normalize_sun(spec: dict, path: str) -> dict:
            "grid": _finite(spec.get("grid", 512), f"{path}.grid", integer=True)}
     for key, default in (("truncation", 20.0), ("r1", 3.0), ("r2", 5.0)):
         out[key] = _finite(spec.get(key, default), f"{path}.{key}")
-    if out["grid"] < 64:
-        raise SchemaError(f"{path}.grid", "grid must be >= 64")
+    if not 64 <= out["grid"] <= MAX_GRID:
+        raise SchemaError(f"{path}.grid",
+                          f"grid {out['grid']} outside [64, {MAX_GRID}]")
     if not out["r1"] > 1.0:
         raise SchemaError(f"{path}.r1", "need r1 > 1 (the circle has rho = 1)")
     if not out["r2"] > out["r1"]:
@@ -107,10 +110,10 @@ def _form_from(descriptor: dict):
     return ReHPowerForm(h, k)
 
 
-def _sun_pipeline(descriptor: dict, grid_override: int | None = None) -> SunPipeline:
-    n = grid_override or descriptor["grid"]
+def _sun_pipeline(descriptor: dict) -> SunPipeline:
     return SunPipeline(
-        grid=DoubleCoverGrid(n=n, truncation=descriptor["truncation"]),
+        grid=DoubleCoverGrid(n=descriptor["grid"],
+                             truncation=descriptor["truncation"]),
         cutoff=Cutoff(r1=descriptor["r1"], r2=descriptor["r2"],
                       kind=descriptor["cutoff"]))
 

@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line surface."""
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from z2forms.cli import main
 from z2forms.defining import from_dict
+from z2forms.sun import MAX_GRID
 
 
 def write_spec(tmp_path, name, spec):
@@ -111,6 +117,15 @@ class TestSunSchema:
         assert main(["verify", "--spec", spec, "--suite", "sun"]) == 2
         assert f"schema error: {path}:" in capsys.readouterr().err
 
+    def test_grid_above_bound_is_schema_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "s.json", {"kind": "sun", "grid": 100000})
+        assert main(["construct", "--spec", spec]) == 2
+        assert "schema error: $.grid:" in capsys.readouterr().err
+        spec = write_spec(tmp_path, "t.json", {"kind": "sun"})
+        assert main(["verify", "--spec", spec, "--suite", "sun",
+                     "--grid", str(MAX_GRID + 1)]) == 2
+        assert "schema error: $.grid:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", ["-5", "0", "10"])
     def test_bad_grid_flag_is_schema_error(self, tmp_path, capsys, grid):
         spec = write_spec(tmp_path, "s.json", {"kind": "sun"})
@@ -138,6 +153,51 @@ class TestFormSchema:
         spec = write_spec(tmp_path, "s.json", spec)
         assert main(["verify", "--spec", spec, "--suite", "monodromy"]) == 2
         assert f"schema error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, path, count", [
+        ({"kind": "lines", "lines": [[1]]}, "$.lines[0]", 2),
+        ({"kind": "bivariate", "terms": [[1, 2]]}, "$.terms[0]", 3),
+    ], ids=["lines-short-entry", "bivariate-short-entry"])
+    def test_short_entry_names_path_and_count(self, tmp_path, capsys, spec,
+                                              path, count):
+        spec = write_spec(tmp_path, "s.json", spec)
+        assert main(["construct", "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert f"schema error: {path}:" in err
+        assert f"{count} entries" in err
+
+
+#: JSON values of every shape, non-finite floats and huge integers included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+SPEC_KEYS = ("k", "a", "b", "c", "lines", "terms", "p", "q", "base",
+             "degrees", "cutoff", "grid", "truncation", "r1", "r2")
+
+SPECS = JSON_VALUES | st.fixed_dictionaries(
+    {"kind": st.sampled_from(("lines", "node", "ramified", "bivariate",
+                              "planar", "axial", "fiber", "sun"))
+     | JSON_VALUES},
+    optional={key: JSON_VALUES for key in SPEC_KEYS})
+
+
+class TestConstructFuzz:
+    """Any JSON spec either constructs (exit 0) or is a schema error
+    (exit 2): never a traceback, never a hang."""
+
+    @settings(max_examples=300, deadline=timedelta(seconds=2),
+              derandomize=True)
+    @given(spec=SPECS)
+    @example(spec={"kind": "fiber", "p": 2**70, "q": 3})  # p beyond int64
+    def test_construct_exits_zero_or_two(self, tmp_path_factory, spec):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(spec))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(["construct", "--spec", str(path)]) in (0, 2)
 
 
 class TestSamplerBound:
@@ -168,6 +228,21 @@ class TestExport:
         worst = max(abs(h.value_at(np.array([float(v) for v in r.split(",")])))
                     for r in rows[1:])
         assert worst < 1e-9
+
+    def test_planar_sigma_csv_roots(self, tmp_path, capsys):
+        # sigma of a planar germ is the finite set of its roots
+        spec = write_spec(tmp_path, "p.json", {"kind": "planar",
+                                               "p": [-0.7, 0.0, 1.0]})
+        out = tmp_path / "art"
+        assert main(["export", "--spec", spec, "--what", "sigma",
+                     "--out", str(out)]) == 0
+        rows = (out / "sigma.csv").read_text().strip().splitlines()
+        assert rows[0] == "x0,x1"
+        pts = np.array(sorted([float(v) for v in r.split(",")]
+                              for r in rows[1:]))
+        want = np.array([[-np.sqrt(0.7), 0.0], [np.sqrt(0.7), 0.0]])
+        assert pts.shape == want.shape
+        assert np.max(np.abs(pts - want)) < 1e-9
 
     def test_fiber_obj_closed_polyline(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "f.json", {"kind": "fiber", "p": 2,

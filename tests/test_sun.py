@@ -118,13 +118,32 @@ class TestGrid:
         # active nodes never sit on the outer edge of the chart square
         assert not g.active[0].any() and not g.active[-1].any()
 
+    @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
+    def test_axis_exactly_odd(self, n):
+        g = DoubleCoverGrid(n=n)
+        assert np.array_equal(g.axis[::-1], -g.axis)
+
+    @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
+    def test_matrix_commutes_with_swap(self, n):
+        g = DoubleCoverGrid(n=n)
+        a = g._matrix_csr
+        assert (a[g.swap][:, g.swap] != a).nnz == 0
+        assert np.array_equal(g.swap[g.swap], np.arange(a.shape[0]))
+
     def test_solve_linearity(self):
         g = DoubleCoverGrid(n=96)
         r1 = RNG.normal(size=int(g.active.sum()))
         r2 = RNG.normal(size=int(g.active.sum()))
+        r1, r2 = r1 - r1[g.swap], r2 - r2[g.swap]  # sheet-odd sources
         v = g.solve(2.0 * r1 - 3.0 * r2)
         want = 2.0 * g.solve(r1) - 3.0 * g.solve(r2)
         assert np.max(np.abs(v - want)) < 1e-9 * np.max(np.abs(want))
+
+    def test_solve_rejects_sheet_even_source(self):
+        g = DoubleCoverGrid(n=96)
+        r = RNG.normal(size=int(g.active.sum()))
+        with pytest.raises(ValueError):
+            g.solve(r + r[g.swap])
 
     def test_matrix_exactly_symmetric(self):
         a = DoubleCoverGrid(n=N_TEST)._matrix_csr
@@ -132,13 +151,17 @@ class TestGrid:
         assert (a.diagonal() < 0.0).all()
 
     def test_symmetric_lu_matches_colamd_with_less_fill(self):
-        g = DoubleCoverGrid(n=N_TEST)
-        ref = spla.splu(g._matrix_csr.tocsc())
-        rhs = g.rhs_from_source(ZonalPoly(((0, 1.0), (3, -0.5))), Cutoff())
-        want = ref.solve(rhs)
-        got = g._lu.solve(rhs)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        assert g._lu.nnz <= 0.6 * ref.nnz
+        """The half-size solve equals a full-domain COLAMD LU solve, from
+        about a quarter of its fill, at even and odd n (odd n has the
+        self-mirrored node zeta = 0)."""
+        for n in (N_TEST, N_TEST + 1):
+            g = DoubleCoverGrid(n=n)
+            ref = spla.splu(g._matrix_csr.tocsc())
+            rhs = g.rhs_from_source(ZonalPoly(((0, 1.0), (3, -0.5))), Cutoff())
+            want = ref.solve(rhs)
+            got = g.solve(rhs)[g.active]
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert g._lu.nnz <= 0.3 * ref.nnz
 
     def test_ring_window_guard(self):
         with pytest.raises(GridTooCoarse):
