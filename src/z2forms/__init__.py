@@ -1,8 +1,7 @@
 """Explicit Z2 harmonic functions and 1-forms with numerical verification."""
 
 from .branch import (BranchState, HalfPower, continue_branch, continue_straight,
-                     monodromy, principal_half_power, principal_state,
-                     winding_number)
+                     monodromy, principal_state, winding_number)
 from .defining import (BivariatePolynomial, DefiningFunction, Node,
                        ProductOfLines, RamifiedCover, UnivariatePolynomial)
 from .forms import (AxialForm, PlanarForm, ReHPowerForm, sample_sigma,
@@ -14,7 +13,7 @@ from .sun import Cutoff, DoubleCoverGrid, SunPipeline, ZonalPoly, zonal
 
 __all__ = [
     "BranchState", "HalfPower", "continue_branch", "continue_straight",
-    "monodromy", "principal_half_power", "principal_state", "winding_number",
+    "monodromy", "principal_state", "winding_number",
     "BivariatePolynomial", "DefiningFunction", "Node", "ProductOfLines",
     "RamifiedCover", "UnivariatePolynomial",
     "AxialForm", "PlanarForm", "ReHPowerForm", "sample_sigma",

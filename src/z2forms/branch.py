@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PathHitsBranchLocus, RefinementLimit, ZeroBase
+from .errors import PathHitsBranchLocus, RefinementLimit
 from .paths import Polyline
 
 #: proximity cutoff to the branching locus; conditioning of the square
@@ -35,15 +35,6 @@ class HalfPower:
     @property
     def exponent(self) -> float:
         return (2 * self.k + 1) / 2.0
-
-
-def principal_half_power(v: complex, k: HalfPower | int = 1) -> complex:
-    """v**((2k+1)/2) using the principal square root."""
-    if isinstance(k, int):
-        k = HalfPower(k)
-    if abs(v) < 1e-300:
-        raise ZeroBase(f"half power of zero base {v!r}")
-    return v ** k.k * cmath.sqrt(v)
 
 
 @dataclass(frozen=True)

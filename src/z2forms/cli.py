@@ -17,8 +17,14 @@ from .errors import SchemaError, Z2FormsError
 from .forms import sample_sigma
 from .morphisms import fiber, stereographic_pole, stereographic_project
 from .report import jsonable
-from .suites import SUITES, _sun_pipeline, normalize_descriptor, run_suite
+from .suites import (GERM_KINDS, SUITES, _sun_pipeline, normalize_descriptor,
+                     run_suite)
 from .sun import ZonalPoly
+
+#: most vertices a fiber export may ask for: the pole search holds a dense
+#: 256 x n x 4 float64 array, 8 KiB per vertex; at the cap the export took
+#: 1.8 s at a 402 MB peak RSS (2-core host)
+MAX_RESOLUTION = 16384
 
 
 def _load_spec(path: str) -> dict:
@@ -30,7 +36,10 @@ def _load_spec(path: str) -> dict:
 
 
 def _load_descriptor(args) -> dict:
-    """Normalize the spec, with ``--grid`` overriding a sun spec's grid."""
+    """Check ``--seed`` and normalize the spec, with ``--grid`` overriding a
+    sun spec's grid."""
+    if args.seed < 0:
+        raise SchemaError("$.seed", f"seed must be >= 0, got {args.seed}")
     spec = _load_spec(args.spec)
     if args.grid is not None and isinstance(spec, dict) \
             and spec.get("kind") == "sun":
@@ -129,14 +138,17 @@ def cmd_export(args) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         if args.what == "sigma":
-            if descriptor["kind"] not in ("lines", "node", "ramified",
-                                          "bivariate", "planar"):
+            if descriptor["kind"] not in GERM_KINDS:
                 raise SchemaError("$.kind", "sigma export needs a defining function")
             _export_sigma(descriptor, out, args.seed)
         elif args.what == "fiber":
             if descriptor["kind"] != "fiber":
                 raise SchemaError("$.kind", "fiber export needs a fiber descriptor")
-            _export_fiber(descriptor, out, args.resolution or 1024, args.seed)
+            if not 3 <= args.resolution <= MAX_RESOLUTION:
+                raise SchemaError("$.resolution",
+                                  f"resolution {args.resolution} outside "
+                                  f"[3, {MAX_RESOLUTION}]")
+            _export_fiber(descriptor, out, args.resolution, args.seed)
         else:
             if descriptor["kind"] != "sun":
                 raise SchemaError("$.kind", "field export needs a sun descriptor")
@@ -178,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--out", required=True)
     p_export.add_argument("--seed", type=int, default=0)
     p_export.add_argument("--grid", type=int, default=None)
-    p_export.add_argument("--resolution", type=int, default=None)
+    p_export.add_argument("--resolution", type=int, default=1024)
     p_export.set_defaults(func=cmd_export)
     return parser
 

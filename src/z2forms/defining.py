@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -264,9 +263,6 @@ class UnivariatePolynomial(DefiningFunction):
         for k in range(len(self.coeffs) - 1, 0, -1):
             out = out * z + k * self.coeffs[k]
         return (out,)
-
-    def derivative(self, z) -> complex:
-        return self.partials(z)[0]
 
     def roots(self) -> np.ndarray:
         return np.roots(list(reversed(self.coeffs)))

@@ -5,10 +5,6 @@ class Z2FormsError(Exception):
     """Base class for all library errors."""
 
 
-class ZeroBase(Z2FormsError):
-    """Half-integer power requested at (numerically) zero base."""
-
-
 class PathHitsBranchLocus(Z2FormsError):
     """A continuation path passes too close to the zero set of h."""
 
@@ -62,7 +58,7 @@ class SolverDiverged(Z2FormsError):
 
 
 class GridTooCoarse(Z2FormsError):
-    """Manufactured-solution error above tolerance on this grid."""
+    """Grid step too coarse to resolve the ring window near the circle."""
 
 
 class FitIllConditioned(Z2FormsError):

@@ -1,4 +1,4 @@
-"""Finite-difference oracles: Laplacians, gradients, Richardson ratios.
+"""Finite-difference oracles: Laplacians, gradients, Jacobians, curls.
 
 These are test instruments, deliberately independent of the closed-form
 evaluation paths they check.
@@ -98,11 +98,6 @@ def fd_curl_components(field, point, step: float) -> np.ndarray:
         for j in range(i + 1, n):
             out.append(partials[i, j] - partials[j, i])
     return np.array(out)
-
-
-def richardson_ratio(residual_coarse: float, residual_fine: float) -> float:
-    """Ratio of residuals for a 2x step refinement; ~4 for an O(h^2) scheme."""
-    return residual_coarse / residual_fine
 
 
 def rms(values) -> float:

@@ -191,8 +191,8 @@ def sample_sigma(h: DefiningFunction, window, count: int,
     return [np.array(points)]
 
 
-def _newton_polish_w(h, z, w, iters: int = 20):
-    for _ in range(iters):
+def _newton_polish_w(h, z, w):
+    for _ in range(20):
         hv = h.value(z, w)
         if abs(hv) < SIGMA_RESIDUAL:
             return w
@@ -223,10 +223,10 @@ def _sample_lines(h: ProductOfLines, window, count) -> list[np.ndarray]:
     return clouds
 
 
-def sample_lines_on_sphere(h: ProductOfLines, radius: float,
-                           count: int = 128) -> np.ndarray:
-    """Exact samples of Sigma intersected with the sphere |x| = radius."""
-    t = 2.0 * np.pi * np.arange(count) / count
+def sample_lines_on_sphere(h: ProductOfLines, radius: float) -> np.ndarray:
+    """Exact samples of Sigma intersected with the sphere |x| = radius,
+    128 per line."""
+    t = 2.0 * np.pi * np.arange(128) / 128
     pts = []
     for v in h.unit_directions():
         lam = radius * np.exp(1j * t)
@@ -246,8 +246,7 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def vanishing_order(magnitude_fn, base_point, direction,
-                    r_lo: float = 1e-3, r_hi: float = 1e-1,
-                    n: int = 20) -> float:
+                    r_lo: float = 1e-3, r_hi: float = 1e-1) -> float:
     """Log-log slope of |omega| along base_point + r * direction.
 
     The window [1e-3, 1e-1] keeps the square root well conditioned below
@@ -256,7 +255,7 @@ def vanishing_order(magnitude_fn, base_point, direction,
     base = np.asarray(base_point, dtype=float)
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    radii = np.geomspace(r_lo, r_hi, n)
+    radii = np.geomspace(r_lo, r_hi, 20)
     mags = np.array([magnitude_fn(base + r * direction) for r in radii])
     slope, _ = np.polyfit(np.log(radii), np.log(mags), 1)
     return float(slope)

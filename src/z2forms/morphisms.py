@@ -1,48 +1,34 @@
 """Harmonic morphisms and fiber topology on the 3-sphere.
 
-The Hopf map and its Seifert generalizations [z1^p : z2^q], fiber
-parameterization (torus knots, multiple covers), pullback of planar
-forms, Gauss linking numbers, covering degrees, and chart-based
-Laplace-Beltrami residuals.
+The Hopf chart map (z, w) -> z/w and its Seifert generalizations
+[z1^p : z2^q], fiber parameterization (torus knots, multiple covers),
+pullback of planar forms, Gauss linking numbers, covering degrees, and
+chart-based Laplace-Beltrami residuals.
 
 Points of S^3 are real 4-vectors (Re z1, Im z1, Re z2, Im z2).
 """
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Callable
 
 import numpy as np
 
+from .defining import to_complex_pair
 from .errors import (ChartBoundary, CurvesTooClose, ImageAtInfinity,
                      NotInTube, NotOnSphere, SingularFiber)
+from .fd import fd_gradient_order4, fd_laplacian_order4
 from .paths import Polyline
 
 SPHERE_TOL = 1e-10
-
-
-def _split(point) -> tuple[complex, complex]:
-    p = np.asarray(point, dtype=float)
-    return complex(p[0], p[1]), complex(p[2], p[3])
-
-
-def hopf(z: complex, w: complex) -> np.ndarray:
-    """The Hopf map (z, w) -> (|z|^2 - |w|^2, 2 z conj(w)) in R + C."""
-    if abs(abs(z) ** 2 + abs(w) ** 2 - 1.0) > SPHERE_TOL:
-        raise NotOnSphere(f"|z|^2 + |w|^2 = {abs(z)**2 + abs(w)**2:.12f}")
-    zw = 2.0 * z * w.conjugate()
-    return np.array([abs(z) ** 2 - abs(w) ** 2, zw.real, zw.imag])
 
 
 @dataclass(frozen=True)
 class SmoothMap:
     """A map between charts with closed-form evaluation and Jacobian."""
 
-    name: str
-    source_dim: int
-    target_dim: int
     func: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
 
@@ -51,28 +37,6 @@ class SmoothMap:
 
     def jacobian(self, point) -> np.ndarray:
         return np.asarray(self.jac(np.asarray(point, dtype=float)), dtype=float)
-
-
-def identity_map(dim: int) -> SmoothMap:
-    return SmoothMap("identity", dim, dim, lambda x: x,
-                     lambda x: np.eye(dim))
-
-
-def hopf_sphere_map() -> SmoothMap:
-    """Hopf map as an ambient map R^4 -> R^3 (restricting to S^3 -> S^2)."""
-    def func(x):
-        a, b, c, d = x
-        return np.array([a * a + b * b - c * c - d * d,
-                         2.0 * (a * c + b * d),
-                         2.0 * (b * c - a * d)])
-
-    def jac(x):
-        a, b, c, d = x
-        return np.array([[2 * a, 2 * b, -2 * c, -2 * d],
-                         [2 * c, 2 * d, 2 * a, 2 * b],
-                         [-2 * d, 2 * c, 2 * b, -2 * a]])
-
-    return SmoothMap("hopf", 4, 3, func, jac)
 
 
 def _complex_jacobian_rows(*coeffs: complex) -> np.ndarray:
@@ -91,19 +55,19 @@ def hopf_chart_map() -> SmoothMap:
     The deleted set is the fiber {w = 0} over the pole.
     """
     def func(x):
-        z, w = _split(x)
+        z, w = to_complex_pair(x)
         if abs(w) < 1e-12:
             raise ImageAtInfinity("point lies over the deleted pole (w = 0)")
         zeta = z / w
         return np.array([zeta.real, zeta.imag])
 
     def jac(x):
-        z, w = _split(x)
+        z, w = to_complex_pair(x)
         if abs(w) < 1e-12:
             raise ImageAtInfinity("point lies over the deleted pole (w = 0)")
         return _complex_jacobian_rows(1.0 / w, -z / (w * w))
 
-    return SmoothMap("hopf-chart", 4, 2, func, jac)
+    return SmoothMap(func, jac)
 
 
 def pullback(mp: SmoothMap, covector_at_image, point) -> np.ndarray:
@@ -133,26 +97,12 @@ class ComposedGerm:
 
 
 # --------------------------------------------------------------------------
-# Seifert fibrations
-
-
-@dataclass(frozen=True)
-class Fiber:
-    """One fiber of [z1^p : z2^q], sampled as a closed polyline on S^3."""
-
-    p: int
-    q: int
-    basepoint: np.ndarray
-    polyline: Polyline
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.polyline.points
+# Seifert fibrations: each fiber is sampled as a closed polyline on S^3
 
 
 def seifert_value(p: int, q: int, point) -> complex:
     """Chart value z1^p / z2^q of the fibration [z1^p : z2^q]."""
-    z1, z2 = _split(point)
+    z1, z2 = to_complex_pair(point)
     if abs(z2) < 1e-12:
         raise ImageAtInfinity("chart value undefined on {z2 = 0}")
     return z1**p / z2**q
@@ -171,7 +121,7 @@ def _radii_for(p: int, q: int, modulus: float) -> tuple[float, float]:
     return c1, np.sqrt(max(0.0, 1.0 - c1 * c1))
 
 
-def fiber(p: int, q: int, base: complex, n: int = 1024) -> Fiber:
+def fiber(p: int, q: int, base: complex, n: int = 1024) -> Polyline:
     """The fiber of [z1^p : z2^q] over chart value ``base`` (z1^p / z2^q).
 
     Parameterized as t -> (e^{iqt} z1, e^{ipt} z2), t in [0, 2 pi); lies on
@@ -190,23 +140,22 @@ def fiber(p: int, q: int, base: complex, n: int = 1024) -> Fiber:
     t = 2.0 * np.pi * np.arange(n) / n
     e1, e2 = np.exp(1j * q * t) * z1, np.exp(1j * p * t) * z2
     pts = np.column_stack([e1.real, e1.imag, e2.real, e2.imag])
-    basept = pts[0].copy()
-    return Fiber(p, q, basept, Polyline(pts, closed=True))
+    return Polyline(pts, closed=True)
 
 
-def core_fiber(axis: int, n: int = 1024) -> Fiber:
+def core_fiber(axis: int, n: int = 1024) -> Polyline:
     """A singular fiber: the unit circle {z2 = 0} (axis=0) or {z1 = 0} (axis=1)."""
     t = 2.0 * np.pi * np.arange(n) / n
     pts = np.zeros((n, 4))
     off = 0 if axis == 0 else 2
     pts[:, off] = np.cos(t)
     pts[:, off + 1] = np.sin(t)
-    return Fiber(1, 1, pts[0].copy(), Polyline(pts, closed=True))
+    return Polyline(pts, closed=True)
 
 
-def fiber_windings(fb: Fiber) -> tuple[int, int]:
+def fiber_windings(fb: Polyline) -> tuple[int, int]:
     """Winding numbers of arg z1 and arg z2 over one fiber period."""
-    pts = fb.polyline.vertices()
+    pts = fb.vertices()
     z1 = pts[:, 0] + 1j * pts[:, 1]
     z2 = pts[:, 2] + 1j * pts[:, 3]
     w1 = np.angle(z1[1:] / z1[:-1]).sum() / (2.0 * np.pi)
@@ -218,11 +167,11 @@ def fiber_windings(fb: Fiber) -> tuple[int, int]:
 # linking and covering numbers
 
 
-def stereographic_pole(curves: list[np.ndarray], seed: int = 0,
-                       candidates: int = 256) -> np.ndarray:
-    """A point of S^3 far from all given curves (seeded deterministic search)."""
+def stereographic_pole(curves: list[np.ndarray], seed: int = 0) -> np.ndarray:
+    """The point farthest from all given curves among 256 seeded random
+    points of S^3."""
     rng = np.random.default_rng(seed)
-    cand = rng.normal(size=(candidates, 4))
+    cand = rng.normal(size=(256, 4))
     cand /= np.linalg.norm(cand, axis=1, keepdims=True)
     allpts = np.vstack(curves)
     dists = np.linalg.norm(cand[:, None, :] - allpts[None, :, :], axis=2)
@@ -257,7 +206,7 @@ def gauss_linking(c1: Polyline, c2: Polyline) -> float:
     return float(integrand.sum() / (4.0 * np.pi))
 
 
-def linking_on_sphere(f1: Fiber, f2: Fiber, seed: int = 0) -> float:
+def linking_on_sphere(f1: Polyline, f2: Polyline, seed: int = 0) -> float:
     """Gauss linking of two S^3 curves after a shared stereographic projection."""
     pole = stereographic_pole([f1.points, f2.points], seed=seed)
     p1 = stereographic_project(f1.points, pole)
@@ -265,17 +214,18 @@ def linking_on_sphere(f1: Fiber, f2: Fiber, seed: int = 0) -> float:
     return gauss_linking(Polyline(p1, closed=True), Polyline(p2, closed=True))
 
 
-def covering_degree(fb: Fiber, core: Fiber, tube: float = 0.3) -> int:
+def covering_degree(fb: Polyline, core: Polyline) -> int:
     """Degree of the angular projection of ``fb`` onto the circle ``core``.
 
     Signed count of passes along the core direction: the winding number of
-    the fiber's angular coordinate in the plane of the core.
+    the fiber's angular coordinate in the plane of the core.  ``fb`` must
+    lie within distance 0.3 of ``core``.
     """
     core_pts = core.points
     center = core_pts.mean(axis=0)
     rel = fb.points - center
     dmat = np.linalg.norm(fb.points[:, None, :] - core_pts[None, :, :], axis=2)
-    if dmat.min(axis=1).max() >= tube:
+    if dmat.min(axis=1).max() >= 0.3:
         raise NotInTube(f"max distance to core {dmat.min(axis=1).max():.3f}")
     # plane of the core circle from its two leading principal directions
     u, s, vt = np.linalg.svd(core_pts - center)
@@ -299,29 +249,11 @@ class MetricChart:
     lo: np.ndarray
     hi: np.ndarray
     metric: Callable[[np.ndarray], np.ndarray]
-    embed: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def check_spd(self, points) -> None:
-        for y in points:
-            np.linalg.cholesky(self.metric(np.asarray(y, dtype=float)))
+    embed: Callable[[np.ndarray], np.ndarray]
 
     def contains(self, y, margin: float = 0.0) -> bool:
         y = np.asarray(y, dtype=float)
         return bool(np.all(y >= self.lo + margin) and np.all(y <= self.hi - margin))
-
-
-def stereo_s2_chart(extent: float = 4.0) -> MetricChart:
-    """Stereographic chart of the round S^2; conformal factor 2/(1+|y|^2)."""
-    def metric(y):
-        c = 2.0 / (1.0 + y @ y)
-        return c * c * np.eye(2)
-
-    def embed(y):
-        s = y @ y
-        return np.array([2 * y[0], 2 * y[1], s - 1.0]) / (1.0 + s)
-
-    return MetricChart("stereo-s2", 2, -extent * np.ones(2),
-                       extent * np.ones(2), metric, embed)
 
 
 def stereo_s3_chart(extent: float = 4.0) -> MetricChart:
@@ -369,39 +301,29 @@ def laplace_beltrami_residual(chart: MetricChart, scalar, point,
     return total / np.sqrt(np.linalg.det(chart.metric(y0)))
 
 
-def lb_conformal(scalar, y0, conformal_log_grad, dim: int, step: float,
-                 order: int = 4) -> float:
-    """Laplace-Beltrami for a conformal metric g = c^2 * delta:
+def lb_round_s3_conformal(scalar, y0, step: float) -> float:
+    """Chart-formula oracle for the round S^3 in its stereographic chart.
 
-    Delta_g u = c^-2 [Delta u + (dim - 2) grad(log c) . grad u].
+    The metric is conformal, g = c^2 * delta with c = 2/(1+|y|^2), so
 
-    Closed-form metric derivative makes this a single-level FD scheme,
-    suitable for the high-accuracy cross-oracle comparison.
+    Delta_g u = c^-2 [Delta u + grad(log c) . grad u]
+
+    in three dimensions.  The closed-form metric derivative makes this a
+    single-level fourth-order FD scheme, suitable for the high-accuracy
+    cross-oracle comparison.
     """
-    from .fd import (fd_gradient, fd_gradient_order4, fd_laplacian,
-                     fd_laplacian_order4)
     y0 = np.asarray(y0, dtype=float)
-    if order == 4:
-        lap = fd_laplacian_order4(scalar, y0, step)
-        grad = fd_gradient_order4(scalar, y0, step)
-    else:
-        lap = fd_laplacian(scalar, y0, step)
-        grad = fd_gradient(scalar, y0, step)
+    lap = fd_laplacian_order4(scalar, y0, step)
+    grad = fd_gradient_order4(scalar, y0, step)
     c = 2.0 / (1.0 + y0 @ y0)
-    return (lap + (dim - 2) * conformal_log_grad(y0) @ grad) / (c * c)
+    log_grad = -2.0 * y0 / (1.0 + y0 @ y0)
+    return (lap + log_grad @ grad) / (c * c)
 
 
-def lb_round_s3_conformal(scalar, y0, step: float, order: int = 4) -> float:
-    """Chart-formula oracle for the round S^3 in its stereographic chart."""
-    def log_grad(y):
-        return -2.0 * y / (1.0 + y @ y)
-
-    return lb_conformal(scalar, y0, log_grad, 3, step, order=order)
-
-
-def lb_cross_oracle(field_r4, x0, step: float = 0.04) -> tuple[float, float]:
+def lb_cross_oracle(field_r4, x0) -> tuple[float, float]:
     """Richardson-extrapolated Laplace-Beltrami value on round S^3 by the
-    two independent discretizations (chart formula, homogeneous extension)."""
+    two independent discretizations (chart formula, homogeneous extension),
+    each at steps 0.04 and 0.02."""
     x0 = np.asarray(x0, dtype=float)
     if abs(x0[3] - 1.0) < 1e-6:
         raise ChartBoundary("point at the stereographic pole of the S^3 chart")
@@ -412,17 +334,16 @@ def lb_cross_oracle(field_r4, x0, step: float = 0.04) -> tuple[float, float]:
         return field_r4(chart.embed(y))
 
     def extrap(fn):
-        return (16.0 * fn(step / 2.0) - fn(step)) / 15.0
+        return (16.0 * fn(0.02) - fn(0.04)) / 15.0
 
-    a = extrap(lambda s: lb_round_s3_conformal(field_chart, y0, s, order=4))
-    b = extrap(lambda s: lb_homogeneous_extension(field_r4, x0, s, order=4))
+    a = extrap(lambda s: lb_round_s3_conformal(field_chart, y0, s))
+    b = extrap(lambda s: lb_homogeneous_extension(field_r4, x0, s))
     return a, b
 
 
-def lb_homogeneous_extension(field_r4, x0, step: float, order: int = 4) -> float:
-    """Cross-oracle on the round S^3: the flat R^4 Laplacian of the
-    degree-0 homogeneous extension, evaluated on the sphere."""
-    from .fd import fd_laplacian, fd_laplacian_order4
+def lb_homogeneous_extension(field_r4, x0, step: float) -> float:
+    """Cross-oracle on the round S^3: the fourth-order flat R^4 Laplacian of
+    the degree-0 homogeneous extension, evaluated on the sphere."""
     x0 = np.asarray(x0, dtype=float)
     if abs(np.linalg.norm(x0) - 1.0) > SPHERE_TOL:
         raise NotOnSphere(f"|x| = {np.linalg.norm(x0):.12f}")
@@ -430,6 +351,4 @@ def lb_homogeneous_extension(field_r4, x0, step: float, order: int = 4) -> float
     def ext(x):
         return field_r4(x / np.linalg.norm(x))
 
-    if order == 4:
-        return fd_laplacian_order4(ext, x0, step)
-    return fd_laplacian(ext, x0, step)
+    return fd_laplacian_order4(ext, x0, step)

@@ -1,4 +1,4 @@
-"""Polyline paths in R^n and their CSV interchange format.
+"""Polyline paths in R^n.
 
 All curve inputs to the library are sampled polylines.  A closed polyline
 stores each vertex once; the closing edge back to the first vertex is
@@ -6,8 +6,7 @@ implicit.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,18 +33,11 @@ class Polyline:
             raise ValueError("closed polyline must not repeat its first point")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
     def vertices(self) -> np.ndarray:
         """Vertices for traversal; appends the first point when closed."""
         if self.closed:
             return np.vstack([self.points, self.points[:1]])
         return self.points
-
-    def reversed(self) -> "Polyline":
-        return Polyline(self.points[::-1].copy(), closed=self.closed)
 
     def refined(self, factor: int = 2) -> "Polyline":
         """Insert ``factor - 1`` evenly spaced points on every edge."""
@@ -59,9 +51,8 @@ class Polyline:
         return Polyline(np.array(out), closed=self.closed)
 
 
-def circle(center, radius: float, n: int = 64, plane=(0, 1), dim: int = 2,
-           closed: bool = True) -> Polyline:
-    """A planar circle sampled with ``n`` vertices.
+def circle(center, radius: float, n: int = 64, plane=(0, 1)) -> Polyline:
+    """A closed planar circle sampled with ``n`` vertices.
 
     ``plane`` names the two coordinate axes spanning the circle; remaining
     coordinates are taken from ``center``.
@@ -71,23 +62,4 @@ def circle(center, radius: float, n: int = 64, plane=(0, 1), dim: int = 2,
     pts = np.tile(center, (n, 1))
     pts[:, plane[0]] += radius * np.cos(t)
     pts[:, plane[1]] += radius * np.sin(t)
-    return Polyline(pts, closed=closed)
-
-
-def write_csv(path, polyline: Polyline) -> None:
-    """Write one point per row with header ``x0,x1,...``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(polyline.dimension)])
-        for p in polyline.points:
-            writer.writerow([repr(float(v)) for v in p])
-
-
-def read_csv(path, closed: bool = False) -> Polyline:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not all(name.strip() == f"x{i}" for i, name in enumerate(header)):
-            raise ValueError(f"unexpected CSV header: {header}")
-        pts = np.array([[float(v) for v in row] for row in reader])
-    return Polyline(pts, closed=closed)
+    return Polyline(pts, closed=True)

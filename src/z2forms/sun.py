@@ -52,6 +52,12 @@ MAX_ZONAL_DEGREE = 12
 #: than n^2
 MAX_GRID = 2048
 
+#: half-angle samples per ring on the double cover, theta in [0, 4 pi)
+N_THETA = 256
+
+#: rings per fit window near the circle
+N_RINGS = 12
+
 
 # --------------------------------------------------------------------------
 # zonal harmonics
@@ -99,8 +105,8 @@ class ZonalPoly:
         object.__setattr__(self, "terms", terms)
 
     @classmethod
-    def single(cls, k: int, coeff: float = 1.0) -> "ZonalPoly":
-        return cls(((k, coeff),))
+    def single(cls, k: int) -> "ZonalPoly":
+        return cls(((k, 1.0),))
 
     def value(self, s, x3) -> float:
         return sum(c * zonal_meridian(k, s, x3) for k, c in self.terms)
@@ -298,7 +304,7 @@ class DoubleCoverGrid:
         h = source_meridian(p, chi, s, self.x3[a])
         return np.sign(xi) * 4.0 * (xi**2 + eta**2) * s * h
 
-    def solve(self, rhs_active: np.ndarray, check: bool = True) -> np.ndarray:
+    def solve(self, rhs_active: np.ndarray) -> np.ndarray:
         """Solve div(s grad V) = rhs for a sheet-odd rhs; returns V on the
         full grid (0 outside).
 
@@ -314,12 +320,11 @@ class DoubleCoverGrid:
         v = np.zeros_like(rhs)
         v[self.own] = x
         v[self.swap[self.own]] = -x
-        if check:
-            res = self._matrix_csr @ v - rhs
-            scale = max(np.linalg.norm(rhs), 1e-300)
-            if np.linalg.norm(res) > 1e-8 * scale:
-                raise SolverDiverged(
-                    f"relative residual {np.linalg.norm(res) / scale:.2e}")
+        res = self._matrix_csr @ v - rhs
+        scale = max(np.linalg.norm(rhs), 1e-300)
+        if np.linalg.norm(res) > 1e-8 * scale:
+            raise SolverDiverged(
+                f"relative residual {np.linalg.norm(res) / scale:.2e}")
         full = np.zeros((self.n, self.n))
         full[self.active] = v
         return full
@@ -329,12 +334,13 @@ class DoubleCoverGrid:
                                        method="linear", bounds_error=False,
                                        fill_value=0.0)
 
-    def ring_window(self, r_hi: float = 0.1) -> tuple[float, float]:
-        """Physical-r fit window resolvable on this grid near the circle."""
+    def ring_window(self) -> tuple[float, float]:
+        """Physical-r fit window [r_lo, 0.1] resolvable on this grid near the
+        circle."""
         r_lo = max((3.0 * self.h) ** 2, 1e-3)
-        if r_lo >= r_hi / 2.0:
+        if r_lo >= 0.05:
             raise GridTooCoarse(f"grid step {self.h:.3f} too coarse for rings")
-        return r_lo, r_hi
+        return r_lo, 0.1
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +359,7 @@ class LeadingCoefficients:
         return np.array([self.a_plus, self.a_minus])
 
 
-def extract_a1(u_fn, radii, n_theta: int = 256,
+def extract_a1(u_fn, radii,
                max_rel_residual: float = 0.2) -> LeadingCoefficients:
     """Fit per-ring half-angle projections of u against sqrt(r).
 
@@ -364,7 +370,7 @@ def extract_a1(u_fn, radii, n_theta: int = 256,
     comes from least squares of a(r) against sqrt(r).
     """
     radii = np.asarray(radii, dtype=float)
-    theta = 4.0 * np.pi * np.arange(n_theta) / n_theta
+    theta = 4.0 * np.pi * np.arange(N_THETA) / N_THETA
     u = u_fn(radii[:, None], theta)
     proj_c = 2.0 * np.mean(u * np.cos(theta / 2.0), axis=1)
     proj_s = 2.0 * np.mean(u * np.sin(theta / 2.0), axis=1)
@@ -381,19 +387,19 @@ def extract_a1(u_fn, radii, n_theta: int = 256,
     return LeadingCoefficients(a_plus, a_minus, rel)
 
 
-def ring_rms_slope(u_fn, radii, n_theta: int = 256) -> float:
+def ring_rms_slope(u_fn, radii) -> float:
     """Log-log slope of the ring RMS of u; >= 1.4 certifies r^{3/2} decay.
 
     ``u_fn(r, theta)`` broadcasts over arrays, as in :func:`extract_a1`.
     """
     radii = np.asarray(radii, dtype=float)
-    theta = 4.0 * np.pi * np.arange(n_theta) / n_theta
+    theta = 4.0 * np.pi * np.arange(N_THETA) / N_THETA
     vals = np.sqrt(np.mean(u_fn(radii[:, None], theta) ** 2, axis=1))
     slope, _ = np.polyfit(np.log(radii), np.log(np.maximum(vals, 1e-300)), 1)
     return float(slope)
 
 
-def null_combination(a1_matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def null_combination(a1_matrix: np.ndarray) -> np.ndarray:
     """Unit vector c minimizing ||A c|| for the 2 x K matrix of (A1+, A1-)."""
     a1_matrix = np.asarray(a1_matrix, dtype=float)
     if a1_matrix.shape[0] != 2:
@@ -414,8 +420,6 @@ class SunPipeline:
 
     grid: DoubleCoverGrid = field(default_factory=DoubleCoverGrid)
     cutoff: Cutoff = field(default_factory=Cutoff)
-    n_theta: int = 256
-    n_rings: int = 12
 
     def solve_for(self, p: ZonalPoly) -> np.ndarray:
         return self.grid.solve(self.grid.rhs_from_source(p, self.cutoff))
@@ -434,14 +438,14 @@ class SunPipeline:
 
         return u_fn
 
-    def ring_radii(self, r_hi: float = 0.1) -> np.ndarray:
-        lo, hi = self.grid.ring_window(r_hi)
-        return np.geomspace(lo, hi, self.n_rings)
+    def ring_radii(self) -> np.ndarray:
+        lo, hi = self.grid.ring_window()
+        return np.geomspace(lo, hi, N_RINGS)
 
     def a1_of(self, v_grid: np.ndarray,
               max_rel_residual: float = 0.2) -> LeadingCoefficients:
         return extract_a1(self.near_circle_fn(v_grid), self.ring_radii(),
-                          self.n_theta, max_rel_residual)
+                          max_rel_residual)
 
     def run(self, degrees) -> dict:
         degrees = list(degrees)
@@ -454,17 +458,14 @@ class SunPipeline:
         # is dominated by the next order and the quality gate must be off
         combo_a1 = self.a1_of(combined, max_rel_residual=np.inf)
         lo, _ = self.grid.ring_window()
-        slope_radii = np.geomspace(lo, 0.05, self.n_rings)
-        slope = ring_rms_slope(self.near_circle_fn(combined), slope_radii,
-                               self.n_theta)
+        slope_radii = np.geomspace(lo, 0.05, N_RINGS)
+        slope = ring_rms_slope(self.near_circle_fn(combined), slope_radii)
         return {
-            "degrees": degrees,
             "a1_matrix": matrix,
             "null_vector": c,
             "combo_a1": combo_a1,
             "decay_slope": slope,
             "solutions": solutions,
-            "combined": combined,
         }
 
     def evaluate_3d(self, point, v_grid: np.ndarray, p: ZonalPoly,
@@ -487,13 +488,11 @@ class SunPipeline:
 # manufactured solution
 
 
-@dataclass(frozen=True)
 class RadialBump:
     """C-infinity compactly supported bump exp(1 - 1/(1 - t^2)) in the chart."""
 
-    center: tuple[float, float] = (1.2, 0.0)
-    radius: float = 0.8
-    amplitude: float = 1.0
+    center = (1.2, 0.0)
+    radius = 0.8
 
     def _profile(self, t):
         """(E, E', E'') of E(t) = exp(1 - 1/(1 - t^2)) for t < 1."""
@@ -508,7 +507,7 @@ class RadialBump:
     def value(self, xi, eta):
         d = np.hypot(np.asarray(xi) - self.center[0],
                      np.asarray(eta) - self.center[1])
-        return self.amplitude * self._profile(d / self.radius)[0]
+        return self._profile(d / self.radius)[0]
 
     def weighted_laplacian(self, xi, eta):
         """div(s grad V*) in the chart: s Delta V* + grad s . grad V*."""
@@ -523,11 +522,10 @@ class RadialBump:
         gx = np.where(d < 1e-12, 0.0, de / (self.radius * dsafe) * dx)
         gy = np.where(d < 1e-12, 0.0, de / (self.radius * dsafe) * dy)
         svals = 1.0 + xi * xi - eta * eta
-        return self.amplitude * (svals * lap + 2.0 * xi * gx - 2.0 * eta * gy)
+        return svals * lap + 2.0 * xi * gx - 2.0 * eta * gy
 
 
-def manufactured_error(grid: DoubleCoverGrid, bump: RadialBump | None = None,
-                       rms: bool = False) -> float:
+def manufactured_error(grid: DoubleCoverGrid, rms: bool = False) -> float:
     """Error of the solve against a closed-form sheet-odd solution.
 
     The exact solution is the odd pair V*(zeta) - V*(-zeta) of the bump, the
@@ -535,7 +533,7 @@ def manufactured_error(grid: DoubleCoverGrid, bump: RadialBump | None = None,
     averages over the active nodes, which converges more smoothly and is
     what the order check uses.
     """
-    bump = bump or RadialBump()
+    bump = RadialBump()
     xi, eta = grid.xi[grid.active], grid.eta[grid.active]
     v = grid.solve(bump.weighted_laplacian(xi, eta)
                    - bump.weighted_laplacian(-xi, -eta))

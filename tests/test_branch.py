@@ -1,15 +1,12 @@
-import cmath
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from z2forms import (BivariatePolynomial, Node, Polyline, RamifiedCover,
                      UnivariatePolynomial, circle, continue_branch, monodromy,
-                     principal_half_power, principal_state, winding_number)
+                     principal_state, winding_number)
 from z2forms.branch import HalfPower, continue_straight
-from z2forms.errors import PathHitsBranchLocus, ZeroBase
-from z2forms.paths import read_csv, write_csv
+from z2forms.errors import PathHitsBranchLocus
 
 ZW = Node(a=0, b=0, c=0)          # h = zw
 ZW_SQUARED = BivariatePolynomial(((2, 2, 1.0),))   # h = (zw)^2
@@ -18,31 +15,10 @@ Z_LINEAR = UnivariatePolynomial((0.0, 1.0))        # h(z) = z
 
 def z_loop(w=1.0, radius=1.0, n=64):
     """Loop {(radius*e^it, w)} in C^2, a meridian of the z-axis {z = 0}."""
-    return circle([0, 0, w, 0], radius, n=n, plane=(0, 1), dim=4)
+    return circle([0, 0, w, 0], radius, n=n, plane=(0, 1))
 
 
-class TestPrincipalHalfPower:
-    def test_positive_real(self):
-        assert principal_half_power(4.0, 1) == pytest.approx(8.0)
-
-    def test_identity_case(self):
-        assert principal_half_power(1.0, 0) == pytest.approx(1.0)
-
-    def test_negative_real_principal_branch(self):
-        # (-1)^{3/2} with principal sqrt: e^{i pi} * e^{i pi/2} = -i
-        assert principal_half_power(-1.0, 1) == pytest.approx(-1j)
-
-    def test_zero_base_rejected(self):
-        with pytest.raises(ZeroBase):
-            principal_half_power(0.0, 1)
-
-    @given(st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e3,
-                              allow_nan=False, allow_infinity=False),
-           st.integers(min_value=0, max_value=4))
-    def test_square_consistency(self, v, k):
-        r = principal_half_power(v, k)
-        assert abs(r * r - v ** (2 * k + 1)) <= 1e-9 * abs(v) ** (2 * k + 1)
-
+class TestHalfPower:
     def test_exponent(self):
         assert HalfPower(1).exponent == 1.5
         assert HalfPower(0).exponent == 0.5
@@ -67,12 +43,12 @@ class TestContinuation:
     def test_ramified_cover_smooth_point_meridian(self):
         # smooth point of {w^2 = z^3 + 1} at (0, 1); transverse loop in w
         h = RamifiedCover(a=1.0)
-        loop = circle([0, 0, 1, 0], 0.3, n=64, plane=(2, 3), dim=4)
+        loop = circle([0, 0, 1, 0], 0.3, n=64, plane=(2, 3))
         assert monodromy(h, loop) == -1
         assert winding_number(h, loop) == 1
 
     def test_path_near_locus_raises(self):
-        loop = circle([0, 0, 0, 0], 1.0, n=64, plane=(0, 1), dim=4)  # w = 0
+        loop = circle([0, 0, 0, 0], 1.0, n=64, plane=(0, 1))  # w = 0
         with pytest.raises(PathHitsBranchLocus):
             monodromy(ZW, loop)
 
@@ -82,9 +58,9 @@ class TestContinuation:
 
     @pytest.mark.parametrize("h,loop,expected", [
         (ZW, z_loop(), -1),
-        (ZW, circle([1, 0, 0, 0], 0.5, n=64, plane=(2, 3), dim=4), -1),
+        (ZW, circle([1, 0, 0, 0], 0.5, n=64, plane=(2, 3)), -1),
         (ZW_SQUARED, z_loop(), +1),
-        (RamifiedCover(1.0), circle([0, 0, 1, 0], 0.3, n=64, plane=(2, 3), dim=4), -1),
+        (RamifiedCover(1.0), circle([0, 0, 1, 0], 0.3, n=64, plane=(2, 3)), -1),
     ])
     def test_winding_law(self, h, loop, expected):
         w = winding_number(h, loop)
@@ -100,7 +76,7 @@ class TestContinuation:
                                   [-0.9, 0.1, 1, 0]]))
         start = principal_state(ZW, path.points[0])
         end = continue_branch(ZW, path, start)
-        back = continue_branch(ZW, path.reversed(), end)
+        back = continue_branch(ZW, Polyline(path.points[::-1]), end)
         assert abs(back.sqrt_value - start.sqrt_value) <= 1e-8 * abs(start.sqrt_value)
         assert back.sign == start.sign
 
@@ -126,17 +102,3 @@ class TestContinuation:
         s1 = continue_straight(ZW, start, target)
         s2 = continue_branch(ZW, Polyline(np.array([start.at, target])), start)
         assert s1.sqrt_value == pytest.approx(s2.sqrt_value)
-
-
-class TestPolylineCsv:
-    def test_round_trip(self, tmp_path):
-        loop = z_loop(n=16)
-        f = tmp_path / "loop.csv"
-        write_csv(f, loop)
-        back = read_csv(f, closed=True)
-        np.testing.assert_array_equal(back.points, loop.points)
-
-    def test_header(self, tmp_path):
-        f = tmp_path / "p.csv"
-        write_csv(f, circle([0, 0], 1.0, n=4))
-        assert f.read_text().splitlines()[0] == "x0,x1"

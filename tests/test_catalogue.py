@@ -290,7 +290,7 @@ class TestGaugeInvariance:
         from z2forms import Polyline, circle, continue_branch
         start_pt = np.array([1.0, 0, 1, 0])
         st = principal_state(ZW_FORM.h, start_pt)
-        loop = circle([0, 0, 1, 0], 1.0, n=64, plane=(0, 1), dim=4)
+        loop = circle([0, 0, 1, 0], 1.0, n=64, plane=(0, 1))
         looped = continue_branch(ZW_FORM.h, loop, st)
         oa, ob = ZW_FORM.eval_omega(st), ZW_FORM.eval_omega(looped)
         np.testing.assert_allclose(oa, -ob, atol=1e-10)

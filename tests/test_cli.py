@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from z2forms.cli import main
+from z2forms.cli import MAX_RESOLUTION, main
 from z2forms.defining import from_dict
+from z2forms.suites import MAX_POINTS, TOLERANCES
 from z2forms.sun import MAX_GRID
 
 
@@ -91,6 +92,47 @@ class TestVerify:
         spec = write_spec(tmp_path, "zw.json", {"kind": "node", "a": 0,
                                                 "b": 0, "c": 0})
         assert main(["verify", "--spec", spec, "--suite", "topology"]) == 2
+
+    @pytest.mark.parametrize("suite", ["harmonicity", "monodromy",
+                                       "vanishing-order"])
+    def test_constant_germ_exits_two(self, tmp_path, capsys, suite):
+        # h = 1 has no branching locus: nothing to check, and no traceback
+        spec = write_spec(tmp_path, "c.json", {"kind": "bivariate",
+                                               "terms": [[0, 0, 1]]})
+        assert main(["verify", "--spec", spec, "--suite", suite]) == 2
+
+
+class TestVerifyArgs:
+    """Bad ``--tol`` and ``--seed`` values exit 2 with a schema error naming
+    their path: never a traceback, a hang or a silently ignored input."""
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "2.5", "0",
+                                       str(MAX_POINTS + 1), "1e12"])
+    def test_bad_points_is_schema_error(self, tmp_path, capsys, value):
+        spec = write_spec(tmp_path, "a.json", {"kind": "axial"})
+        assert main(["verify", "--spec", spec, "--suite", "harmonicity",
+                     "--tol", f"points={value}"]) == 2
+        assert "schema error: $.tol.points:" in capsys.readouterr().err
+
+    def test_unknown_tolerance_is_schema_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "a.json", {"kind": "axial"})
+        assert main(["verify", "--spec", spec, "--suite", "harmonicity",
+                     "--tol", "ratio_low=3"]) == 2
+        err = capsys.readouterr().err
+        assert "schema error: $.tol.ratio_low:" in err
+        assert "ratio_lo, ratio_hi, points" in err
+
+    def test_suite_without_tolerances_rejects_any(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "zw.json", {"kind": "node"})
+        assert main(["verify", "--spec", spec, "--suite", "monodromy",
+                     "--tol", "slope_tol=0.1"]) == 2
+        assert "accepts: none" in capsys.readouterr().err
+
+    def test_negative_seed_is_schema_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "a.json", {"kind": "axial"})
+        assert main(["verify", "--spec", spec, "--suite", "harmonicity",
+                     "--seed", "-1"]) == 2
+        assert "schema error: $.seed:" in capsys.readouterr().err
 
 
 class TestSunSchema:
@@ -200,6 +242,74 @@ class TestConstructFuzz:
             assert main(["construct", "--spec", str(path)]) in (0, 2)
 
 
+NUMBERS = st.integers(-3, 3) | st.floats(-3.0, 3.0)
+COMPLEX = NUMBERS | st.lists(NUMBERS, min_size=2, max_size=2)
+INDEX = st.integers(1, 3)
+
+FORM_SPECS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("node")},
+                          optional={"a": COMPLEX, "b": COMPLEX, "c": COMPLEX,
+                                    "k": INDEX}),
+    st.fixed_dictionaries({"kind": st.just("lines"),
+                           "lines": st.lists(st.lists(COMPLEX, min_size=2,
+                                                      max_size=2),
+                                             min_size=1, max_size=3)},
+                          optional={"k": INDEX}),
+    st.fixed_dictionaries({"kind": st.just("ramified")},
+                          optional={"a": COMPLEX, "k": INDEX}),
+    st.fixed_dictionaries({"kind": st.just("bivariate"),
+                           "terms": st.lists(st.tuples(
+                               st.integers(0, 3), st.integers(0, 3), COMPLEX)
+                               .map(list), min_size=1, max_size=3)},
+                          optional={"k": INDEX}),
+    st.fixed_dictionaries({"kind": st.just("planar"),
+                           "p": st.lists(COMPLEX, min_size=1, max_size=4)}),
+    st.fixed_dictionaries({"kind": st.just("axial")}, optional={"k": INDEX}))
+
+TOL_NAMES = st.sampled_from(sorted({n for names in TOLERANCES.values()
+                                    for n in names} | {"ratio_low"})) \
+    | st.text(max_size=4)
+TOL_VALUES = st.floats().map(repr) | st.integers(-10, 10**13).map(str) \
+    | st.text(max_size=4)
+
+
+class TestVerifyFuzz:
+    """Any form spec, fast suite, ``--tol`` list and ``--seed`` gives exit
+    0, 1 or 2: never a traceback, never a hang.
+
+    The topology suite is left out: each of its jobs takes about 1 s
+    whatever the spec, so it would dominate the run and find nothing the
+    schema tests do not.
+    """
+
+    @settings(max_examples=100, deadline=timedelta(seconds=20),
+              derandomize=True)
+    @given(spec=FORM_SPECS,
+           suite=st.sampled_from(("harmonicity", "monodromy",
+                                  "vanishing-order")),
+           tols=st.lists(st.tuples(TOL_NAMES, TOL_VALUES), max_size=2),
+           seed=st.integers(-2**8, 2**70))
+    @example(spec={"kind": "axial"}, suite="harmonicity",
+             tols=[("points", "inf")], seed=0)
+    @example(spec={"kind": "axial"}, suite="harmonicity",
+             tols=[("points", "nan")], seed=0)
+    @example(spec={"kind": "axial"}, suite="harmonicity",
+             tols=[("points", "1e12")], seed=0)
+    @example(spec={"kind": "axial"}, suite="harmonicity",
+             tols=[("ratio_low", "3")], seed=0)
+    @example(spec={"kind": "axial"}, suite="harmonicity", tols=[], seed=-1)
+    def test_verify_exits_zero_one_or_two(self, tmp_path_factory, spec,
+                                          suite, tols, seed):
+        path = tmp_path_factory.getbasetemp() / "fuzz-verify.json"
+        path.write_text(json.dumps(spec))
+        argv = ["verify", "--spec", str(path), "--suite", suite,
+                "--seed", str(seed)]
+        for name, value in tols:
+            argv += ["--tol", f"{name}={value}"]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
+
+
 class TestSamplerBound:
     def test_sampler_gives_up_with_counts(self, tmp_path, capsys):
         # sigma_distance_bound stays below min_dist everywhere in the window
@@ -271,6 +381,24 @@ class TestExport:
         assert len(rows[0].split(",")) == 96
         assert sidecar["descriptor"]["kind"] == "sun"
         assert sidecar["half_width"] == pytest.approx(np.sqrt(21.0))
+
+    @pytest.mark.parametrize("resolution", ["1", "-3", "0",
+                                            str(MAX_RESOLUTION + 1)])
+    def test_bad_resolution_is_schema_error(self, tmp_path, capsys,
+                                            resolution):
+        spec = write_spec(tmp_path, "f.json", {"kind": "fiber", "p": 2,
+                                               "q": 3})
+        assert main(["export", "--spec", spec, "--what", "fiber",
+                     "--out", str(tmp_path / "art"),
+                     "--resolution", resolution]) == 2
+        assert "schema error: $.resolution:" in capsys.readouterr().err
+
+    def test_export_negative_seed_is_schema_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "f.json", {"kind": "fiber", "p": 2,
+                                               "q": 3})
+        assert main(["export", "--spec", spec, "--what", "fiber",
+                     "--out", str(tmp_path / "art"), "--seed", "-1"]) == 2
+        assert "schema error: $.seed:" in capsys.readouterr().err
 
     def test_export_kind_mismatch(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "f.json", {"kind": "fiber", "p": 2,

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from z2forms.errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
                             NoNullDirection)
 from z2forms.fd import fd_laplacian
-from z2forms.sun import (Cutoff, DoubleCoverGrid, RadialBump, SunPipeline,
+from z2forms.sun import (N_THETA, Cutoff, DoubleCoverGrid, SunPipeline,
                          ZonalPoly, extract_a1, manufactured_error,
                          null_combination, ring_rms_slope, source_meridian,
                          zonal, zonal_meridian)
@@ -259,7 +259,7 @@ class TestPipeline:
         v = pipeline.solve_for(ZonalPoly.single(1))
         u_fn = pipeline.near_circle_fn(v)
         radii = pipeline.ring_radii()
-        theta = 4.0 * np.pi * np.arange(pipeline.n_theta) / pipeline.n_theta
+        theta = 4.0 * np.pi * np.arange(N_THETA) / N_THETA
         u = np.array([[float(u_fn(r, t)) for t in theta] for r in radii])
         proj_c = 2.0 * np.mean(u * np.cos(theta / 2), axis=1)
         proj_s = 2.0 * np.mean(u * np.sin(theta / 2), axis=1)
@@ -270,7 +270,7 @@ class TestPipeline:
 
         want_slope, _ = np.polyfit(np.log(radii),
                                    np.log(np.sqrt(np.mean(u**2, axis=1))), 1)
-        got_slope = ring_rms_slope(u_fn, radii, pipeline.n_theta)
+        got_slope = ring_rms_slope(u_fn, radii)
         assert got_slope == pytest.approx(want_slope, rel=1e-12)
 
     def test_null_combination_kills_leading_term(self, pipeline):
