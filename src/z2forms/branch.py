@@ -39,23 +39,23 @@ class HalfPower:
 
 @dataclass(frozen=True)
 class BranchState:
-    """Continuation record: point, h value, chosen square root and its sign.
-
-    ``sign`` is +1 exactly when ``sqrt_value`` equals the principal square
-    root of ``h_value``.
-    """
+    """Continuation record: point, h value and the sign of the chosen square
+    root relative to the principal one."""
 
     at: np.ndarray
     h_value: complex
-    sqrt_value: complex
     sign: int
 
     def __post_init__(self):
         object.__setattr__(self, "at", np.asarray(self.at, dtype=float))
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        if abs(self.sqrt_value**2 - self.h_value) > 1e-10 * max(1.0, abs(self.h_value)):
-            raise ValueError("sqrt_value**2 inconsistent with h_value")
+
+    @property
+    def sqrt_value(self) -> complex:
+        """The chosen square root: the principal one times ``sign``."""
+        r = cmath.sqrt(self.h_value)
+        return r if self.sign == +1 else -r
 
 
 def principal_state(h, point) -> BranchState:
@@ -64,28 +64,47 @@ def principal_state(h, point) -> BranchState:
     hv = h.value_at(point)
     if abs(hv) < EPS_SIGMA:
         raise PathHitsBranchLocus(f"|h| = {abs(hv):.3e} at base point")
-    return BranchState(at=point, h_value=hv, sqrt_value=cmath.sqrt(hv), sign=+1)
+    return BranchState(at=point, h_value=hv, sign=+1)
 
 
-def _nearest_sqrt(hv: complex, prev: complex) -> complex:
-    r = cmath.sqrt(hv)
-    return r if abs(r - prev) <= abs(-r - prev) else -r
-
-
-def _continue_segment(h, a: np.ndarray, b: np.ndarray, hv_a: complex,
-                      sqrt_a: complex, depth: int = 0) -> tuple[complex, complex]:
-    """Continue the square root from a to b, bisecting while arg h turns fast."""
+def _refine(h, a: np.ndarray, b: np.ndarray, out: list, depth: int = 0) -> None:
+    """Append to ``out`` h at the end of each dyadic piece of the segment
+    [a, b] on which arg h turns by less than pi/2; ``out[-1]`` is h(a)."""
     hv_b = h.value_at(b)
     if abs(hv_b) < EPS_SIGMA:
         raise PathHitsBranchLocus(f"|h| = {abs(hv_b):.3e} on path")
-    darg = abs(cmath.phase(hv_b / hv_a))
-    if darg < np.pi / 2:
-        return hv_b, _nearest_sqrt(hv_b, sqrt_a)
+    if abs(cmath.phase(hv_b / out[-1])) < np.pi / 2:
+        out.append(hv_b)
+        return
     if depth >= MAX_REFINE_DEPTH:
         raise RefinementLimit("segment required more than 2**20 subdivisions")
     mid = 0.5 * (a + b)
-    hv_m, sqrt_m = _continue_segment(h, a, mid, hv_a, sqrt_a, depth + 1)
-    return _continue_segment(h, mid, b, hv_m, sqrt_m, depth + 1)
+    _refine(h, a, mid, out, depth + 1)
+    _refine(h, mid, b, out, depth + 1)
+
+
+def _walk(h, verts, hv: complex) -> list[complex]:
+    """h along the polyline through ``verts``, from ``hv`` = h(verts[0]) to
+    h(verts[-1]), at steps on which arg h turns by less than pi/2."""
+    out = [hv]
+    for a, b in zip(verts[:-1], verts[1:]):
+        _refine(h, a, b, out)
+    return out
+
+
+def _continued(h, verts, start: BranchState) -> BranchState:
+    """``start`` carried to verts[-1]: the sign flips wherever the principal
+    root jumps to the far side, so the chosen root moves continuously.
+    With |d arg h| < pi/2 per step the two roots are never equidistant."""
+    sign = start.sign
+    hvs = _walk(h, verts, start.h_value)
+    r_prev = cmath.sqrt(hvs[0])
+    for hv in hvs[1:]:
+        r = cmath.sqrt(hv)
+        if abs(r - r_prev) > abs(r + r_prev):
+            sign = -sign
+        r_prev = r
+    return BranchState(at=verts[-1], h_value=hvs[-1], sign=sign)
 
 
 def continue_branch(h, path: Polyline, start: BranchState) -> BranchState:
@@ -97,11 +116,7 @@ def continue_branch(h, path: Polyline, start: BranchState) -> BranchState:
     verts = path.vertices()
     if not np.allclose(verts[0], start.at, atol=1e-12):
         raise ValueError("start state must sit at the first path point")
-    hv, sq = start.h_value, start.sqrt_value
-    for a, b in zip(verts[:-1], verts[1:]):
-        hv, sq = _continue_segment(h, a, b, hv, sq)
-    sign = +1 if abs(sq - cmath.sqrt(hv)) <= abs(sq + cmath.sqrt(hv)) else -1
-    return BranchState(at=verts[-1], h_value=hv, sqrt_value=sq, sign=sign)
+    return _continued(h, verts, start)
 
 
 def continue_straight(h, start: BranchState, point) -> BranchState:
@@ -110,10 +125,7 @@ def continue_straight(h, start: BranchState, point) -> BranchState:
     Convenience for finite-difference stencils: keeps the branch choice of
     the stencil center.
     """
-    point = np.asarray(point, dtype=float)
-    hv, sq = _continue_segment(h, start.at, point, start.h_value, start.sqrt_value)
-    sign = +1 if abs(sq - cmath.sqrt(hv)) <= abs(sq + cmath.sqrt(hv)) else -1
-    return BranchState(at=point, h_value=hv, sqrt_value=sq, sign=sign)
+    return _continued(h, (start.at, np.asarray(point, dtype=float)), start)
 
 
 def monodromy(h, loop: Polyline) -> int:
@@ -127,32 +139,13 @@ def monodromy(h, loop: Polyline) -> int:
 def winding_number(h, loop: Polyline) -> int:
     """Winding number of t -> h(loop(t)) around 0, by argument increments.
 
-    Independent oracle for ``monodromy``: the monodromy equals
+    Cross-check for ``monodromy`` on the same walk: the monodromy equals
     (-1)**winding_number.
     """
     if not loop.closed:
         raise ValueError("winding number requires a closed loop")
-    verts = loop.vertices()
+    hvs = _walk(h, loop.vertices(), principal_state(h, loop.points[0]).h_value)
     total = 0.0
-
-    def accumulate(a, b, hv_a, depth=0):
-        nonlocal total
-        hv_b = h.value_at(b)
-        if abs(hv_b) < EPS_SIGMA:
-            raise PathHitsBranchLocus(f"|h| = {abs(hv_b):.3e} on loop")
-        darg = cmath.phase(hv_b / hv_a)
-        if abs(darg) < np.pi / 2:
-            total += darg
-            return hv_b
-        if depth >= MAX_REFINE_DEPTH:
-            raise RefinementLimit("loop required more than 2**20 subdivisions")
-        mid = 0.5 * (a + b)
-        hv_m = accumulate(a, mid, hv_a, depth + 1)
-        return accumulate(mid, b, hv_m, depth + 1)
-
-    hv = h.value_at(verts[0])
-    if abs(hv) < EPS_SIGMA:
-        raise PathHitsBranchLocus(f"|h| = {abs(hv):.3e} at loop base point")
-    for a, b in zip(verts[:-1], verts[1:]):
-        hv = accumulate(a, b, hv)
+    for a, b in zip(hvs[:-1], hvs[1:]):
+        total += cmath.phase(b / a)
     return round(total / (2.0 * np.pi))

@@ -41,10 +41,16 @@ def _load_descriptor(args) -> dict:
     if args.seed < 0:
         raise SchemaError("$.seed", f"seed must be >= 0, got {args.seed}")
     spec = _load_spec(args.spec)
-    if args.grid is not None and isinstance(spec, dict) \
-            and spec.get("kind") == "sun":
+    if args.grid is not None:
+        if not isinstance(spec, dict) or spec.get("kind") != "sun":
+            raise SchemaError("$.grid", "--grid applies only to a sun spec")
         spec = {**spec, "grid": args.grid}
     return normalize_descriptor(spec)
+
+
+def _write(out: Path, name: str, text: str) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text)
 
 
 def _parse_tols(pairs: list[str]) -> dict:
@@ -64,9 +70,7 @@ def cmd_construct(args) -> int:
     descriptor = normalize_descriptor(_load_spec(args.spec))
     text = json.dumps(jsonable(descriptor), sort_keys=True, indent=2) + "\n"
     if args.out:
-        path = Path(args.out)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / "descriptor.json").write_text(text)
+        _write(Path(args.out), "descriptor.json", text)
     sys.stdout.write(text)
     return 0
 
@@ -78,9 +82,7 @@ def cmd_verify(args) -> int:
     for check in report.checks:
         print(check.summary_line())
     if args.out:
-        path = Path(args.out)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / f"report-{args.suite}.json").write_text(report.to_json())
+        _write(Path(args.out), f"report-{args.suite}.json", report.to_json())
     if not report.passed:
         failed = report.first_failure()
         print(f"first failing check: {failed.name}", file=sys.stderr)
@@ -88,16 +90,20 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _export_sigma(descriptor: dict, out: Path, seed: int) -> None:
+def _export_sigma(descriptor: dict, out: Path, seed: int, resolution) -> None:
     h = from_dict(descriptor)
     clouds = sample_sigma(h, [[-2, 2]] * (2 * h.arity), 200, seed=seed)
     rows = np.vstack(clouds)
     header = ",".join(f"x{i}" for i in range(rows.shape[1]))
     lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows]
-    (out / "sigma.csv").write_text("\n".join(lines) + "\n")
+    _write(out, "sigma.csv", "\n".join(lines) + "\n")
 
 
-def _export_fiber(descriptor: dict, out: Path, n: int, seed: int) -> None:
+def _export_fiber(descriptor: dict, out: Path, seed: int, resolution) -> None:
+    n = 1024 if resolution is None else resolution
+    if not 3 <= n <= MAX_RESOLUTION:
+        raise SchemaError("$.resolution",
+                          f"resolution {n} outside [3, {MAX_RESOLUTION}]")
     fb = fiber(descriptor["p"], descriptor["q"],
                complex(*descriptor["base"]), n=n)
     # stereographic projection from a pole away from the curve gives a
@@ -109,16 +115,16 @@ def _export_fiber(descriptor: dict, out: Path, n: int, seed: int) -> None:
     ]
     loop = " ".join(str(i + 1) for i in range(len(pts)))
     lines.append(f"l {loop} 1")
-    (out / "fiber.obj").write_text("\n".join(lines) + "\n")
+    _write(out, "fiber.obj", "\n".join(lines) + "\n")
 
 
-def _export_field(descriptor: dict, out: Path) -> None:
+def _export_field(descriptor: dict, out: Path, seed: int, resolution) -> None:
     pipe = _sun_pipeline(descriptor)
     poly = ZonalPoly(tuple((k, 1.0) for k in descriptor["degrees"]))
     v = pipe.solve_for(poly)
     grid = pipe.grid
     lines = [",".join(repr(float(x)) for x in row) for row in v]
-    (out / "field.csv").write_text("\n".join(lines) + "\n")
+    _write(out, "field.csv", "\n".join(lines) + "\n")
     sidecar = {
         "descriptor": descriptor,
         "chart": "zeta (branched double cover of the meridian half-plane)",
@@ -128,34 +134,29 @@ def _export_field(descriptor: dict, out: Path) -> None:
         "step": grid.h,
         "truncation": grid.truncation,
     }
-    (out / "field.json").write_text(
-        json.dumps(jsonable(sidecar), sort_keys=True, indent=2) + "\n")
+    _write(out, "field.json",
+           json.dumps(jsonable(sidecar), sort_keys=True, indent=2) + "\n")
+
+
+#: export -> (descriptor kinds it takes, writer); only fibers take a
+#: --resolution (default 1024 vertices)
+EXPORTS = {
+    "sigma": (GERM_KINDS, _export_sigma),
+    "fiber": (("fiber",), _export_fiber),
+    "field": (("sun",), _export_field),
+}
 
 
 def cmd_export(args) -> int:
     descriptor = _load_descriptor(args)
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        if args.what == "sigma":
-            if descriptor["kind"] not in GERM_KINDS:
-                raise SchemaError("$.kind", "sigma export needs a defining function")
-            _export_sigma(descriptor, out, args.seed)
-        elif args.what == "fiber":
-            if descriptor["kind"] != "fiber":
-                raise SchemaError("$.kind", "fiber export needs a fiber descriptor")
-            if not 3 <= args.resolution <= MAX_RESOLUTION:
-                raise SchemaError("$.resolution",
-                                  f"resolution {args.resolution} outside "
-                                  f"[3, {MAX_RESOLUTION}]")
-            _export_fiber(descriptor, out, args.resolution, args.seed)
-        else:
-            if descriptor["kind"] != "sun":
-                raise SchemaError("$.kind", "field export needs a sun descriptor")
-            _export_field(descriptor, out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    kinds, writer = EXPORTS[args.what]
+    if descriptor["kind"] not in kinds:
+        raise SchemaError("$.kind", f"{args.what} export does not apply to "
+                          f"{descriptor['kind']!r}; it takes: {', '.join(kinds)}")
+    if args.resolution is not None and args.what != "fiber":
+        raise SchemaError("$.resolution", "--resolution applies only to a "
+                                          "fiber export")
+    writer(descriptor, Path(args.out), args.seed, args.resolution)
     return 0
 
 
@@ -185,12 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="write CSV/OBJ/JSON artifacts")
     p_export.add_argument("--spec", required=True)
-    p_export.add_argument("--what", required=True,
-                          choices=("sigma", "fiber", "field"))
+    p_export.add_argument("--what", required=True, choices=EXPORTS)
     p_export.add_argument("--out", required=True)
     p_export.add_argument("--seed", type=int, default=0)
     p_export.add_argument("--grid", type=int, default=None)
-    p_export.add_argument("--resolution", type=int, default=1024)
+    p_export.add_argument("--resolution", type=int, default=None)
     p_export.set_defaults(func=cmd_export)
     return parser
 
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except Z2FormsError as exc:
+    except (OSError, Z2FormsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

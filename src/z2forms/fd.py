@@ -23,14 +23,7 @@ def fd_laplacian(f, point, step: float) -> float:
 
 def fd_gradient(f, point, step: float) -> np.ndarray:
     """Central first differences, O(step^2)."""
-    point = np.asarray(point, dtype=float)
-    n = point.size
-    out = np.zeros(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        out[i] = (f(point + e) - f(point - e)) / (2.0 * step)
-    return out
+    return fd_jacobian(f, point, step)[0]
 
 
 def fd_laplacian_order4(f, point, step: float) -> float:
@@ -60,7 +53,8 @@ def fd_gradient_order4(f, point, step: float) -> np.ndarray:
 
 
 def fd_jacobian(fn, point, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a vector map."""
+    """Central-difference Jacobian of a vector map: ``jac[i, j] = d_j fn_i``
+    (one row for a scalar map)."""
     point = np.asarray(point, dtype=float)
     cols = []
     for i in range(point.size):
@@ -73,31 +67,13 @@ def fd_jacobian(fn, point, step: float = 1e-6) -> np.ndarray:
 
 def fd_divergence(field, point, step: float) -> float:
     """Central-difference divergence of a covector/vector field."""
-    point = np.asarray(point, dtype=float)
-    n = point.size
-    total = 0.0
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        total += (field(point + e)[i] - field(point - e)[i]) / (2.0 * step)
-    return total
+    return np.trace(fd_jacobian(field, point, step))
 
 
 def fd_curl_components(field, point, step: float) -> np.ndarray:
     """All components (d_i f_j - d_j f_i), i < j, of the exterior derivative."""
-    point = np.asarray(point, dtype=float)
-    n = point.size
-    partials = np.zeros((n, n))  # partials[i, j] = d_i f_j
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        partials[i] = (np.asarray(field(point + e))
-                       - np.asarray(field(point - e))) / (2.0 * step)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(partials[i, j] - partials[j, i])
-    return np.array(out)
+    jac = fd_jacobian(field, point, step)
+    return (jac.T - jac)[np.triu_indices(len(jac), 1)]
 
 
 def rms(values) -> float:

@@ -34,6 +34,7 @@ least like r^{3/2}.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,6 +52,9 @@ MAX_ZONAL_DEGREE = 12
 #: 18.6 s at a 1629 MB peak RSS on a 2-core host, and cost grows faster
 #: than n^2
 MAX_GRID = 2048
+
+#: largest inner radius (3 h)^2 of a ring fit window [r_lo, 0.1]
+RING_R_LO_MAX = 0.05
 
 #: half-angle samples per ring on the double cover, theta in [0, 4 pi)
 N_THETA = 256
@@ -338,9 +342,16 @@ class DoubleCoverGrid:
         """Physical-r fit window [r_lo, 0.1] resolvable on this grid near the
         circle."""
         r_lo = max((3.0 * self.h) ** 2, 1e-3)
-        if r_lo >= 0.05:
+        if r_lo >= RING_R_LO_MAX:
             raise GridTooCoarse(f"grid step {self.h:.3f} too coarse for rings")
         return r_lo, 0.1
+
+
+def min_ring_grid(truncation: float) -> int:
+    """Smallest n whose grid has a ring window: the step 2 L / (n - 1),
+    L = sqrt(truncation + 1), must be below sqrt(RING_R_LO_MAX) / 3."""
+    return math.floor(6.0 * math.sqrt(truncation + 1.0)
+                      / math.sqrt(RING_R_LO_MAX)) + 2
 
 
 # --------------------------------------------------------------------------

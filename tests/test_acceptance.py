@@ -17,9 +17,7 @@ from z2forms.morphisms import (core_fiber, covering_degree, fiber,
                                fiber_windings, hopf_chart_map,
                                laplace_beltrami_residual, lb_cross_oracle,
                                linking_on_sphere, stereo_s3_chart)
-from z2forms.suites import (normalize_descriptor, run_harmonicity,
-                            run_monodromy, run_suite, run_vanishing_order,
-                            _points_off_locus)
+from z2forms.suites import normalize_descriptor, run_suite, _points_off_locus
 from z2forms.sun import (DoubleCoverGrid, SunPipeline, ZonalPoly,
                          manufactured_error)
 
@@ -52,7 +50,7 @@ def test_criterion_1_harmonicity():
     for spec in CATALOGUE + [{"kind": "axial"},
                              {"kind": "planar", "p": [1.0, 0.5, 1.0]}]:
         d = normalize_descriptor(spec)
-        for check in run_harmonicity(d, seed=0, tol={"points": 200}):
+        for check in run_suite("harmonicity", d, seed=0).checks:
             ratios[f"{spec['kind']}:{check.name}"] = check.details["ratio"]
     ok = all(3.4 < r < 4.6 for r in ratios.values())
     worst = max(ratios.values(), key=lambda r: abs(r - 4.0))
@@ -80,7 +78,7 @@ def test_criterion_3_monodromy():
                  {"kind": "ramified", "a": 1},
                  {"kind": "planar", "p": [-0.7, 1.0]},
                  {"kind": "bivariate", "terms": [[2, 2, 1.0]]}):
-        checks += run_monodromy(normalize_descriptor(spec), seed=0, tol={})
+        checks += run_suite("monodromy", normalize_descriptor(spec)).checks
     signs = [c.details["sign"] for c in checks]
     ok = all(c.passed for c in checks)
     gate("monodromy signs, refinement stability, winding agreement",
@@ -91,8 +89,8 @@ def test_criterion_4_vanishing_orders():
     checks = []
     for spec in CATALOGUE + [{"kind": "planar", "p": [-0.7, 1.0]},
                              {"kind": "axial"}]:
-        checks += run_vanishing_order(normalize_descriptor(spec), seed=5,
-                                      tol={"slope_tol": 0.05})
+        checks += run_suite("vanishing-order", normalize_descriptor(spec),
+                            seed=5, tolerances={"slope_tol": 0.05}).checks
     ok = all(c.passed for c in checks)
     worst = max(abs(c.details["slope"] - c.details["expected"])
                 for c in checks)

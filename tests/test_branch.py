@@ -1,3 +1,6 @@
+import cmath
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from z2forms import (BivariatePolynomial, Node, Polyline, RamifiedCover,
                      UnivariatePolynomial, circle, continue_branch, monodromy,
                      principal_state, winding_number)
-from z2forms.branch import HalfPower, continue_straight
+from z2forms.branch import BranchState, HalfPower, continue_straight
 from z2forms.errors import PathHitsBranchLocus
 
 ZW = Node(a=0, b=0, c=0)          # h = zw
@@ -16,6 +19,15 @@ Z_LINEAR = UnivariatePolynomial((0.0, 1.0))        # h(z) = z
 def z_loop(w=1.0, radius=1.0, n=64):
     """Loop {(radius*e^it, w)} in C^2, a meridian of the z-axis {z = 0}."""
     return circle([0, 0, w, 0], radius, n=n, plane=(0, 1))
+
+
+class TestBranchState:
+    def test_fields_and_signed_root(self):
+        st_ = principal_state(ZW, [0.3, 0.7, -1.1, 0.2])
+        assert [f.name for f in dataclasses.fields(st_)] == ["at", "h_value",
+                                                             "sign"]
+        flipped = BranchState(at=st_.at, h_value=st_.h_value, sign=-1)
+        assert flipped.sqrt_value == -st_.sqrt_value == -cmath.sqrt(st_.h_value)
 
 
 class TestHalfPower:

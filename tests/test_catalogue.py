@@ -9,7 +9,7 @@ from z2forms.errors import EmptyIntersection, PathHitsBranchLocus
 from z2forms.fd import (fd_curl_components, fd_divergence, fd_gradient,
                         fd_laplacian, rms)
 from z2forms.forms import hausdorff_distance, sample_lines_on_sphere
-from z2forms.suites import normalize_descriptor, run_harmonicity, run_vanishing_order
+from z2forms.suites import normalize_descriptor, run_suite
 
 ZW_FORM = ReHPowerForm(Node(0, 0, 0))
 THREE_LINES = ProductOfLines(((1, 0), (0, 1), (1, 1)))
@@ -72,8 +72,7 @@ class TestEvalOmega:
         (AxialForm(), (0.8, -0.3, 1.2))], ids=["rehpower", "planar", "axial"])
     def test_sign_flips_covector_not_magnitude(self, form, point):
         st = form.state_at(point)
-        flipped = type(st)(at=st.at, h_value=st.h_value,
-                           sqrt_value=-st.sqrt_value, sign=-st.sign)
+        flipped = type(st)(at=st.at, h_value=st.h_value, sign=-st.sign)
         om1, om2 = form.eval_omega(st), form.eval_omega(flipped)
         np.testing.assert_allclose(om1, -om2, atol=1e-14)
         assert np.linalg.norm(om1) == pytest.approx(
@@ -185,18 +184,41 @@ class TestHarmonicitySuiteEverySeed:
         d = normalize_descriptor(spec)
         failing = {}
         for seed in range(40):
-            checks = run_harmonicity(d, seed, {})
+            checks = run_suite("harmonicity", d, seed).checks
             if not all(c.passed for c in checks):
                 failing[seed] = [c.details["ratio"] for c in checks]
         assert not failing
+
+
+class TestHarmonicPolynomialInputs:
+    """Where f (or the planar covector) is a harmonic polynomial the FD
+    residual is round-off; it passes under the round-off floor."""
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "bivariate", "terms": [[2, 0, 1]]},
+        {"kind": "planar", "p": [0, 0, 1]},
+        {"kind": "planar", "p": [0, 0, 0, 0, 1]},
+    ], ids=["bivariate-z2", "planar-z2", "planar-z4"])
+    def test_seeds_0_to_9(self, spec):
+        d = normalize_descriptor(spec)
+        for seed in range(10):
+            for check in run_suite("harmonicity", d, seed).checks:
+                assert check.passed, (seed, check.details)
+                assert check.details["residual"] \
+                    < check.details["roundoff_floor"]
+
+    def test_passing_ratio_computes_no_floor(self):
+        d = normalize_descriptor({"kind": "node", "a": 0, "b": 0, "c": 0})
+        check, = run_suite("harmonicity", d).checks
+        assert "roundoff_floor" not in check.details
 
 
 class TestVanishingOrder:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_axial_suite_orders(self, k):
         # k + 1/2 at the origin, k - 1/2 elsewhere on the axis
-        checks = run_vanishing_order(normalize_descriptor({"kind": "axial", "k": k}),
-                                     seed=0, tol={})
+        checks = run_suite("vanishing-order",
+                           normalize_descriptor({"kind": "axial", "k": k})).checks
         assert [c.details["expected"] for c in checks] == [k + 0.5, k - 0.5]
         assert all(c.passed for c in checks)
 

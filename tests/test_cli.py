@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line surface."""
 import io
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from z2forms.cli import MAX_RESOLUTION, main
 from z2forms.defining import from_dict
-from z2forms.suites import MAX_POINTS, TOLERANCES
+from z2forms.suites import MAX_POINTS, SUITES
 from z2forms.sun import MAX_GRID
 
 
@@ -93,6 +95,24 @@ class TestVerify:
                                                 "b": 0, "c": 0})
         assert main(["verify", "--spec", spec, "--suite", "topology"]) == 2
 
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_kind_error_names_kind_path(self, tmp_path, capsys, suite):
+        spec = {"kind": "fiber"} if suite != "topology" else {"kind": "node"}
+        spec = write_spec(tmp_path, "s.json", spec)
+        assert main(["verify", "--spec", spec, "--suite", suite]) == 2
+        assert "schema error: $.kind:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--suite", "monodromy"],
+        ["export", "--what", "sigma", "--out", "art"]], ids=["verify", "export"])
+    def test_grid_on_non_sun_spec_is_schema_error(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        spec = write_spec(tmp_path, "n.json", {"kind": "node"})
+        assert main(command + ["--spec", spec, "--grid", "5"]) == 2
+        assert "schema error: $.grid:" in capsys.readouterr().err
+        assert not (tmp_path / "art").exists()
+
     @pytest.mark.parametrize("suite", ["harmonicity", "monodromy",
                                        "vanishing-order"])
     def test_constant_germ_exits_two(self, tmp_path, capsys, suite):
@@ -167,6 +187,20 @@ class TestSunSchema:
         assert main(["verify", "--spec", spec, "--suite", "sun",
                      "--grid", str(MAX_GRID + 1)]) == 2
         assert "schema error: $.grid:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("truncation, smallest", [(20.0, 124),
+                                                      (200.0, 382)])
+    def test_grid_without_ring_window_is_schema_error(self, tmp_path, capsys,
+                                                      truncation, smallest):
+        spec = write_spec(tmp_path, "s.json", {"kind": "sun",
+                                               "truncation": truncation})
+        t0 = time.monotonic()
+        assert main(["verify", "--spec", spec, "--suite", "sun",
+                     "--grid", str(smallest - 1)]) == 2
+        err = capsys.readouterr().err
+        assert "schema error: $.grid:" in err
+        assert f"needs grid >= {smallest}" in err
+        assert time.monotonic() - t0 < 1.0  # before any solve
 
     @pytest.mark.parametrize("grid", ["-5", "0", "10"])
     def test_bad_grid_flag_is_schema_error(self, tmp_path, capsys, grid):
@@ -266,8 +300,8 @@ FORM_SPECS = st.one_of(
                            "p": st.lists(COMPLEX, min_size=1, max_size=4)}),
     st.fixed_dictionaries({"kind": st.just("axial")}, optional={"k": INDEX}))
 
-TOL_NAMES = st.sampled_from(sorted({n for names in TOLERANCES.values()
-                                    for n in names} | {"ratio_low"})) \
+TOL_NAMES = st.sampled_from(sorted({n for _, _, defaults in SUITES.values()
+                                    for n in defaults} | {"ratio_low"})) \
     | st.text(max_size=4)
 TOL_VALUES = st.floats().map(repr) | st.integers(-10, 10**13).map(str) \
     | st.text(max_size=4)
@@ -405,3 +439,37 @@ class TestExport:
                                                "q": 3})
         assert main(["export", "--spec", spec, "--what", "sigma",
                      "--out", str(tmp_path / "x")]) == 2
+        assert "schema error: $.kind:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("spec, what", [
+        ({"kind": "node"}, "sigma"), ({"kind": "sun", "grid": 96}, "field")])
+    def test_resolution_on_non_fiber_export_is_schema_error(
+            self, tmp_path, capsys, spec, what):
+        spec = write_spec(tmp_path, "s.json", spec)
+        assert main(["export", "--spec", spec, "--what", what, "--out",
+                     str(tmp_path / "art"), "--resolution", "64"]) == 2
+        assert "schema error: $.resolution:" in capsys.readouterr().err
+        assert not (tmp_path / "art").exists()
+
+
+class TestReadme:
+    def test_suite_table_matches_suites(self):
+        """The README suite table lists each suite's descriptor kinds and
+        tolerance defaults as ``SUITES`` holds them."""
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        rows = {}
+        for line in readme.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 3 and cells[0].strip("`") in SUITES:
+                rows[cells[0].strip("`")] = cells[1:]
+        assert set(rows) == set(SUITES)
+        for suite, (_, kinds, defaults) in SUITES.items():
+            row_kinds, row_tols = rows[suite]
+            assert re.findall(r"`(\w+)`", row_kinds) == list(kinds)
+            listed = dict(re.findall(r"`(\w+)` = ([^,;]+)", row_tols))
+            assert list(listed) == list(defaults)
+            for name, default in defaults.items():
+                text = listed[name].split()[0]
+                assert text == ("auto" if default is None else repr(default))

@@ -13,6 +13,7 @@ from z2forms.morphisms import (ComposedGerm, core_fiber, covering_degree,
                                lb_cross_oracle, linking_on_sphere, pullback,
                                pullback_form, seifert_value, stereo_s3_chart,
                                stereographic_pole, stereographic_project)
+from z2forms.suites import normalize_descriptor, run_suite
 
 
 class TestPullback:
@@ -165,6 +166,15 @@ class TestCoveringDegree:
                 axis=2), axis=1).max()
             if d < 0.2:
                 assert covering_degree(fb, core_fiber(0, n=512)) == 3
+
+    @pytest.mark.parametrize("p,q", [(3, 8), (7, 9), (11, 12)])
+    def test_topology_suite_covering_degree(self, p, q):
+        # the suite's covering fiber stays in the tube for every (p, q)
+        report = run_suite("topology", normalize_descriptor(
+            {"kind": "fiber", "p": p, "q": q}))
+        check = next(c for c in report.checks
+                     if c.name == "topology.covering_degree")
+        assert check.passed and check.details["degree"] == q
 
     def test_not_in_tube_rejected(self):
         fb = fiber(2, 3, 1.0 + 0j, n=512)

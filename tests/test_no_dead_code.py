@@ -17,7 +17,6 @@ KEEP = {
     "hopf_chart_map": "criterion 7 and the planned morphism suite",
     "pullback_form": "the planned morphism suite",
     "ComposedGerm": "the planned morphism suite",
-    "fd_jacobian": "the planned morphism suite",
     "laplace_beltrami_residual": "criterion 7",
     "lb_cross_oracle": "criterion 7",
     "sample_lines_on_sphere": "criterion 5 and the planned tangent-cone suite",

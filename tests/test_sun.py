@@ -8,8 +8,8 @@ from z2forms.errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
 from z2forms.fd import fd_laplacian
 from z2forms.sun import (N_THETA, Cutoff, DoubleCoverGrid, SunPipeline,
                          ZonalPoly, extract_a1, manufactured_error,
-                         null_combination, ring_rms_slope, source_meridian,
-                         zonal, zonal_meridian)
+                         min_ring_grid, null_combination, ring_rms_slope,
+                         source_meridian, zonal, zonal_meridian)
 
 RNG = np.random.default_rng(2718)
 N_TEST = 192
@@ -166,6 +166,13 @@ class TestGrid:
     def test_ring_window_guard(self):
         with pytest.raises(GridTooCoarse):
             DoubleCoverGrid(n=24).ring_window()
+
+    @pytest.mark.parametrize("truncation", [5.5, 20.0, 40.0, 200.0])
+    def test_min_ring_grid_is_the_ring_window_boundary(self, truncation):
+        n = min_ring_grid(truncation)
+        DoubleCoverGrid(n=n, truncation=truncation).ring_window()
+        with pytest.raises(GridTooCoarse):
+            DoubleCoverGrid(n=n - 1, truncation=truncation).ring_window()
 
     def test_manufactured_convergence_order(self):
         coarse = manufactured_error(DoubleCoverGrid(n=160), rms=True)
