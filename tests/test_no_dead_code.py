@@ -23,6 +23,8 @@ KEEP = {
     "hausdorff_distance": "criterion 5 and the planned tangent-cone suite",
     # independent oracles that tests check other code against
     "seifert_value": "oracle for the fiber parameterization",
+    "linking_on_sphere": "criterion 6's float Gauss oracle; the topology "
+                         "suite projects once for both of its oracles",
     "fd_gradient": "oracle for the closed-form covectors (criterion 2)",
     "fd_divergence": "oracle for the co-closedness of the forms",
     "fd_curl_components": "oracle for the closedness of the forms",
