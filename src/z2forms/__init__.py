@@ -1,7 +1,8 @@
 """Explicit Z2 harmonic functions and 1-forms with numerical verification."""
 
 from .branch import (BranchState, HalfPower, continue_branch, continue_straight,
-                     monodromy, principal_state, winding_number)
+                     monodromy, monodromy_and_winding, principal_state,
+                     winding_number)
 from .defining import (BivariatePolynomial, DefiningFunction, Node,
                        ProductOfLines, RamifiedCover, UnivariatePolynomial)
 from .forms import (AxialForm, PlanarForm, ReHPowerForm, sample_sigma,
@@ -13,7 +14,7 @@ from .sun import Cutoff, DoubleCoverGrid, SunPipeline, ZonalPoly, zonal
 
 __all__ = [
     "BranchState", "HalfPower", "continue_branch", "continue_straight",
-    "monodromy", "principal_state", "winding_number",
+    "monodromy", "monodromy_and_winding", "principal_state", "winding_number",
     "BivariatePolynomial", "DefiningFunction", "Node", "ProductOfLines",
     "RamifiedCover", "UnivariatePolynomial",
     "AxialForm", "PlanarForm", "ReHPowerForm", "sample_sigma",

@@ -3,6 +3,11 @@
 The square root of a holomorphic germ h is two-valued; this module tracks
 one consistent value along a sampled path, always recording the sign
 relative to the principal branch (argument in (-pi, pi]).
+
+Every walk is an array walk: h is evaluated at all segment ends in one
+array call and the nearest root is picked for all segments at once.  Only
+segments on which arg h turns by pi/2 or more go through the dyadic
+refinement ``_refine``.
 """
 from __future__ import annotations
 
@@ -40,7 +45,11 @@ class HalfPower:
 @dataclass(frozen=True)
 class BranchState:
     """Continuation record: point, h value and the sign of the chosen square
-    root relative to the principal one."""
+    root relative to the principal one.
+
+    One state holds one point, or many at once: ``at`` of shape (..., dim)
+    with ``h_value`` and ``sign`` arrays (or a sign that broadcasts).
+    """
 
     at: np.ndarray
     h_value: complex
@@ -48,22 +57,27 @@ class BranchState:
 
     def __post_init__(self):
         object.__setattr__(self, "at", np.asarray(self.at, dtype=float))
-        if self.sign not in (+1, -1):
+        if not np.all(np.abs(self.sign) == 1):
             raise ValueError("sign must be +1 or -1")
 
     @property
     def sqrt_value(self) -> complex:
         """The chosen square root: the principal one times ``sign``."""
-        r = cmath.sqrt(self.h_value)
-        return r if self.sign == +1 else -r
+        if np.ndim(self.h_value) == 0:
+            r = cmath.sqrt(self.h_value)
+            return r if self.sign == +1 else -r
+        r = np.sqrt(self.h_value)
+        return np.where(self.sign == +1, r, -r)
 
 
 def principal_state(h, point) -> BranchState:
-    """BranchState at ``point`` on the principal branch (sign +1)."""
+    """BranchState at ``point`` on the principal branch (sign +1); one
+    state of many points for points (..., dim)."""
     point = np.asarray(point, dtype=float)
     hv = h.value_at(point)
-    if abs(hv) < EPS_SIGMA:
-        raise PathHitsBranchLocus(f"|h| = {abs(hv):.3e} at base point")
+    least = np.min(np.abs(hv))
+    if least < EPS_SIGMA:
+        raise PathHitsBranchLocus(f"|h| = {least:.3e} at base point")
     return BranchState(at=point, h_value=hv, sign=+1)
 
 
@@ -83,28 +97,52 @@ def _refine(h, a: np.ndarray, b: np.ndarray, out: list, depth: int = 0) -> None:
     _refine(h, mid, b, out, depth + 1)
 
 
-def _walk(h, verts, hv: complex) -> list[complex]:
-    """h along the polyline through ``verts``, from ``hv`` = h(verts[0]) to
-    h(verts[-1]), at steps on which arg h turns by less than pi/2."""
-    out = [hv]
-    for a, b in zip(verts[:-1], verts[1:]):
-        _refine(h, a, b, out)
-    return out
+def _flips(h_a, h_b):
+    """Whether the principal root jumps to the far side from h_a to h_b, so
+    that the continued root changes its sign relative to it.  With
+    |d arg h| < pi/2 the two roots are never equidistant."""
+    r_a, r_b = np.sqrt(h_a), np.sqrt(h_b)
+    return np.abs(r_b - r_a) > np.abs(r_b + r_a)
 
 
-def _continued(h, verts, start: BranchState) -> BranchState:
-    """``start`` carried to verts[-1]: the sign flips wherever the principal
-    root jumps to the far side, so the chosen root moves continuously.
-    With |d arg h| < pi/2 per step the two roots are never equidistant."""
-    sign = start.sign
-    hvs = _walk(h, verts, start.h_value)
-    r_prev = cmath.sqrt(hvs[0])
-    for hv in hvs[1:]:
-        r = cmath.sqrt(hv)
-        if abs(r - r_prev) > abs(r + r_prev):
-            sign = -sign
-        r_prev = r
-    return BranchState(at=verts[-1], h_value=hvs[-1], sign=sign)
+def _segments(h, h_a, h_b, ends):
+    """Walk straight segments, given h at both ends of each (flat arrays);
+    ``ends(i)`` gives the end points of segment i.
+
+    Returns, per segment, whether the continued root flips its sign
+    relative to the principal one, and the turn of arg h.  A segment on
+    which arg h turns by pi/2 or more, or which ends within EPS_SIGMA of
+    the locus, is walked by ``_refine``, which raises where the scalar
+    walk would; every other segment is a single step.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turn = np.angle(h_b / h_a)
+    flip = _flips(h_a, h_b)
+    for i in np.flatnonzero(~(np.abs(turn) < np.pi / 2)
+                            | (np.abs(h_b) < EPS_SIGMA)):
+        hvs = [h_a[i]]
+        _refine(h, *ends(i), hvs)
+        # the end keeps the value the next segment starts from
+        hvs = np.array(hvs[:-1] + [h_b[i]])
+        turn[i] = np.angle(hvs[1:] / hvs[:-1]).sum()
+        flip[i] = np.count_nonzero(_flips(hvs[:-1], hvs[1:])) % 2
+    return flip, turn
+
+
+def _along(h, verts, start: BranchState) -> tuple[BranchState, float]:
+    """``start`` carried along the polyline through ``verts``, and the turn
+    of arg h on the way.  h is evaluated at all vertices in one array
+    call; a path back to its start ends on the start's h value."""
+    hvs = np.empty(len(verts), dtype=complex)
+    hvs[0] = start.h_value
+    hvs[1:] = h.value_at(verts[1:])
+    if np.array_equal(verts[-1], start.at):
+        hvs[-1] = start.h_value
+    flip, turn = _segments(h, hvs[:-1], hvs[1:],
+                           lambda i: (verts[i], verts[i + 1]))
+    sign = -start.sign if np.count_nonzero(flip) % 2 else start.sign
+    return BranchState(at=verts[-1], h_value=complex(hvs[-1]), sign=sign), \
+        float(turn.sum())
 
 
 def continue_branch(h, path: Polyline, start: BranchState) -> BranchState:
@@ -116,36 +154,55 @@ def continue_branch(h, path: Polyline, start: BranchState) -> BranchState:
     verts = path.vertices()
     if not np.allclose(verts[0], start.at, atol=1e-12):
         raise ValueError("start state must sit at the first path point")
-    return _continued(h, verts, start)
+    return _along(h, verts, start)[0]
 
 
 def continue_straight(h, start: BranchState, point) -> BranchState:
     """Continue ``start`` along the straight segment to ``point``.
 
-    Convenience for finite-difference stencils: keeps the branch choice of
-    the stencil center.
+    Finite-difference stencils keep the branch choice of their center this
+    way.  ``start`` may hold many states and ``point`` many points
+    (..., dim); the two broadcast, and all segments are walked at once.
     """
-    return _continued(h, (start.at, np.asarray(point, dtype=float)), start)
+    point = np.asarray(point, dtype=float)
+    h_end = h.value_at(point)
+    shape = np.broadcast_shapes(np.shape(h_end), np.shape(start.h_value))
+    h_end = np.broadcast_to(h_end, shape).ravel()
+
+    def ends(i):
+        at = np.unravel_index(i, shape)
+        full = shape + point.shape[-1:]
+        return (np.broadcast_to(start.at, full)[at],
+                np.broadcast_to(point, full)[at])
+
+    flip, _ = _segments(h, np.broadcast_to(start.h_value, shape).ravel(),
+                        h_end, ends)
+    sign = np.where(flip, -1, 1).reshape(shape) * start.sign
+    if not shape:
+        return BranchState(at=point, h_value=complex(h_end[0]), sign=int(sign))
+    return BranchState(at=np.broadcast_to(point, shape + point.shape[-1:]),
+                       h_value=h_end.reshape(shape), sign=sign)
+
+
+def monodromy_and_winding(h, loop: Polyline) -> tuple[int, int]:
+    """Sign picked up by the square root of h around a closed loop, and the
+    winding number of t -> h(loop(t)) around 0, from one walk.
+
+    The sign comes from the nearest-root choice and the winding number from
+    the argument increments of the same h values; the monodromy equals
+    (-1)**winding_number, a cross-check.
+    """
+    if not loop.closed:
+        raise ValueError("monodromy and winding number need a closed loop")
+    end, turn = _along(h, loop.vertices(), principal_state(h, loop.points[0]))
+    return end.sign, round(turn / (2.0 * np.pi))
 
 
 def monodromy(h, loop: Polyline) -> int:
     """Sign picked up by the square root of h around a closed loop."""
-    if not loop.closed:
-        raise ValueError("monodromy requires a closed loop")
-    start = principal_state(h, loop.points[0])
-    return continue_branch(h, loop, start).sign
+    return monodromy_and_winding(h, loop)[0]
 
 
 def winding_number(h, loop: Polyline) -> int:
-    """Winding number of t -> h(loop(t)) around 0, by argument increments.
-
-    Cross-check for ``monodromy`` on the same walk: the monodromy equals
-    (-1)**winding_number.
-    """
-    if not loop.closed:
-        raise ValueError("winding number requires a closed loop")
-    hvs = _walk(h, loop.vertices(), principal_state(h, loop.points[0]).h_value)
-    total = 0.0
-    for a, b in zip(hvs[:-1], hvs[1:]):
-        total += cmath.phase(b / a)
-    return round(total / (2.0 * np.pi))
+    """Winding number of t -> h(loop(t)) around 0, by argument increments."""
+    return monodromy_and_winding(h, loop)[1]

@@ -15,14 +15,20 @@ import numpy as np
 from .errors import SchemaError
 
 
-def to_complex_pair(point) -> tuple[complex, complex]:
+def to_complex_pair(point):
+    """(z, w) of a point of R^4; complex arrays (...) for points (..., 4)."""
     p = np.asarray(point, dtype=float)
-    return complex(p[0], p[1]), complex(p[2], p[3])
+    if p.ndim == 1:
+        return complex(p[0], p[1]), complex(p[2], p[3])
+    return p[..., 0] + 1j * p[..., 1], p[..., 2] + 1j * p[..., 3]
 
 
-def to_complex(point) -> complex:
+def to_complex(point):
+    """z of a point of R^2; a complex array (...) for points (..., 2)."""
     p = np.asarray(point, dtype=float)
-    return complex(p[0], p[1])
+    if p.ndim == 1:
+        return complex(p[0], p[1])
+    return p[..., 0] + 1j * p[..., 1]
 
 
 def _cx(v) -> list[float]:
@@ -59,7 +65,12 @@ def _from_cx(v, path: str) -> complex:
 
 
 class DefiningFunction:
-    """Common interface: value, closed-form partials, JSON round trip."""
+    """Common interface: value, closed-form partials, JSON round trip.
+
+    ``value`` and ``partials`` take complex scalars or complex arrays, so
+    ``value_at``, ``partials_at`` and ``sigma_distance_bound`` take one
+    point (dim,) or many (..., dim) and answer with arrays (...).
+    """
 
     arity: int  # 1 (univariate) or 2 (bivariate)
     kind: str
@@ -81,14 +92,14 @@ class DefiningFunction:
             return self.partials(to_complex(point))
         return self.partials(*to_complex_pair(point))
 
-    def sigma_distance_bound(self, point) -> float:
+    def sigma_distance_bound(self, point):
         """First-order lower-bound proxy |h| / |grad h| for dist(point, Sigma)."""
-        hv = self.value_at(point)
-        grad = np.array(self.partials_at(point))
-        norm = np.linalg.norm(np.abs(grad))
-        if norm == 0.0:
-            return np.inf if hv != 0 else 0.0
-        return abs(hv) / norm
+        hv = np.abs(self.value_at(point))
+        norm = np.sqrt(sum(np.abs(g) ** 2 for g in self.partials_at(point)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(norm == 0.0, np.where(hv != 0, np.inf, 0.0),
+                           hv / norm)
+        return out[()]
 
     def w_poly_coeffs(self, z: complex) -> np.ndarray:
         """Ascending coefficients of w -> h(z, w); used by locus sampling."""
@@ -136,10 +147,10 @@ class ProductOfLines(DefiningFunction):
             hw += b * rest
         return hz, hw
 
-    def sigma_distance_bound(self, point) -> float:
+    def sigma_distance_bound(self, point):
         z, w = to_complex_pair(point)
-        return min(abs(a * z + b * w) / np.hypot(abs(a), abs(b))
-                   for a, b in self.lines)
+        return np.min([np.abs(a * z + b * w) / np.hypot(abs(a), abs(b))
+                       for a, b in self.lines], axis=0)
 
     def w_poly_coeffs(self, z):
         poly = np.array([1.0 + 0.0j])
@@ -222,9 +233,11 @@ class BivariatePolynomial(DefiningFunction):
         return sum(c * z**i * w**j for i, j, c in self.terms)
 
     def partials(self, z, w=None):
-        hz = sum(c * i * z ** (i - 1) * w**j for i, j, c in self.terms if i > 0)
-        hw = sum(c * j * z**i * w ** (j - 1) for i, j, c in self.terms if j > 0)
-        return complex(hz), complex(hw)
+        hz = sum((c * i * z ** (i - 1) * w**j for i, j, c in self.terms
+                  if i > 0), 0j)
+        hw = sum((c * j * z**i * w ** (j - 1) for i, j, c in self.terms
+                  if j > 0), 0j)
+        return hz, hw
 
     def w_poly_coeffs(self, z):
         deg = max(j for _, j, _ in self.terms)

@@ -9,9 +9,14 @@ import numpy as np
 
 
 def fd_laplacian(f, point, step: float) -> float:
-    """Central second-difference Laplacian (5/7/9-point in 2/3/4 dims)."""
+    """Central second-difference Laplacian (5/7/9-point in 2/3/4 dims).
+
+    ``point`` may hold many points (N, dim): then ``f`` is called once per
+    stencil offset on all of them and must answer with (N,) or
+    (N, components) values.
+    """
     point = np.asarray(point, dtype=float)
-    n = point.size
+    n = point.shape[-1]
     center = f(point)
     total = 0.0
     for i in range(n):

@@ -20,7 +20,11 @@ function is f for the first and third families and the covector omega,
 each of whose components is harmonic, for planar forms.
 
 Covector components are real arrays in the coordinates
-(Re z, Im z, Re w, Im w), (x, y) and (x, y, z) respectively.
+(Re z, Im z, Re w, Im w), (x, y) and (x, y, z) respectively, on the last
+axis.  A state may hold many points (see ``BranchState``): ``eval_f`` and
+``eval_omega`` then answer for all of them, and the function that
+``f_near`` returns takes points (..., dim) and continues each from its
+center in one array walk.
 """
 from __future__ import annotations
 
@@ -39,9 +43,10 @@ from .errors import EmptyIntersection, OnBranchLocus
 SIGMA_RESIDUAL = 1e-9
 
 
-def _require_off_locus(hv: complex):
-    if abs(hv) < EPS_SIGMA:
-        raise OnBranchLocus(f"|h| = {abs(hv):.3e} below cutoff {EPS_SIGMA}")
+def _require_off_locus(hv):
+    least = np.min(np.abs(hv))
+    if least < EPS_SIGMA:
+        raise OnBranchLocus(f"|h| = {least:.3e} below cutoff {EPS_SIGMA}")
 
 
 def _half_powers(state: BranchState, k: HalfPower) -> tuple[complex, complex]:
@@ -51,9 +56,10 @@ def _half_powers(state: BranchState, k: HalfPower) -> tuple[complex, complex]:
     return high, high / state.h_value
 
 
-def _re_covector(a: complex) -> np.ndarray:
-    """Components of Re(a dz) in the real coordinates of z = x + iy."""
-    return np.array([a.real, -a.imag])
+def _re_covector(a) -> np.ndarray:
+    """Components of Re(a dz) in the real coordinates of z = x + iy, on the
+    last axis."""
+    return np.stack([np.real(a), -np.imag(a)], axis=-1)
 
 
 class _BranchForm:
@@ -65,9 +71,10 @@ class _BranchForm:
     def state_at(self, point) -> BranchState:
         return principal_state(self.h, point)
 
-    def magnitude(self, point) -> float:
-        """|omega|; independent of the branch choice."""
-        return float(np.linalg.norm(self.eval_omega(self.state_at(point))))
+    def magnitude(self, point):
+        """|omega| at a point or at each of points (..., dim); independent of
+        the branch choice."""
+        return np.linalg.norm(self.eval_omega(self.state_at(point)), axis=-1)
 
     def f_near(self, center: BranchState):
         """f as a plain function near ``center``, branch continued from it."""
@@ -97,7 +104,8 @@ class ReHPowerForm(_BranchForm):
         """The covector (2k+1)/2 * Re(h^((2k-1)/2) (h_z dz + h_w dw))."""
         hz, hw = self.h.partials_at(state.at)
         pref = self.k.exponent * _half_powers(state, self.k)[1]
-        return np.concatenate([_re_covector(pref * hz), _re_covector(pref * hw)])
+        return np.concatenate([_re_covector(pref * hz), _re_covector(pref * hw)],
+                              axis=-1)
 
 
 @dataclass(frozen=True)
@@ -133,7 +141,7 @@ class AxialForm(_BranchForm):
 
     def eval_f(self, state: BranchState) -> float:
         """z * Re(w^((2k+1)/2)) on the state's branch."""
-        return state.at[2] * _half_powers(state, self.k)[0].real
+        return state.at[..., 2] * _half_powers(state, self.k)[0].real
 
     def eval_omega(self, state: BranchState) -> np.ndarray:
         """2 Re(w^((2k+1)/2)) dz + (2k+1) z Re(w^((2k-1)/2) dw) in (x, y, z).
@@ -141,8 +149,8 @@ class AxialForm(_BranchForm):
         The paper case is k = 1: omega = 2 Re(w^(3/2)) dz + 3 z Re(w^(1/2) dw).
         """
         high, low = _half_powers(state, self.k)
-        dw_part = (2 * self.k.k + 1) * state.at[2] * low
-        return np.array([dw_part.real, -dw_part.imag, 2.0 * high.real])
+        dw_part = (2 * self.k.k + 1) * state.at[..., 2] * low
+        return np.stack([dw_part.real, -dw_part.imag, 2.0 * high.real], axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -249,13 +257,14 @@ def vanishing_order(magnitude_fn, base_point, direction,
                     r_lo: float = 1e-3, r_hi: float = 1e-1) -> float:
     """Log-log slope of |omega| along base_point + r * direction.
 
-    The window [1e-3, 1e-1] keeps the square root well conditioned below
-    and higher-order terms small above.
+    ``magnitude_fn`` is called once, on all 20 points (20, dim).  The
+    window [1e-3, 1e-1] keeps the square root well conditioned below and
+    higher-order terms small above.
     """
     base = np.asarray(base_point, dtype=float)
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
     radii = np.geomspace(r_lo, r_hi, 20)
-    mags = np.array([magnitude_fn(base + r * direction) for r in radii])
+    mags = magnitude_fn(base + radii[:, None] * direction)
     slope, _ = np.polyfit(np.log(radii), np.log(mags), 1)
     return float(slope)

@@ -56,10 +56,10 @@ def hopf_chart_map() -> SmoothMap:
     """
     def func(x):
         z, w = to_complex_pair(x)
-        if abs(w) < 1e-12:
+        if np.min(np.abs(w)) < 1e-12:
             raise ImageAtInfinity("point lies over the deleted pole (w = 0)")
         zeta = z / w
-        return np.array([zeta.real, zeta.imag])
+        return np.stack([np.real(zeta), np.imag(zeta)], axis=-1)
 
     def jac(x):
         z, w = to_complex_pair(x)
@@ -86,14 +86,15 @@ def pullback_form(mp: SmoothMap, form, point) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComposedGerm:
-    """p composed with a chart map; feeds the winding/monodromy oracles."""
+    """p composed with a chart map; feeds the winding/monodromy oracles.
+    Like ``DefiningFunction.value_at``, ``value_at`` takes one point or
+    many (..., dim), so the chart must map arrays of points."""
 
     p: object          # univariate defining function
     chart: SmoothMap
 
     def value_at(self, point) -> complex:
-        y = self.chart(point)
-        return self.p.value(complex(y[0], y[1]))
+        return self.p.value_at(self.chart(point))
 
 
 # --------------------------------------------------------------------------

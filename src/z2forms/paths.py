@@ -42,13 +42,12 @@ class Polyline:
     def refined(self, factor: int = 2) -> "Polyline":
         """Insert ``factor - 1`` evenly spaced points on every edge."""
         verts = self.vertices()
-        out = []
-        for a, b in zip(verts[:-1], verts[1:]):
-            for j in range(factor):
-                out.append(a + (b - a) * (j / factor))
+        a, b = verts[:-1, None], verts[1:, None]
+        out = (a + (b - a) * (np.arange(factor) / factor)[:, None]) \
+            .reshape(-1, verts.shape[1])
         if not self.closed:
-            out.append(verts[-1])
-        return Polyline(np.array(out), closed=self.closed)
+            out = np.vstack([out, verts[-1:]])
+        return Polyline(out, closed=self.closed)
 
 
 def circle(center, radius: float, n: int = 64, plane=(0, 1)) -> Polyline:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .branch import HalfPower, monodromy, winding_number
+from .branch import HalfPower, monodromy, monodromy_and_winding
 from .defining import _finite, from_dict
 from .errors import GridTooCoarse, SamplerExhausted, SchemaError
 from .fd import fd_laplacian, rms
@@ -32,14 +32,15 @@ FORM_KINDS = GERM_KINDS + ("axial",)
 SAMPLER_DRAWS_PER_POINT = 100
 
 #: multiple of eps * rms f / step^2 below which a harmonicity residual is
-#: round-off: fine * step^2 / (rms f * eps) measured 0.8-1.9 where f is a
-#: harmonic polynomial (h = z^2 bivariate, planar z^2 and z^4), and at
-#: least 9.6e5 for every catalogue form
+#: round-off: fine * step^2 / (rms f * eps) measured 0.41-2.2 over seeds
+#: 0-39 where f is a harmonic polynomial (h = z^2 bivariate, planar z^2
+#: and z^4), and at least 8.1e4 for every catalogue form (axial k = 2 the
+#: least; 9.6e5 at seed 0 for the k = 1 forms)
 ROUNDOFF_FLOOR = 64.0
 
 #: most harmonicity points a run may ask for: at the cap a harmonicity job
-#: took 1.2-2.0 s per form kind, and a spec whose sampler rejects every
-#: draw gave up after its 1M draws in 15.5 s (2-core host)
+#: took 0.02-0.04 s per form kind, and a spec whose sampler rejects every
+#: draw gave up after its 1M draws in 0.14 s (2-core host)
 MAX_POINTS = 10_000
 
 #: distance from p * q within which the exact polygon linking number of a
@@ -138,23 +139,27 @@ def _sun_pipeline(descriptor: dict) -> SunPipeline:
 # seeded sampling
 
 
-def _points_off_locus(form, count: int, seed: int):
-    """``count`` seeded points of the cube [-2, 2]^dim at least about 0.1
-    from the form's branching locus, by bounded rejection sampling."""
+def _points_off_locus(form, count: int, seed: int) -> np.ndarray:
+    """``count`` seeded points (count, dim) of the cube [-2, 2]^dim at least
+    about 0.1 from the form's branching locus, by bounded rejection
+    sampling.  Draws come in blocks, which give the same stream as one draw
+    at a time: the same points, and the same draw count at the budget."""
     rng = np.random.default_rng(seed)
     budget = SAMPLER_DRAWS_PER_POINT * count
-    points = []
-    draws = 0
-    while len(points) < count:
+    blocks = []
+    found = draws = 0
+    while found < count:
         if draws == budget:
             raise SamplerExhausted(
-                f"{len(points)} of {count} points off the locus after {draws} "
-                f"draws ({draws - len(points)} rejected, min_dist 0.1)")
-        draws += 1
-        x = rng.uniform(-2.0, 2.0, size=form.dimension)
-        if form.h.sigma_distance_bound(x) > 0.1:
-            points.append(x)
-    return points
+                f"{found} of {count} points off the locus after {draws} "
+                f"draws ({draws - found} rejected, min_dist 0.1)")
+        block = rng.uniform(-2.0, 2.0, size=(
+            min(budget - draws, 2 * (count - found) + 16), form.dimension))
+        kept = block[form.h.sigma_distance_bound(block) > 0.1][:count - found]
+        blocks.append(kept)
+        found += len(kept)
+        draws += len(block)
+    return np.concatenate(blocks)
 
 
 # --------------------------------------------------------------------------
@@ -175,24 +180,24 @@ def run_harmonicity(descriptor: dict, seed: int, tol: dict) -> list[Check]:
                           f"points {count} outside [1, {MAX_POINTS}]")
     form = _form_from(descriptor)
     steps = (1e-2, 5e-3)
-    fs, residuals = [], []
-    for pt in _points_off_locus(form, count, seed):
-        f = form.f_near(form.state_at(pt))
-        fs.append((f, pt))
-        residuals.append([np.atleast_1d(fd_laplacian(f, pt, s)) for s in steps])
-    residuals = np.array(residuals)  # points x steps x components
+    pts = _points_off_locus(form, count, seed)
+    # one function for all centers: each stencil point is continued from
+    # its own center, every stencil offset in one array walk
+    f = form.f_near(form.state_at(pts))
+    residuals = np.stack([fd_laplacian(f, pts, s) for s in steps]) \
+        .reshape(len(steps), count, -1)  # steps x points x components
     n_comp = residuals.shape[2]
     checks = []
     for comp in range(n_comp):
-        fine = rms(residuals[:, 1, comp])
+        fine = rms(residuals[1, :, comp])
         if fine == 0.0:
             raise SchemaError("$", "FD Laplacian residual is exactly zero "
                                    "(a constant germ): no ratio to check")
-        ratio = rms(residuals[:, 0, comp]) / fine
+        ratio = rms(residuals[0, :, comp]) / fine
         details = {"points": count, "ratio": ratio, "steps": list(steps)}
         ok = lo < ratio < hi
         if not ok:
-            rms_f = rms([np.atleast_1d(f(pt))[comp] for f, pt in fs])
+            rms_f = rms(f(pts).reshape(count, -1)[:, comp])
             floor = ROUNDOFF_FLOOR * np.finfo(float).eps * rms_f / steps[1]**2
             details.update(residual=fine, roundoff_floor=floor)
             ok = fine < floor
@@ -252,13 +257,15 @@ def _meridian_loops(kind: str, h):
                              f"w-meridian at z={z0:.3g}, w={center:.3g}")
         loops.append((loop, label, (-1) ** mult))
     if kind == "lines":
-        # lines with b = 0 are {z = const} and invisible to the w-poly
-        for a, b in h.lines:
-            if b == 0:
-                center = 0.0 + 0.0j
-                loop, label = z_loop(1.0 + 0.0j, center, 0.3,
-                                     f"z-meridian at w=1, z={center:.3g}")
-                loops.append((loop, label, -1))
+        # lines with b = 0 are all {z = 0}, invisible to the w-poly: one
+        # meridian, clear of the other lines {z = -b w / a} at w = 1
+        mult = sum(b == 0 for _, b in h.lines)
+        if mult:
+            center = 0.0 + 0.0j
+            others = [-b / a for a, b in h.lines if a != 0 and b != 0]
+            loop, label = z_loop(1.0 + 0.0j, center, _clearance(center, others),
+                                 f"z-meridian at w=1, z={center:.3g}")
+            loops.append((loop, label, (-1) ** mult))
     if kind == "node" and h.a == 0:
         # a = 0 factors as (z - b)(w - c); add the {z = b} meridian
         loop, label = z_loop(h.c + 1.0, h.b, 0.3,
@@ -276,8 +283,7 @@ def run_monodromy(descriptor: dict, seed: int, tol: dict) -> list[Check]:
     h = from_dict(descriptor)
     checks = []
     for loop, label, expected in _meridian_loops(descriptor["kind"], h):
-        sign = monodromy(h, loop)
-        wind = winding_number(h, loop)
+        sign, wind = monodromy_and_winding(h, loop)
         refined = monodromy(h, loop.refined(2))
         ok = (sign == expected and refined == sign
               and (-1) ** wind == sign)

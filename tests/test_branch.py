@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from z2forms import (BivariatePolynomial, Node, Polyline, RamifiedCover,
-                     UnivariatePolynomial, circle, continue_branch, monodromy,
-                     principal_state, winding_number)
-from z2forms.branch import BranchState, HalfPower, continue_straight
-from z2forms.errors import PathHitsBranchLocus
+from z2forms import (BivariatePolynomial, Node, Polyline, ProductOfLines,
+                     RamifiedCover, UnivariatePolynomial, circle,
+                     continue_branch, monodromy, principal_state,
+                     winding_number)
+from z2forms.branch import (BranchState, HalfPower, _refine, continue_straight,
+                            monodromy_and_winding)
+from z2forms.errors import PathHitsBranchLocus, RefinementLimit
 
 ZW = Node(a=0, b=0, c=0)          # h = zw
 ZW_SQUARED = BivariatePolynomial(((2, 2, 1.0),))   # h = (zw)^2
@@ -114,3 +116,155 @@ class TestContinuation:
         s1 = continue_straight(ZW, start, target)
         s2 = continue_branch(ZW, Polyline(np.array([start.at, target])), start)
         assert s1.sqrt_value == pytest.approx(s2.sqrt_value)
+
+
+def scalar_walk(h, a, b):
+    """Reference: the principal root at a continued to b one point at a
+    time, with cmath roots and the dyadic walk; returns (h(b), sign)."""
+    hvs = [h.value_at(a)]
+    _refine(h, a, b, hvs)
+    sign, r_prev = 1, cmath.sqrt(hvs[0])
+    for hv in hvs[1:]:
+        r = cmath.sqrt(hv)
+        if abs(r - r_prev) > abs(r + r_prev):
+            sign = -sign
+        r_prev = r
+    return hvs[-1], sign
+
+
+def assert_matches_scalar(h, centers, points):
+    """continue_straight from all centers at once equals, segment by
+    segment, continue_branch and the reference scalar walk."""
+    batch = continue_straight(h, principal_state(h, centers), points)
+    ends = np.broadcast_to(points, batch.at.shape)
+    starts = np.broadcast_to(centers, batch.at.shape)
+    for i in np.ndindex(batch.sign.shape):
+        one = continue_branch(h, Polyline(np.array([starts[i], ends[i]])),
+                              principal_state(h, starts[i]))
+        hv, sign = scalar_walk(h, starts[i], ends[i])
+        assert batch.sign[i] == one.sign == sign
+        assert batch.h_value[i] == pytest.approx(hv, rel=1e-14)
+        assert batch.sqrt_value[i] == pytest.approx(one.sqrt_value, rel=1e-14)
+    return batch
+
+
+class TestBatchedContinuation:
+    """The array walk of continue_straight against the scalar walk."""
+
+    # planar h = z^3 near its triple root: stencil segments of step 1e-2
+    # from centers at |z| = 0.012 and 0.008 turn arg h by more than pi/2
+    H = UnivariatePolynomial((0.0, 0.0, 0.0, 1.0))
+    STEP = 1e-2
+    OFFSETS = STEP * np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
+
+    def centers(self, radius):
+        t = 2.0 * np.pi * np.arange(8) / 8 + 0.1
+        return radius * np.column_stack([np.cos(t), np.sin(t)])
+
+    @pytest.mark.parametrize("radius", [0.012, 0.008])
+    def test_refinement_fallback_inside_the_batch(self, radius):
+        centers = self.centers(radius)
+        points = centers + self.OFFSETS[:, None]   # offsets x centers x 2
+        turn = np.angle(self.H.value_at(points) / self.H.value_at(centers))
+        assert np.count_nonzero(np.abs(turn) >= np.pi / 2) >= 16
+        assert_matches_scalar(self.H, centers, points)
+
+    def test_refinement_changes_signs(self):
+        # at |z| = 0.008 one nearest-root step would pick the wrong root
+        centers = self.centers(0.008)
+        points = centers + self.OFFSETS[:, None]
+        batch = continue_straight(self.H, principal_state(self.H, centers),
+                                  points)
+        r_a = np.sqrt(self.H.value_at(centers))
+        r_b = np.sqrt(self.H.value_at(points))
+        one_step = np.where(np.abs(r_b - r_a) > np.abs(r_b + r_a), -1, 1)
+        assert np.any(one_step != batch.sign)
+
+    def test_path_hits_locus_from_the_batch(self):
+        h = UnivariatePolynomial((0.0, 1.0))
+        centers = np.array([[0.5, 0.0], [0.3, 0.3], [-0.4, 0.2]])
+        points = np.array([[0.6, 0.0], [0.0, 0.0], [-0.4, 0.3]])
+        with pytest.raises(PathHitsBranchLocus, match="on path"):
+            continue_straight(h, principal_state(h, centers), points)
+
+    def test_refinement_limit_from_the_batch(self):
+        # the segment passes 2e-8 from the root of h = z: no 2**20 pieces
+        # turn arg h by less than pi/2 across it
+        h = UnivariatePolynomial((0.0, 1.0))
+        centers = np.array([[0.5, 0.5], [-1.0, 2e-8], [0.2, -0.7]])
+        points = np.array([[0.6, 0.5], [1.3, 2e-8], [0.3, -0.7]])
+        with pytest.raises(RefinementLimit):
+            continue_straight(h, principal_state(h, centers), points)
+
+    def test_single_point_keeps_scalar_values(self):
+        start = principal_state(ZW, [1.0, 0, 1, 0])
+        end = continue_straight(ZW, start, [0.2, 0.7, 1.0, 0.3])
+        assert end.at.shape == (4,)
+        assert isinstance(end.h_value, complex) and end.sign in (1, -1)
+        assert end.h_value == ZW.value_at(np.array([0.2, 0.7, 1.0, 0.3]))
+
+    @given(kind=st.sampled_from(["node", "ramified", "bivariate", "lines",
+                                 "planar"]),
+           seed=st.integers(min_value=0, max_value=2**16),
+           scale=st.floats(min_value=1e-3, max_value=0.5))
+    @settings(max_examples=40, deadline=5000, derandomize=True)
+    def test_batch_equals_scalar_walk(self, kind, seed, scale):
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(-1, 1, size=4) + 1j * rng.uniform(-1, 1, size=4)
+        h = {"node": Node(c[0], c[1], c[2]),
+             "ramified": RamifiedCover(c[0]),
+             "bivariate": BivariatePolynomial(((2, 0, c[0]), (0, 3, c[1]),
+                                               (1, 1, c[2]))),
+             "lines": ProductOfLines(((c[0], c[1]), (c[2], c[3]), (1, 0))),
+             "planar": UnivariatePolynomial(tuple(c))}[kind]
+        dim = 2 * h.arity
+        centers = rng.uniform(-1.5, 1.5, size=(6, dim))
+        points = centers + scale * rng.normal(size=(3, 6, dim))
+        if np.min(np.abs(h.value_at(centers))) < 1e-3:
+            return
+        try:
+            expected = [scalar_walk(h, a, b) for a, b in
+                        zip(np.broadcast_to(centers, points.shape)
+                            .reshape(-1, dim), points.reshape(-1, dim))]
+        except (PathHitsBranchLocus, RefinementLimit) as exc:
+            with pytest.raises(type(exc)):
+                continue_straight(h, principal_state(h, centers), points)
+            return
+        batch = continue_straight(h, principal_state(h, centers), points)
+        assert list(batch.sign.ravel()) == [s for _, s in expected]
+        np.testing.assert_allclose(batch.h_value.ravel(),
+                                   [hv for hv, _ in expected], rtol=1e-13)
+
+
+class TestLoopWalk:
+    @pytest.mark.parametrize("h,loop", [
+        (ZW, z_loop()),
+        (ZW, z_loop(n=3)),
+        (ZW_SQUARED, z_loop()),
+        (RamifiedCover(1.0), circle([0, 0, 1, 0], 0.3, n=64, plane=(2, 3))),
+        (UnivariatePolynomial((0.0, 0.0, 0.0, 1.0)), circle([0, 0], 1.0, n=5)),
+    ])
+    def test_one_walk_gives_sign_and_winding(self, h, loop):
+        sign, wind = monodromy_and_winding(h, loop)
+        assert sign == monodromy(h, loop) == (-1) ** wind
+        assert wind == winding_number(h, loop)
+
+    def test_open_path_rejected(self):
+        with pytest.raises(ValueError, match="closed loop"):
+            monodromy_and_winding(ZW, Polyline(np.array([[1.0, 0, 1, 0],
+                                                         [0, 1.0, 1, 0]])))
+
+    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("factor", [2, 3, 5])
+    def test_refined_vertices_match_the_edge_loop(self, closed, factor):
+        # the array form of refined() against the per-edge construction
+        pts = np.random.default_rng(factor).uniform(-2, 2, size=(7, 4))
+        line = Polyline(pts, closed=closed)
+        verts = line.vertices()
+        want = [a + (b - a) * (j / factor)
+                for a, b in zip(verts[:-1], verts[1:]) for j in range(factor)]
+        if not closed:
+            want.append(verts[-1])
+        got = line.refined(factor)
+        assert got.closed == closed
+        assert np.array_equal(got.points, np.array(want))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from z2forms.errors import EmptyIntersection, PathHitsBranchLocus
 from z2forms.fd import (fd_curl_components, fd_divergence, fd_gradient,
                         fd_laplacian, rms)
 from z2forms.forms import hausdorff_distance, sample_lines_on_sphere
-from z2forms.suites import normalize_descriptor, run_suite
+from z2forms.suites import MAX_POINTS, normalize_descriptor, run_suite
 
 ZW_FORM = ReHPowerForm(Node(0, 0, 0))
 THREE_LINES = ProductOfLines(((1, 0), (0, 1), (1, 1)))
@@ -188,6 +190,23 @@ class TestHarmonicitySuiteEverySeed:
             if not all(c.passed for c in checks):
                 failing[seed] = [c.details["ratio"] for c in checks]
         assert not failing
+
+
+class TestHarmonicityAtPointsCap:
+    def test_memory_at_max_points(self):
+        # the stencils of all centers are walked as arrays, a few (points,
+        # dim) arrays at a time
+        d = normalize_descriptor({"kind": "bivariate",
+                                  "terms": [[2, 0, 1], [0, 3, -1], [1, 1, 0.3]]})
+        tracemalloc.start()
+        try:
+            report = run_suite("harmonicity", d, 0, {"points": MAX_POINTS})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert report.checks[0].details["points"] == MAX_POINTS
+        assert peak < 64 * 2**20
 
 
 class TestHarmonicPolynomialInputs:

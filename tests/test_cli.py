@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from z2forms.cli import MAX_RESOLUTION, main
 from z2forms.defining import from_dict
-from z2forms.suites import MAX_POINTS, SUITES
+from z2forms.suites import (MAX_POINTS, SUITES, _form_from, _points_off_locus,
+                            normalize_descriptor)
 from z2forms.sun import MAX_GRID
 
 
@@ -59,6 +60,23 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("[PASS]") == 2 and "[FAIL]" not in out
+
+    @pytest.mark.parametrize("lines,z_expected", [
+        ([[1, 0], [1, 0]], [1]),               # h = z^2: {z = 0} twice
+        ([[1, 0], [2, 0], [0, 1]], [1]),       # {z = 0} twice, and {w = 0}
+        ([[1, 0], [10, 1]], [-1]),             # {10 z + w = 0} is 0.1 away
+    ])
+    def test_z_meridian_counts_every_z_line(self, tmp_path, capsys, lines,
+                                            z_expected):
+        spec = write_spec(tmp_path, "l.json", {"kind": "lines", "lines": lines})
+        out = tmp_path / "art"
+        rc = main(["verify", "--spec", spec, "--suite", "monodromy",
+                   "--out", str(out)])
+        report = json.loads((out / "report-monodromy.json").read_text())
+        assert rc == 0 and report["passed"]
+        z_checks = [c for c in report["checks"] if "z-meridian" in c["name"]]
+        assert [c["details"]["expected"] for c in z_checks] == z_expected
+        assert [c["details"]["sign"] for c in z_checks] == z_expected
 
     def test_failing_tolerance_exits_one(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "n.json", {"kind": "node", "a": 1,
@@ -357,6 +375,25 @@ class TestSamplerBound:
         assert "0 of 200 points" in err and "20000 draws" in err
         assert "20000 rejected" in err
         assert elapsed < 10.0
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "node", "a": [0.4, 0.3], "b": 0.1, "c": [0, -0.2]},
+        {"kind": "lines", "lines": [[1, 0], [0, 1], [1, 1]]},
+        {"kind": "ramified", "a": 1},
+        {"kind": "bivariate", "terms": [[2, 0, 1], [0, 3, -1], [1, 1, 0.3]]},
+        {"kind": "planar", "p": [1.0, 0.5, 1.0]},
+        {"kind": "axial"},
+    ], ids=lambda spec: spec["kind"])
+    def test_block_draws_keep_the_one_draw_stream(self, spec):
+        form = _form_from(normalize_descriptor(spec))
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            want = []
+            while len(want) < 50:
+                x = rng.uniform(-2.0, 2.0, size=form.dimension)
+                if form.h.sigma_distance_bound(x) > 0.1:
+                    want.append(x)
+            assert np.array_equal(_points_off_locus(form, 50, seed), want)
 
 
 class TestExport:

@@ -28,6 +28,11 @@ KEEP = {
     "fd_gradient": "oracle for the closed-form covectors (criterion 2)",
     "fd_divergence": "oracle for the co-closedness of the forms",
     "fd_curl_components": "oracle for the closedness of the forms",
+    # public entry points of the one array walk in branch.py, which the
+    # suites reach through monodromy_and_winding and continue_straight
+    "continue_branch": "continuation along a given path (gauge tests)",
+    "winding_number": "the winding number alone (the monodromy suite reads "
+                      "it together with the sign)",
     # the library's only evaluation of u in R^3 (SunPipeline.evaluate_3d)
     "zonal": "zonal harmonic in R^3, checked against its closed form",
 }
