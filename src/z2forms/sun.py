@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.interpolate import RegularGridInterpolator
+# scipy is imported inside DoubleCoverGrid._matrix, ._lu and .interpolator
+# only: importing it costs about 50 MB of RSS and 0.6 s (2-core host), and
+# no suite but sun (and no export but `field`) reaches those three methods.
 
 from .errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
                      NoNullDirection, SolverDiverged)
@@ -245,7 +245,7 @@ class DoubleCoverGrid:
         self.own = np.flatnonzero(self.swap < np.arange(self.swap.size))
 
     @cached_property
-    def _matrix_csr(self) -> sp.csr_matrix:
+    def _matrix_csr(self):
         return self._matrix().tocsr()
 
     @cached_property
@@ -261,14 +261,18 @@ class DoubleCoverGrid:
         # so -B is exactly symmetric positive definite too: diagonal pivots
         # in any symmetric order are stable, and minimum degree on B + B^T
         # has about half the fill of the default COLAMD order.
+        import scipy.sparse.linalg as spla
+
         a = self._matrix_csr[self.own]
         b = a[:, self.own] - a[:, self.swap[self.own]]
         return spla.splu(b.tocsc(), permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
 
-    def _matrix(self) -> sp.coo_matrix:
+    def _matrix(self):
         """Five-point finite-volume matrix of div(s grad .), face-weighted."""
+        import scipy.sparse as sp
+
         n, h = self.n, self.h
         idx, active = self.index, self.active
         rows, cols, vals, faces = [], [], [], []
@@ -334,6 +338,8 @@ class DoubleCoverGrid:
         return full
 
     def interpolator(self, values: np.ndarray):
+        from scipy.interpolate import RegularGridInterpolator
+
         return RegularGridInterpolator((self.axis, self.axis), values,
                                        method="linear", bounds_error=False,
                                        fill_value=0.0)
@@ -477,6 +483,8 @@ class SunPipeline:
             "combo_a1": combo_a1,
             "decay_slope": slope,
             "solutions": solutions,
+            "fit_rel_residual": [coeffs[k].rel_residual for k in degrees],
+            "lu_nnz": self.grid._lu.nnz,
         }
 
     def evaluate_3d(self, point, v_grid: np.ndarray, p: ZonalPoly,

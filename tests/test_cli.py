@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line surface."""
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import z2forms
 from z2forms.cli import MAX_RESOLUTION, main
 from z2forms.defining import from_dict
 from z2forms.suites import (MAX_POINTS, SUITES, _form_from, _points_off_locus,
@@ -488,6 +492,46 @@ class TestExport:
                      str(tmp_path / "art"), "--resolution", "64"]) == 2
         assert "schema error: $.resolution:" in capsys.readouterr().err
         assert not (tmp_path / "art").exists()
+
+
+#: run in a fresh interpreter with a node spec and a sun spec as arguments;
+#: prints the verify exit codes and the scipy modules loaded at each stage
+SCIPY_PROBE = """\
+import json, sys
+import z2forms, z2forms.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+node, sun = sys.argv[1:]
+out = {"import": scipy_modules()}
+out["node_code"] = z2forms.cli.main(
+    ["verify", "--spec", node, "--suite", "harmonicity"])
+out["node"] = scipy_modules()
+out["sun_code"] = z2forms.cli.main(["verify", "--spec", sun, "--suite", "sun"])
+out["sun"] = scipy_modules()
+print(json.dumps(out))
+"""
+
+
+class TestLazyScipy:
+    def test_only_the_sun_suite_loads_scipy(self, tmp_path):
+        """Importing the CLI and running a non-sun job load no scipy; a sun
+        job in the same process loads it and passes."""
+        node = write_spec(tmp_path, "node.json", {"kind": "node"})
+        sun = write_spec(tmp_path, "sun.json", {"kind": "sun", "grid": 96,
+                                                "truncation": 10})
+        src = str(Path(z2forms.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, node, sun],
+                              capture_output=True, text=True, env=env,
+                              timeout=120, check=True)
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["import"] == [] and out["node"] == []
+        assert out["node_code"] == 0 and out["sun_code"] == 0
+        assert "scipy.sparse.linalg" in out["sun"]
+        assert "scipy.interpolate" in out["sun"]
 
 
 class TestReadme:

@@ -1,4 +1,6 @@
 """Tests for the circle-branched harmonic function construction."""
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -6,6 +8,7 @@ import scipy.sparse.linalg as spla
 from z2forms.errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
                             NoNullDirection)
 from z2forms.fd import fd_laplacian
+from z2forms.suites import _manufactured_pair, normalize_descriptor, run_suite
 from z2forms.sun import (N_THETA, Cutoff, DoubleCoverGrid, SunPipeline,
                          ZonalPoly, extract_a1, manufactured_error,
                          min_ring_grid, null_combination, ring_rms_slope,
@@ -322,3 +325,51 @@ class TestPipeline:
         x = np.array([4.5, 0.0, 4.5])  # rho ~ 6.4, chi = 1
         u = pipeline.evaluate_3d(x, v, p)
         assert u == pytest.approx(p.value_3d(x), rel=0.2)
+
+
+# --------------------------------------------------------------------------
+# the sun suite
+
+
+def sun_check(grid: int, name: str) -> dict:
+    """One check of a sun suite run at truncation 10 (ring window from
+    grid 90 on), as its report serializes it."""
+    descriptor = normalize_descriptor({"kind": "sun", "grid": grid,
+                                       "truncation": 10.0})
+    report = run_suite("sun", descriptor)
+    return next(c.to_dict() for c in report.checks if c.name == name)
+
+
+class TestSunSuite:
+    def test_manufactured_pair_computed_once(self, monkeypatch):
+        """The n = 160 / 320 manufactured grids are built by the first sun
+        job of a process only; later jobs report the same check."""
+        built = []
+        post_init = DoubleCoverGrid.__post_init__
+
+        def record(self):
+            built.append(self.n)
+            post_init(self)
+
+        monkeypatch.setattr(DoubleCoverGrid, "__post_init__", record)
+        _manufactured_pair.cache_clear()
+        first = sun_check(96, "sun.manufactured_order")
+        assert {160, 320} <= set(built)
+        built.clear()
+        second = sun_check(100, "sun.manufactured_order")
+        assert 100 in built and not {160, 320} & set(built)
+        assert json.dumps(first) == json.dumps(second)
+        assert first["passed"]
+
+    def test_solver_diagnostics_in_details(self):
+        """The reduction check carries the job grid's LU fill and each
+        degree's fit residual, byte-identical across runs."""
+        first, second = (sun_check(96, "sun.null_combination_reduction")
+                         ["details"] for _ in range(2))
+        assert json.dumps(first) == json.dumps(second)
+        residuals = np.array(first["fit_rel_residual"])
+        assert residuals.shape == (5,)
+        assert np.isfinite(residuals).all()
+        assert ((residuals > 0.0) & (residuals < 0.2)).all()
+        assert first["lu_nnz"] == \
+            DoubleCoverGrid(n=96, truncation=10.0)._lu.nnz > 0
