@@ -7,11 +7,11 @@ relative to the principal branch (argument in (-pi, pi]).
 Every walk is an array walk: h is evaluated at all segment ends in one
 array call and the nearest root is picked for all segments at once.  Only
 segments on which arg h turns by pi/2 or more go through the dyadic
-refinement ``_refine``.
+refinement ``_refine``.  Every state holds points (..., dim), one point
+(dim,) included, and answers with numpy scalars for one point.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +47,8 @@ class BranchState:
     """Continuation record: point, h value and the sign of the chosen square
     root relative to the principal one.
 
-    One state holds one point, or many at once: ``at`` of shape (..., dim)
-    with ``h_value`` and ``sign`` arrays (or a sign that broadcasts).
+    ``at`` has shape (..., dim), with ``h_value`` and ``sign`` of shape
+    (...) (or a sign that broadcasts); numpy scalars for one point.
     """
 
     at: np.ndarray
@@ -63,16 +63,12 @@ class BranchState:
     @property
     def sqrt_value(self) -> complex:
         """The chosen square root: the principal one times ``sign``."""
-        if np.ndim(self.h_value) == 0:
-            r = cmath.sqrt(self.h_value)
-            return r if self.sign == +1 else -r
         r = np.sqrt(self.h_value)
-        return np.where(self.sign == +1, r, -r)
+        return np.where(self.sign == +1, r, -r)[()]
 
 
 def principal_state(h, point) -> BranchState:
-    """BranchState at ``point`` on the principal branch (sign +1); one
-    state of many points for points (..., dim)."""
+    """BranchState at points (..., dim) on the principal branch (sign +1)."""
     point = np.asarray(point, dtype=float)
     hv = h.value_at(point)
     least = np.min(np.abs(hv))
@@ -87,7 +83,7 @@ def _refine(h, a: np.ndarray, b: np.ndarray, out: list, depth: int = 0) -> None:
     hv_b = h.value_at(b)
     if abs(hv_b) < EPS_SIGMA:
         raise PathHitsBranchLocus(f"|h| = {abs(hv_b):.3e} on path")
-    if abs(cmath.phase(hv_b / out[-1])) < np.pi / 2:
+    if abs(np.angle(hv_b / out[-1])) < np.pi / 2:
         out.append(hv_b)
         return
     if depth >= MAX_REFINE_DEPTH:
@@ -141,7 +137,7 @@ def _along(h, verts, start: BranchState) -> tuple[BranchState, float]:
     flip, turn = _segments(h, hvs[:-1], hvs[1:],
                            lambda i: (verts[i], verts[i + 1]))
     sign = -start.sign if np.count_nonzero(flip) % 2 else start.sign
-    return BranchState(at=verts[-1], h_value=complex(hvs[-1]), sign=sign), \
+    return BranchState(at=verts[-1], h_value=hvs[-1], sign=sign), \
         float(turn.sum())
 
 
@@ -161,27 +157,21 @@ def continue_straight(h, start: BranchState, point) -> BranchState:
     """Continue ``start`` along the straight segment to ``point``.
 
     Finite-difference stencils keep the branch choice of their center this
-    way.  ``start`` may hold many states and ``point`` many points
-    (..., dim); the two broadcast, and all segments are walked at once.
+    way.  ``start`` and ``point`` (..., dim) broadcast, and all segments
+    are walked at once.
     """
     point = np.asarray(point, dtype=float)
     h_end = h.value_at(point)
     shape = np.broadcast_shapes(np.shape(h_end), np.shape(start.h_value))
-    h_end = np.broadcast_to(h_end, shape).ravel()
-
-    def ends(i):
-        at = np.unravel_index(i, shape)
-        full = shape + point.shape[-1:]
-        return (np.broadcast_to(start.at, full)[at],
-                np.broadcast_to(point, full)[at])
-
+    full = shape + point.shape[-1:]
+    a, b = (np.broadcast_to(x, full).reshape(-1, full[-1])
+            for x in (start.at, point))
+    h_end = np.broadcast_to(h_end, shape)
     flip, _ = _segments(h, np.broadcast_to(start.h_value, shape).ravel(),
-                        h_end, ends)
+                        h_end.ravel(), lambda i: (a[i], b[i]))
     sign = np.where(flip, -1, 1).reshape(shape) * start.sign
-    if not shape:
-        return BranchState(at=point, h_value=complex(h_end[0]), sign=int(sign))
-    return BranchState(at=np.broadcast_to(point, shape + point.shape[-1:]),
-                       h_value=h_end.reshape(shape), sign=sign)
+    return BranchState(at=np.broadcast_to(point, full), h_value=h_end[()],
+                       sign=sign[()])
 
 
 def monodromy_and_winding(h, loop: Polyline) -> tuple[int, int]:

@@ -3,7 +3,7 @@
 Each kind evaluates ``h`` and its partials exactly; finite differences are
 reserved for the test oracles.  Bivariate functions act on C^2 (points in
 R^4 via z = x0 + i*x1, w = x2 + i*x3), univariate ones on C (points in
-R^2).
+R^2); every evaluation takes points (..., dim).
 """
 from __future__ import annotations
 
@@ -16,18 +16,14 @@ from .errors import SchemaError
 
 
 def to_complex_pair(point):
-    """(z, w) of a point of R^4; complex arrays (...) for points (..., 4)."""
+    """(z, w) of points (..., 4) of R^4, complex arrays (...)."""
     p = np.asarray(point, dtype=float)
-    if p.ndim == 1:
-        return complex(p[0], p[1]), complex(p[2], p[3])
     return p[..., 0] + 1j * p[..., 1], p[..., 2] + 1j * p[..., 3]
 
 
 def to_complex(point):
-    """z of a point of R^2; a complex array (...) for points (..., 2)."""
+    """z of points (..., 2) of R^2, a complex array (...)."""
     p = np.asarray(point, dtype=float)
-    if p.ndim == 1:
-        return complex(p[0], p[1])
     return p[..., 0] + 1j * p[..., 1]
 
 
@@ -67,9 +63,10 @@ def _from_cx(v, path: str) -> complex:
 class DefiningFunction:
     """Common interface: value, closed-form partials, JSON round trip.
 
-    ``value`` and ``partials`` take complex scalars or complex arrays, so
-    ``value_at``, ``partials_at`` and ``sigma_distance_bound`` take one
-    point (dim,) or many (..., dim) and answer with arrays (...).
+    ``value``, ``partials`` and ``w_poly_coeffs`` take complex arrays, so
+    ``value_at``, ``partials_at`` and ``sigma_distance_bound`` take points
+    (..., dim) and answer with arrays (...): numpy scalars for one point
+    (dim,).
     """
 
     arity: int  # 1 (univariate) or 2 (bivariate)
@@ -101,8 +98,9 @@ class DefiningFunction:
                            hv / norm)
         return out[()]
 
-    def w_poly_coeffs(self, z: complex) -> np.ndarray:
-        """Ascending coefficients of w -> h(z, w); used by locus sampling."""
+    def w_poly_coeffs(self, z) -> np.ndarray:
+        """Ascending coefficients of w -> h(z, w) on the first axis, shape
+        (degree + 1, ...) for z of shape (...); used by locus sampling."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -153,9 +151,12 @@ class ProductOfLines(DefiningFunction):
                        for a, b in self.lines], axis=0)
 
     def w_poly_coeffs(self, z):
-        poly = np.array([1.0 + 0.0j])
-        for a, b in self.lines:
-            poly = np.convolve(poly, np.array([a * z, b]))
+        z = np.asarray(z)
+        poly = np.ones((1,) + z.shape, dtype=complex)
+        for a, b in self.lines:  # times (a z + b w)
+            pad = np.zeros_like(poly[:1])
+            poly = (np.concatenate([poly * (a * z), pad])
+                    + np.concatenate([pad, poly * b]))
         return poly
 
     def unit_directions(self) -> list[np.ndarray]:
@@ -209,7 +210,7 @@ class RamifiedCover(DefiningFunction):
         return -3.0 * self.a * z * z, 2.0 * w
 
     def w_poly_coeffs(self, z):
-        return np.array([-self.a * (z**3 + 1.0), 0.0 + 0.0j, 1.0 + 0.0j])
+        return np.stack(np.broadcast_arrays(-self.a * (z**3 + 1.0), 0j, 1 + 0j))
 
     def to_dict(self):
         return {"kind": self.kind, "a": _cx(self.a)}
@@ -240,8 +241,9 @@ class BivariatePolynomial(DefiningFunction):
         return hz, hw
 
     def w_poly_coeffs(self, z):
+        z = np.asarray(z)
         deg = max(j for _, j, _ in self.terms)
-        coeffs = np.zeros(deg + 1, dtype=complex)
+        coeffs = np.zeros((deg + 1,) + z.shape, dtype=complex)
         for i, j, c in self.terms:
             coeffs[j] += c * z**i
         return coeffs

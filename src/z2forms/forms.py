@@ -21,14 +21,13 @@ each of whose components is harmonic, for planar forms.
 
 Covector components are real arrays in the coordinates
 (Re z, Im z, Re w, Im w), (x, y) and (x, y, z) respectively, on the last
-axis.  A state may hold many points (see ``BranchState``): ``eval_f`` and
-``eval_omega`` then answer for all of them, and the function that
-``f_near`` returns takes points (..., dim) and continues each from its
-center in one array walk.
+axis.  Every evaluation takes points (..., dim), one point (dim,)
+included, through one code path: ``eval_f`` and ``eval_omega`` answer for
+all points of a state, and the function that ``f_near`` returns continues
+each point from its center in one array walk.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from .branch import (BranchState, EPS_SIGMA, HalfPower, continue_straight,
                      principal_state)
 from .defining import (DefiningFunction, ProductOfLines,
-                       UnivariatePolynomial)
+                       UnivariatePolynomial, to_complex)
 from .errors import EmptyIntersection, OnBranchLocus
 
 #: residual contract for sampled points of the zero locus
@@ -72,8 +71,7 @@ class _BranchForm:
         return principal_state(self.h, point)
 
     def magnitude(self, point):
-        """|omega| at a point or at each of points (..., dim); independent of
-        the branch choice."""
+        """|omega| at points (..., dim); independent of the branch choice."""
         return np.linalg.norm(self.eval_omega(self.state_at(point)), axis=-1)
 
     def f_near(self, center: BranchState):
@@ -165,67 +163,101 @@ def sample_sigma(h: DefiningFunction, window, count: int,
     (Re z, Im z) or (Re z, Im z, Re w, Im w).  For a univariate h, Sigma is
     the finite set of roots of h: one cloud of the roots inside the window,
     whatever ``count`` and ``seed``.  For ``ProductOfLines`` the lines are
-    parameterized exactly; otherwise for seeded z samples the roots in w
-    come from companion-matrix rootfinding, polished by Newton to a
-    residual below 1e-9.
+    parameterized exactly; otherwise for ``count`` seeded z samples the
+    roots in w come from companion-matrix rootfinding, polished by Newton
+    to a residual below 1e-9.  All z are handled at once; the points come
+    z by z, each z's roots in ``np.roots`` order.
     """
     window = np.asarray(window, dtype=float).reshape(2 * h.arity, 2)
     if h.arity == 1:
         roots = h.roots()
         pts = np.column_stack([roots.real, roots.imag])
-        inside = np.all((pts >= window[:, 0]) & (pts <= window[:, 1]), axis=1)
-        if not inside.any():
+        pts = pts[_inside(pts, window)]
+        if not len(pts):
             raise EmptyIntersection("no roots of h in window")
-        return [pts[inside]]
+        return [pts]
     if isinstance(h, ProductOfLines):
         return _sample_lines(h, window, count)
 
+    # one draw gives the stream of drawing Re z, Im z, Re z, ... one by one
     rng = np.random.default_rng(seed)
-    points: list[np.ndarray] = []
-    for _ in range(count):
-        z = complex(rng.uniform(*window[0]), rng.uniform(*window[1]))
-        coeffs = h.w_poly_coeffs(z)
-        if np.allclose(coeffs[1:], 0.0):
-            continue
-        for w in np.roots(list(reversed(coeffs))):
-            w = _newton_polish_w(h, z, complex(w))
-            if w is None:
-                continue
-            if window[2, 0] <= w.real <= window[2, 1] and \
-               window[3, 0] <= w.imag <= window[3, 1]:
-                points.append(np.array([z.real, z.imag, w.real, w.imag]))
-    if not points:
+    z = to_complex(rng.uniform(window[:2, 0], window[:2, 1], size=(count, 2)))
+    coeffs = h.w_poly_coeffs(z)
+    solvable = ~np.all(np.isclose(coeffs[1:], 0.0), axis=0)
+    roots = _w_roots(coeffs[:, solvable])
+    z, w = np.repeat(z[solvable], roots.shape[1]), roots.ravel()
+    pts = np.column_stack([z.real, z.imag, w.real, w.imag])[
+        _newton_polish(h, z, w)]
+    pts = pts[_inside(pts, window)]
+    if not len(pts):
         raise EmptyIntersection("no locus points found in window")
-    return [np.array(points)]
+    return [pts]
 
 
-def _newton_polish_w(h, z, w):
+def _inside(pts, window) -> np.ndarray:
+    """Which of points (..., dim) lie in the window (dim, 2)."""
+    return np.all((pts >= window[:, 0]) & (pts <= window[:, 1]), axis=-1)
+
+
+def _w_roots(coeffs) -> np.ndarray:
+    """``np.roots`` of each column of ascending coefficients (degree + 1, n)
+    at once, as rows (n, degree) padded with nan."""
+    deg = len(coeffs) - 1
+    out = np.full((coeffs.shape[1], deg), np.nan, dtype=complex)
+    nonzero = coeffs != 0
+    top, low = deg - np.argmax(nonzero[::-1], axis=0), np.argmax(nonzero, axis=0)
+    for t, lo in set(zip(top, low)):
+        # as np.roots: eigenvalues of the companion matrix without the zero
+        # leading coefficients, then a root 0 per zero low coefficient
+        cols = np.flatnonzero((top == t) & (low == lo))
+        p, m = coeffs[lo:t + 1, cols][::-1].T, t - lo
+        if m:
+            companion = np.zeros((len(cols), m, m), dtype=complex)
+            companion[:, 0] = -p[:, 1:] / p[:, :1]
+            companion[:, range(1, m), range(m - 1)] = 1.0
+            out[cols, :m] = np.linalg.eigvals(companion)
+        out[cols, m:t] = 0.0
+    return out
+
+
+def _newton_polish(h, z, w) -> np.ndarray:
+    """Newton's method in w on h(z, .) for all roots w (n,) at once, in
+    place: each stops below SIGMA_RESIDUAL, where dh/dw = 0 or after 20
+    steps.  Returns which roots end below that residual; nan is skipped."""
+    ok = np.zeros(w.shape, dtype=bool)
+    live = np.flatnonzero(~np.isnan(w))
     for _ in range(20):
-        hv = h.value(z, w)
-        if abs(hv) < SIGMA_RESIDUAL:
-            return w
-        _, hw = h.partials(z, w)
-        if hw == 0:
-            return None
-        w = w - hv / hw
-    return w if abs(h.value(z, w)) < SIGMA_RESIDUAL else None
+        hv = h.value(z[live], w[live])
+        ok[live] = np.abs(hv) < SIGMA_RESIDUAL
+        # dh/dw is a constant where h is linear in w
+        hw = np.broadcast_to(h.partials(z[live], w[live])[1], live.shape)
+        step = ~ok[live] & (hw != 0)
+        live, hv, hw = live[step], hv[step], hw[step]
+        w[live] -= hv / hw
+    ok[live] = np.abs(h.value(z[live], w[live])) < SIGMA_RESIDUAL
+    return ok
+
+
+def _circle(n: int) -> np.ndarray:
+    """The n-th roots of unity e^{2 pi i j / n}, j = 0 .. n - 1."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+
+
+def _on_line(v, lam) -> np.ndarray:
+    """The points lam * v of the complex line spanned by v, (len(lam), 4)."""
+    z, w = lam * v[0], lam * v[1]
+    return np.column_stack([z.real, z.imag, w.real, w.imag])
 
 
 def _sample_lines(h: ProductOfLines, window, count) -> list[np.ndarray]:
+    """32 angles on max(2, count // 32) circles of each line, in the window."""
     radius = np.max(np.abs(window))
-    clouds = []
-    for v in h.unit_directions():
-        pts = []
-        n_r, n_t = max(2, count // 32), 32
-        for r in np.linspace(radius / n_r, radius, n_r):
-            for t in 2.0 * np.pi * np.arange(n_t) / n_t:
-                lam = r * cmath.exp(1j * t)
-                z, w = lam * v[0], lam * v[1]
-                p = np.array([z.real, z.imag, w.real, w.imag])
-                if np.all(p >= window[:, 0]) and np.all(p <= window[:, 1]):
-                    pts.append(p)
-        if pts:
-            clouds.append(np.array(pts))
+    n_r = max(2, count // 32)
+    lam = (np.linspace(radius / n_r, radius, n_r)[:, None]
+           * _circle(32)).ravel()
+    clouds = [pts[_inside(pts, window)]
+              for pts in (_on_line(v, lam) for v in h.unit_directions())]
+    clouds = [c for c in clouds if len(c)]
     if not clouds:
         raise EmptyIntersection("no locus points found in window")
     return clouds
@@ -234,13 +266,8 @@ def _sample_lines(h: ProductOfLines, window, count) -> list[np.ndarray]:
 def sample_lines_on_sphere(h: ProductOfLines, radius: float) -> np.ndarray:
     """Exact samples of Sigma intersected with the sphere |x| = radius,
     128 per line."""
-    t = 2.0 * np.pi * np.arange(128) / 128
-    pts = []
-    for v in h.unit_directions():
-        lam = radius * np.exp(1j * t)
-        z, w = np.outer(lam, [v[0]]).ravel(), np.outer(lam, [v[1]]).ravel()
-        pts.append(np.column_stack([z.real, z.imag, w.real, w.imag]))
-    return np.vstack(pts)
+    return np.vstack([_on_line(v, radius * _circle(128))
+                      for v in h.unit_directions()])
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -98,6 +98,9 @@ def _normalize_sun(spec: dict, path: str) -> dict:
         if not 0 <= k <= MAX_ZONAL_DEGREE:
             raise SchemaError(f"{path}.degrees[{i}]", f"zonal degree {k} "
                               f"outside [0, {MAX_ZONAL_DEGREE}]")
+        if k in degrees[:i]:
+            raise SchemaError(f"{path}.degrees[{i}]",
+                              f"zonal degree {k} repeated")
     cutoff = spec.get("cutoff", "quintic")
     if cutoff not in ("quintic", "cubic"):
         raise SchemaError(f"{path}.cutoff", f"unknown cutoff {cutoff!r}")
@@ -412,6 +415,9 @@ def _manufactured_pair() -> tuple[float, float]:
 
 
 def run_sun(descriptor: dict, seed: int, tol: dict) -> list[Check]:
+    if len(descriptor["degrees"]) < 3:
+        raise SchemaError("$.degrees", "the sun suite needs at least 3 "
+                          f"polynomial degrees, got {descriptor['degrees']}")
     pipe = _sun_pipeline(descriptor)
     try:
         pipe.grid.ring_window()

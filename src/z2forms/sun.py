@@ -30,7 +30,8 @@ the expansion
     u = A1p cos(theta/2) sqrt(r) + A1m sin(theta/2) sqrt(r) + O(r^{3/2}),
 
 and combinations of polynomial degrees annihilating (A1p, A1m) decay at
-least like r^{3/2}.
+least like r^{3/2}.  Every evaluation takes arrays: meridian points (s, x3)
+of any shape, or points (..., 3) of R^3.
 """
 from __future__ import annotations
 
@@ -68,32 +69,23 @@ N_RINGS = 12
 
 
 def legendre_values(k: int, x):
-    """P_k(x) by the three-term recurrence; accepts scalars or arrays."""
+    """P_k(x) by the three-term recurrence, elementwise."""
     x = np.asarray(x, dtype=float)
-    if k == 0:
-        return np.ones_like(x)[()] if x.ndim == 0 else np.ones_like(x)
-    p_prev, p = np.ones_like(x), x.copy()
-    for m in range(1, k):
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    for m in range(k):
         p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
-    return p[()] if p.ndim == 0 else p
+    return p[()]
 
 
-def zonal(k: int, point) -> float:
-    """The degree-k zonal harmonic rho^k P_k(cos phi) at a point of R^3."""
-    if k < 0 or k > MAX_ZONAL_DEGREE:
-        raise DegreeTooLarge(f"zonal degree {k} outside [0, {MAX_ZONAL_DEGREE}]")
+def _meridian(point):
+    """Meridian coordinates (s, x3) of points (..., 3) of R^3."""
     x = np.asarray(point, dtype=float)
-    return zonal_meridian(k, float(np.hypot(x[0], x[1])), float(x[2]))
+    return np.hypot(x[..., 0], x[..., 1]), x[..., 2]
 
 
-def zonal_meridian(k: int, s: float, x3: float) -> float:
-    """Zonal harmonic in meridian coordinates (s, x3)."""
-    if k < 0 or k > MAX_ZONAL_DEGREE:
-        raise DegreeTooLarge(f"zonal degree {k} outside [0, {MAX_ZONAL_DEGREE}]")
-    rho = np.hypot(s, x3)
-    if rho == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return rho**k * legendre_values(k, x3 / rho)
+def zonal(k: int, point):
+    """The degree-k zonal harmonic rho^k P_k(cos phi) at points (..., 3)."""
+    return ZonalPoly.single(k).value(*_meridian(point))
 
 
 @dataclass(frozen=True)
@@ -104,20 +96,27 @@ class ZonalPoly:
 
     def __post_init__(self):
         terms = tuple((int(k), float(c)) for k, c in self.terms)
-        if any(k < 0 or k > MAX_ZONAL_DEGREE for k, _ in terms):
-            raise DegreeTooLarge("zonal degree outside the stability budget")
+        if any(not 0 <= k <= MAX_ZONAL_DEGREE for k, _ in terms):
+            raise DegreeTooLarge(f"zonal degree outside [0, {MAX_ZONAL_DEGREE}]")
         object.__setattr__(self, "terms", terms)
 
     @classmethod
     def single(cls, k: int) -> "ZonalPoly":
         return cls(((k, 1.0),))
 
-    def value(self, s, x3) -> float:
-        return sum(c * zonal_meridian(k, s, x3) for k, c in self.terms)
+    def term_values(self, s, x3) -> list:
+        """c_k rho^k P_k(cos phi) of each term at meridian points (s, x3)."""
+        s, x3 = np.asarray(s, dtype=float), np.asarray(x3, dtype=float)
+        rho = np.hypot(s, x3)
+        # at rho = 0 any finite cos phi gives rho^k P_k = [k == 0]
+        cosphi = x3 / np.where(rho == 0.0, 1.0, rho)
+        return [c * rho**k * legendre_values(k, cosphi) for k, c in self.terms]
 
-    def value_3d(self, point) -> float:
-        x = np.asarray(point, dtype=float)
-        return self.value(float(np.hypot(x[0], x[1])), float(x[2]))
+    def value(self, s, x3):
+        return sum(self.term_values(s, x3))
+
+    def value_3d(self, point):
+        return self.value(*_meridian(point))
 
 
 # --------------------------------------------------------------------------
@@ -143,31 +142,29 @@ class Cutoff:
             raise ValueError(f"unknown cutoff kind {self.kind!r}")
 
     def _t(self, rho):
-        return (rho - self.r1) / (self.r2 - self.r1)
+        """Shell mask r1 < rho < r2 and t = (rho - r1) / (r2 - r1) in [0, 1]."""
+        t = (np.asarray(rho, dtype=float) - self.r1) / (self.r2 - self.r1)
+        return (t > 0.0) & (t < 1.0), np.clip(t, 0.0, 1.0)
 
     def chi(self, rho):
-        t = np.clip(self._t(np.asarray(rho, dtype=float)), 0.0, 1.0)
+        t = self._t(rho)[1]
         if self.kind == "quintic":
             out = t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
         else:
             out = t * t * (3.0 - 2.0 * t)
-        return out[()] if out.ndim == 0 else out
+        return out[()]
 
     def dchi(self, rho):
-        t = np.asarray(self._t(np.asarray(rho, dtype=float)))
-        inside = (t > 0.0) & (t < 1.0)
-        tc = np.clip(t, 0.0, 1.0)
+        inside, tc = self._t(rho)
         w = self.r2 - self.r1
         if self.kind == "quintic":
             out = np.where(inside, 30.0 * tc * tc * (1.0 - tc) ** 2 / w, 0.0)
         else:
             out = np.where(inside, 6.0 * tc * (1.0 - tc) / w, 0.0)
-        return out[()] if out.ndim == 0 else out
+        return out[()]
 
     def d2chi(self, rho):
-        t = np.asarray(self._t(np.asarray(rho, dtype=float)))
-        inside = (t > 0.0) & (t < 1.0)
-        tc = np.clip(t, 0.0, 1.0)
+        inside, tc = self._t(rho)
         w = self.r2 - self.r1
         if self.kind == "quintic":
             out = np.where(inside,
@@ -175,7 +172,7 @@ class Cutoff:
                            0.0)
         else:
             out = np.where(inside, (6.0 - 12.0 * tc) / w**2, 0.0)
-        return out[()] if out.ndim == 0 else out
+        return out[()]
 
 
 def source_meridian(p: ZonalPoly, chi: Cutoff, s, x3):
@@ -184,19 +181,18 @@ def source_meridian(p: ZonalPoly, chi: Cutoff, s, x3):
     For a radial cutoff and homogeneous harmonic terms, Euler's identity
     x . grad(p_k) = k p_k gives the closed form
     H = sum_k c_k p_k (chi'' + (2 + 2k) chi' / rho); Delta p = 0 is exact.
-    Supported in the shell r1 < rho < r2; accepts scalars or arrays.
+    Supported in the shell r1 < rho < r2; elementwise.
     """
     s, x3 = np.asarray(s, dtype=float), np.asarray(x3, dtype=float)
     rho = np.hypot(s, x3)
     out = np.zeros(rho.shape)
     m = (rho > chi.r1) & (rho < chi.r2)
     if m.any():
-        rm, cosphi = rho[m], x3[m] / rho[m]
+        rm = rho[m]
         d1, d2 = chi.dchi(rm), chi.d2chi(rm)
-        for k, c in p.terms:
-            out[m] += (c * rm**k * legendre_values(k, cosphi)
-                       * (d2 + (2.0 + 2.0 * k) * d1 / rm))
-    return out[()] if out.ndim == 0 else out
+        for (k, _), pk in zip(p.terms, p.term_values(s[m], x3[m])):
+            out[m] += pk * (d2 + (2.0 + 2.0 * k) * d1 / rm)
+    return out[()]
 
 
 # --------------------------------------------------------------------------
@@ -488,19 +484,15 @@ class SunPipeline:
         }
 
     def evaluate_3d(self, point, v_grid: np.ndarray, p: ZonalPoly,
-                    sheet: int = +1) -> float:
-        """Rebuild u = U - V at a 3-D point on the requested sheet."""
-        x = np.asarray(point, dtype=float)
-        s = float(np.hypot(x[0], x[1]))
-        zeta = np.sqrt(complex(s - 1.0, x[2]))  # principal: Re zeta >= 0
-        if sheet == -1:
-            zeta = -zeta
-        interp = self.grid.interpolator(v_grid)
-        v = float(interp((zeta.real, zeta.imag)))
-        rho = float(np.hypot(s, x[2]))
-        sign = 1.0 if zeta.real >= 0.0 else -1.0
-        u_big = sign * self.cutoff.chi(rho) * p.value(s, x[2])
-        return u_big - v
+                    sheet: int = +1):
+        """Rebuild u = U - V at points (..., 3) on the requested sheet, with
+        one interpolator for all of them."""
+        s, x3 = _meridian(point)
+        zeta = sheet * np.sqrt((s - 1.0) + 1j * x3)  # principal: Re zeta >= 0
+        v = self.grid.interpolator(v_grid)((zeta.real, zeta.imag))
+        sign = np.where(zeta.real >= 0.0, 1.0, -1.0)
+        u_big = sign * self.cutoff.chi(np.hypot(s, x3)) * p.value(s, x3)
+        return (u_big - v)[()]
 
 
 # --------------------------------------------------------------------------

@@ -224,6 +224,36 @@ class TestSunSchema:
         assert f"needs grid >= {smallest}" in err
         assert time.monotonic() - t0 < 1.0  # before any solve
 
+    @pytest.mark.parametrize("degrees", [[0, 1], [2]])
+    def test_too_few_degrees_for_the_suite(self, tmp_path, capsys,
+                                           monkeypatch, degrees):
+        """The suite needs 3 degrees for a null combination; it says so
+        before it builds any grid.  Construct (and the field export) take
+        fewer."""
+        built = []
+        monkeypatch.setattr(z2forms.sun.DoubleCoverGrid, "__post_init__",
+                            lambda grid: built.append(grid.n))
+        spec = write_spec(tmp_path, "s.json", {"kind": "sun", "grid": 160,
+                                               "degrees": degrees})
+        assert main(["verify", "--spec", spec, "--suite", "sun"]) == 2
+        err = capsys.readouterr().err
+        assert "schema error: $.degrees:" in err
+        assert "at least 3 polynomial degrees" in err
+        assert built == []
+        assert main(["construct", "--spec", spec]) == 0
+
+    @pytest.mark.parametrize("degrees, path", [([2, 2, 2], "$.degrees[1]"),
+                                               ([0, 1, 2, 1], "$.degrees[3]")])
+    def test_repeated_degree_is_schema_error(self, tmp_path, capsys, degrees,
+                                             path):
+        spec = write_spec(tmp_path, "s.json", {"kind": "sun", "grid": 160,
+                                               "degrees": degrees})
+        for argv in (["construct", "--spec", spec],
+                     ["verify", "--spec", spec, "--suite", "sun"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"schema error: {path}:" in err and "repeated" in err
+
     @pytest.mark.parametrize("grid", ["-5", "0", "10"])
     def test_bad_grid_flag_is_schema_error(self, tmp_path, capsys, grid):
         spec = write_spec(tmp_path, "s.json", {"kind": "sun"})

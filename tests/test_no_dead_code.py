@@ -1,10 +1,13 @@
-"""Every public module-level function and class of the library has a caller.
+"""Every public module-level function and class of the library, and every
+public method of a public class, has a caller.
 
 A definition counts as used when some module of ``src/z2forms`` other than
 ``__init__.py`` loads its name (as a name or an attribute) outside the
-definition's own body.  Definitions that only tests, the acceptance gate or
-planned suites use are listed in ``KEEP`` with the reason; what a kept
-definition calls (``pullback``, ``stereo_s3_chart``, ...) counts as used.
+definition's own body; a method is known by its name alone, so any
+attribute of that name counts.  Definitions that only tests, the
+acceptance gate or planned suites use are listed in ``KEEP`` (methods as
+``Class.method``) with the reason; what a kept definition calls
+(``pullback``, ``stereo_s3_chart``, ...) counts as used.
 """
 import ast
 from pathlib import Path
@@ -25,7 +28,6 @@ KEEP = {
     "seifert_value": "oracle for the fiber parameterization",
     "linking_on_sphere": "criterion 6's float Gauss oracle; the topology "
                          "suite projects once for both of its oracles",
-    "fd_gradient": "oracle for the closed-form covectors (criterion 2)",
     "fd_divergence": "oracle for the co-closedness of the forms",
     "fd_curl_components": "oracle for the closedness of the forms",
     # public entry points of the one array walk in branch.py, which the
@@ -33,20 +35,32 @@ KEEP = {
     "continue_branch": "continuation along a given path (gauge tests)",
     "winding_number": "the winding number alone (the monodromy suite reads "
                       "it together with the sign)",
-    # the library's only evaluation of u in R^3 (SunPipeline.evaluate_3d)
+    # the library's only evaluation of u in R^3; the planned mean-value
+    # check of the sun suite calls it (ROADMAP item 10)
     "zonal": "zonal harmonic in R^3, checked against its closed form",
+    "SunPipeline.evaluate_3d": "ROADMAP item 10: the sun field in R^3",
+    "ZonalPoly.value_3d": "ROADMAP item 10: the sun field in R^3",
 }
 
 
+def _public(node, kinds=(ast.FunctionDef, ast.ClassDef)) -> bool:
+    return isinstance(node, kinds) and not node.name.startswith("_")
+
+
 def _definitions():
-    """(module, name) of every public module-level function and class."""
+    """(module, qualified name, name) of every public module-level function
+    and class and every public method of a public class."""
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_"):
-                yield path.name, node.name
+            if _public(node):
+                yield path.name, node.name, node.name
+            if _public(node, ast.ClassDef):
+                for item in node.body:
+                    if _public(item, ast.FunctionDef):
+                        yield (path.name, f"{node.name}.{item.name}",
+                               item.name)
 
 
 def _loads(node):
@@ -57,24 +71,39 @@ def _loads(node):
             yield sub.attr
 
 
+def _owned(node):
+    """(owner, subtree) pairs covering a top-level statement: a method's
+    body is owned by ``Class.method``, the rest of a class by the class."""
+    if isinstance(node, ast.ClassDef):
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                yield f"{node.name}.{item.name}", item
+            else:
+                yield node.name, item
+        for sub in node.decorator_list + node.bases:
+            yield node.name, sub
+    else:
+        yield getattr(node, "name", None), node
+
+
 def _references():
-    """name -> set of (module, enclosing top-level definition or None)."""
+    """name -> set of (module, qualified name of the enclosing definition,
+    or None)."""
     refs: dict = {}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
-            owner = getattr(node, "name", None) \
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
-            for name in _loads(node):
-                refs.setdefault(name, set()).add((path.name, owner))
+            for owner, sub in _owned(node):
+                for name in _loads(sub):
+                    refs.setdefault(name, set()).add((path.name, owner))
     return refs
 
 
 def _unreferenced():
     refs = _references()
-    return {name for module, name in _definitions()
-            if not refs.get(name, set()) - {(module, name)}}
+    return {qualname for module, qualname, name in _definitions()
+            if not refs.get(name, set()) - {(module, qualname)}}
 
 
 def test_every_definition_has_a_caller_or_a_reason():
