@@ -25,11 +25,6 @@ def fd_laplacian(f, point, step: float) -> float:
                            lambda g: g(1) - 2.0 * center + g(-1))) / step**2
 
 
-def fd_gradient(f, point, step: float) -> np.ndarray:
-    """Central first differences of a scalar f, O(step^2), on the last axis."""
-    return fd_jacobian(f, point, step)
-
-
 def fd_laplacian_order4(f, point, step: float) -> float:
     """Fourth-order five-point-per-axis Laplacian."""
     center = f(np.asarray(point, dtype=float))

@@ -186,8 +186,8 @@ def sample_sigma(h: DefiningFunction, window, count: int,
     solvable = ~np.all(np.isclose(coeffs[1:], 0.0), axis=0)
     roots = _w_roots(coeffs[:, solvable])
     z, w = np.repeat(z[solvable], roots.shape[1]), roots.ravel()
-    pts = np.column_stack([z.real, z.imag, w.real, w.imag])[
-        _newton_polish(h, z, w)]
+    polished = _newton_polish(h, z, w)
+    pts = np.column_stack([z.real, z.imag, w.real, w.imag])[polished]
     pts = pts[_inside(pts, window)]
     if not len(pts):
         raise EmptyIntersection("no locus points found in window")

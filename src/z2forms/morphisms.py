@@ -19,7 +19,7 @@ import numpy as np
 from .defining import to_complex_pair
 from .errors import (ChartBoundary, CurvesTooClose, ImageAtInfinity,
                      NotInTube, NotOnSphere, SingularFiber)
-from .fd import fd_gradient, fd_gradient_order4, fd_laplacian_order4
+from .fd import fd_gradient_order4, fd_jacobian, fd_laplacian_order4
 from .paths import Polyline
 
 SPHERE_TOL = 1e-10
@@ -370,7 +370,7 @@ def laplace_beltrami_residual(chart: MetricChart, scalar, point,
         g = chart.metric(y)
         ginv = np.linalg.inv(g)
         sqrtg = np.sqrt(np.linalg.det(g))
-        return sqrtg * (ginv[i] @ fd_gradient(scalar, y, step))
+        return sqrtg * (ginv[i] @ fd_jacobian(scalar, y, step))
 
     total = 0.0
     for i in range(d):

@@ -10,7 +10,7 @@ import pytest
 
 from z2forms.branch import HalfPower, principal_state
 from z2forms.defining import Node, ProductOfLines, RamifiedCover, from_dict
-from z2forms.fd import fd_gradient
+from z2forms.fd import fd_jacobian
 from z2forms.forms import (AxialForm, ReHPowerForm, hausdorff_distance,
                            sample_lines_on_sphere)
 from z2forms.morphisms import (core_fiber, covering_degree, fiber,
@@ -65,7 +65,7 @@ def test_criterion_2_gradient_consistency():
         for pt in _points_off_locus(form, 200, seed=23):
             st = principal_state(form.h, pt)
             om = form.eval_omega(st)
-            grad = fd_gradient(form.f_near(st), pt, 1e-3)
+            grad = fd_jacobian(form.f_near(st), pt, 1e-3)
             worst = max(worst, np.linalg.norm(om - grad)
                         / max(np.linalg.norm(om), 1e-300))
     gate("gradient consistency <= 1e-4 at step 1e-3", worst <= 1e-4,

@@ -3,7 +3,8 @@
 
 One call on N points must match N single-point calls, and a single point
 gives a numpy scalar, never a 0-d array.  ``sample_sigma``, which handles
-all its z samples at once, is checked against a per-z reference loop.
+all its z samples at once, is checked against a per-z reference loop,
+also where the companion roots need Newton's polish.
 """
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from z2forms import (AxialForm, BivariatePolynomial, Node, PlanarForm,
                      ProductOfLines, RamifiedCover, ReHPowerForm,
                      UnivariatePolynomial, principal_state, sample_sigma)
 from z2forms.branch import BranchState, continue_straight
-from z2forms.fd import (fd_curl_components, fd_divergence, fd_gradient,
+from z2forms.fd import (fd_curl_components, fd_divergence,
                         fd_gradient_order4, fd_jacobian, fd_laplacian,
                         fd_laplacian_order4)
 from z2forms.forms import SIGMA_RESIDUAL
@@ -203,6 +204,24 @@ def test_sample_sigma_matches_the_per_z_loop(kind):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["node", "ramified", "bivariate"])
+def test_sample_sigma_returns_the_polished_roots(kind, monkeypatch):
+    """Companion roots off by 1e-7 need Newton: every returned point must
+    carry its polished w, not the raw eigenvalue."""
+    window = [[-2, 2]] * 4
+    germs = [sigma_germ(kind, seed) for seed in range(40)]
+    wants = [reference_sigma(h, window, 40, seed)
+             for seed, h in enumerate(germs)]
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: eigvals(a) * (1.0 + 1e-7))
+    for seed, (h, want) in enumerate(zip(germs, wants)):
+        (got,) = sample_sigma(h, window, 40, seed=seed)
+        assert np.all(np.abs(h.value_at(got)) < SIGMA_RESIDUAL), seed
+        assert got.shape == want.shape, seed
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+
+
 # --------------------------------------------------------------------------
 # fd
 
@@ -220,7 +239,7 @@ def rotation(p):
 
 
 @pytest.mark.parametrize("stencil", [fd_laplacian, fd_laplacian_order4,
-                                     fd_gradient, fd_gradient_order4])
+                                     fd_jacobian, fd_gradient_order4])
 def test_scalar_stencils(stencil):
     assert_batch_matches(lambda p: stencil(smooth, p, 1e-3), points(3))
 

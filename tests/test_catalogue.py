@@ -8,7 +8,7 @@ from z2forms import (AxialForm, BivariatePolynomial, Node, PlanarForm,
                      UnivariatePolynomial, sample_sigma, vanishing_order)
 from z2forms.branch import HalfPower, principal_state
 from z2forms.errors import EmptyIntersection, PathHitsBranchLocus
-from z2forms.fd import (fd_curl_components, fd_divergence, fd_gradient,
+from z2forms.fd import (fd_curl_components, fd_divergence, fd_jacobian,
                         fd_laplacian, rms)
 from z2forms.forms import hausdorff_distance, sample_lines_on_sphere
 from z2forms.suites import MAX_POINTS, normalize_descriptor, run_suite
@@ -56,7 +56,7 @@ class TestEvalOmega:
     def test_matches_fd_gradient_of_f(self, form, point):
         st = principal_state(form.h, point)
         om = form.eval_omega(st)
-        grad = fd_gradient(form.f_near(st), st.at, 1e-5)
+        grad = fd_jacobian(form.f_near(st), st.at, 1e-5)
         np.testing.assert_allclose(om, grad, rtol=1e-7, atol=1e-7)
 
     def test_fd_richardson_ratio_near_four(self):
@@ -64,8 +64,8 @@ class TestEvalOmega:
         st = state(ZW_FORM, 1.3, 0.2, 0.9, -0.4)
         om = form_om = ZW_FORM.eval_omega(st)
         f = ZW_FORM.f_near(st)
-        e1 = np.linalg.norm(fd_gradient(f, st.at, 2e-3) - om)
-        e2 = np.linalg.norm(fd_gradient(f, st.at, 1e-3) - om)
+        e1 = np.linalg.norm(fd_jacobian(f, st.at, 2e-3) - om)
+        e2 = np.linalg.norm(fd_jacobian(f, st.at, 1e-3) - om)
         assert 3.4 < e1 / e2 < 4.6
 
     @pytest.mark.parametrize("form, point", [
@@ -101,7 +101,7 @@ class TestR3Form:
     def test_matches_fd_gradient_of_potential(self):
         form = AxialForm()
         st = form.state_at([0.8, -0.3, 1.2])
-        grad = fd_gradient(form.f_near(st), st.at, 1e-6)
+        grad = fd_jacobian(form.f_near(st), st.at, 1e-6)
         np.testing.assert_allclose(form.eval_omega(st), 2.0 * grad,
                                    rtol=1e-7, atol=1e-7)
 
