@@ -6,6 +6,7 @@ Exit codes: 0 success / all checks passed, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -158,7 +159,11 @@ def cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    about a fifth of a small ``verify`` job, and parsing leaves it as it
+    was (``--tol`` appends to a copy of its default list)."""
     parser = argparse.ArgumentParser(
         prog="z2forms",
         description="Construct, verify, and export two-valued harmonic "

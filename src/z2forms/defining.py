@@ -85,9 +85,12 @@ class DefiningFunction:
         return self.value(*to_complex_pair(point))
 
     def partials_at(self, point):
-        if self.arity == 1:
-            return self.partials(to_complex(point))
-        return self.partials(*to_complex_pair(point))
+        zw = (to_complex(point),) if self.arity == 1 else to_complex_pair(point)
+        # a partial that does not depend on the point comes back from
+        # ``partials`` as a Python constant; give it the batch shape
+        shape = np.shape(zw[0])
+        return tuple(np.broadcast_to(g, shape).astype(complex)[()]
+                     for g in self.partials(*zw))
 
     def sigma_distance_bound(self, point):
         """First-order lower-bound proxy |h| / |grad h| for dist(point, Sigma)."""

@@ -166,15 +166,68 @@ def fiber_windings(fb: Polyline) -> tuple[int, int]:
 
 # --------------------------------------------------------------------------
 # linking and covering numbers
+#
+# The pairwise kernels below take the points of one curve against all of
+# its partner's points, one block of rows at a time; the linking sums hold
+# each curve as coordinate rows, one contiguous array per coordinate.  A
+# block works in scratch arrays allocated once per call and written through
+# ``out=``.  Fresh 64 KiB temporaries would cost nearly as much as 1 MiB
+# ones under a fixed glibc mmap threshold: freed at the top of the heap,
+# they are trimmed back to the system and faulted in again every block.
+# The linking sums keep one sum per block and add them with one numpy sum,
+# which adds pairwise, where a running total over the many small blocks
+# would add round-off with every block.
 
-#: rows per block of the pairwise kernels below: against a 1024-vertex
-#: partner a block holds 128 x 1024 float64 values (1 MiB) per quantity
-BLOCK_ROWS = 128
+#: most float64 values of one array in the pairwise kernels (64 KiB): a
+#: block's arrays stay in cache, and each lies under glibc's 128 KiB mmap
+#: threshold, above which every array is mapped and faulted in afresh
+BLOCK_VALUES = 8192
 
 
-def _row_blocks(n: int):
-    """Slices of at most ``BLOCK_ROWS`` rows covering ``range(n)``."""
-    return (slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS))
+def _row_blocks(n: int, cols: int, count: int):
+    """Row blocks of ``range(n)`` against ``cols`` partner points, each of
+    as many rows (at least one) as fit in ``BLOCK_VALUES`` values.
+
+    Yields each block's slice with ``count`` scratch arrays of shape
+    (block rows, cols), allocated once and reused by every block.
+    """
+    step = min(n, max(1, BLOCK_VALUES // cols))
+    scratch = [np.empty((step, cols)) for _ in range(count)]
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        yield slice(lo, hi), [s[:hi - lo] for s in scratch]
+
+
+def _coords(points: np.ndarray) -> np.ndarray:
+    """Points (n, d) as d contiguous coordinate rows, shape (d, n)."""
+    return np.ascontiguousarray(points.T)
+
+
+def _column(coords, rows: slice) -> list[np.ndarray]:
+    """Coordinate rows restricted to ``rows``, as columns (rows, 1) that
+    broadcast against a partner's coordinate rows."""
+    return [x[rows, None] for x in coords]
+
+
+def _minus(u, v, out) -> list[np.ndarray]:
+    """u - v of two vectors given as coordinate arrays, into ``out``."""
+    return [np.subtract(x, y, out=o) for x, y, o in zip(u, v, out)]
+
+
+def _dot(u, v, out, tmp) -> np.ndarray:
+    """u . v of two vectors given as coordinate arrays, into ``out``."""
+    np.multiply(u[0], v[0], out=out)
+    for x, y in zip(u[1:], v[1:]):
+        out += np.multiply(x, y, out=tmp)
+    return out
+
+
+def _cross(u, v, out, tmp) -> list[np.ndarray]:
+    """u x v of two vectors given as coordinate triples, into ``out``."""
+    for o, (i, j) in zip(out, ((1, 2), (2, 0), (0, 1))):
+        np.multiply(u[i], v[j], out=o)
+        o -= np.multiply(u[j], v[i], out=tmp)
+    return out
 
 
 def stereographic_pole(curves: list[np.ndarray], seed: int = 0) -> np.ndarray:
@@ -188,10 +241,12 @@ def stereographic_pole(curves: list[np.ndarray], seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     cand = rng.normal(size=(256, 4))
     cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-    allpts = np.vstack(curves)
+    cols = _coords(cand)
+    pts = np.vstack(curves)
     largest = np.full(len(cand), -np.inf)
-    for rows in _row_blocks(len(allpts)):
-        largest = np.maximum(largest, (allpts[rows] @ cand.T).max(axis=0))
+    for rows, (dots,) in _row_blocks(len(pts), len(cand), 1):
+        np.matmul(pts[rows], cols, out=dots)
+        np.maximum(largest, dots.max(axis=0), out=largest)
     return cand[np.argmin(largest)]
 
 
@@ -221,43 +276,54 @@ def project_curves(curves: list[Polyline], seed: int = 0) -> list[Polyline]:
             for c in curves]
 
 
-def _closed_vertices(c1: Polyline, c2: Polyline) -> tuple[np.ndarray, np.ndarray]:
+def _closed_coords(c1: Polyline, c2: Polyline) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate rows of both curves' vertices, the first repeated last."""
     if not (c1.closed and c2.closed):
         raise ValueError("linking number needs closed curves")
-    return c1.vertices(), c2.vertices()
+    return _coords(c1.vertices()), _coords(c2.vertices())
 
 
 def gauss_linking(c1: Polyline, c2: Polyline) -> float:
     """Gauss double-sum linking number of two disjoint closed curves in R^3.
 
     A midpoint-rule float oracle: it tends to the linking number as the
-    curves are refined.  Rows of ``c1`` are summed one block at a time, so
-    no temporary is larger than a block of ``c1`` segments against all of
-    ``c2``'s.
+    curves are refined.  Rows of ``c1`` segments are summed one block at a
+    time against all of ``c2``'s.
     """
-    a, b = _closed_vertices(c1, c2)
-    ra, dra = 0.5 * (a[:-1] + a[1:]), np.diff(a, axis=0)
-    rb, drb = 0.5 * (b[:-1] + b[1:]), np.diff(b, axis=0)
-    total = 0.0
-    for rows in _row_blocks(len(ra)):
-        diff = ra[rows, None, :] - rb[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
+    a, b = _closed_coords(c1, c2)
+    ra, dra = 0.5 * (a[:, :-1] + a[:, 1:]), np.diff(a, axis=1)
+    rb, drb = 0.5 * (b[:, :-1] + b[:, 1:]), np.diff(b, axis=1)
+    sums = []
+    for rows, s in _row_blocks(ra.shape[1], rb.shape[1], 10):
+        dist, cube, integrand, tmp = s[6:10]
+        diff = _minus(_column(ra, rows), rb, s[0:3])
+        np.sqrt(_dot(diff, diff, cube, tmp), out=dist)
         if dist.min() < 1e-3:
             raise CurvesTooClose(f"min curve distance {dist.min():.2e}")
-        cross = np.cross(dra[rows, None, :], drb[None, :, :])
-        total += (np.einsum("ijk,ijk->ij", cross, diff) / dist**3).sum()
-    return float(total / (4.0 * np.pi))
+        cube *= dist  # |diff|^3
+        cross = _cross(_column(dra, rows), drb, s[3:6], tmp)
+        _dot(cross, diff, integrand, tmp)
+        integrand /= cube
+        sums.append(integrand.sum())
+    return float(np.sum(sums) / (4.0 * np.pi))
 
 
-def _triangle_solid_angle(u, v, w) -> np.ndarray:
+def _triangle_solid_angle(u, v, w, nu, nv, nw, out, scratch) -> np.ndarray:
     """Signed solid angle of the triangles (u, v, w) seen from the origin
-    (Van Oosterom & Strackee, IEEE Trans. Biomed. Eng. 30, 1983)."""
-    nu, nv, nw = (np.linalg.norm(x, axis=-1) for x in (u, v, w))
-    det = np.einsum("...k,...k->...", u, np.cross(v, w))
-    den = (nu * nv * nw + np.einsum("...k,...k->...", u, v) * nw
-           + np.einsum("...k,...k->...", u, w) * nv
-           + np.einsum("...k,...k->...", v, w) * nu)
-    return 2.0 * np.arctan2(det, den)
+    (Van Oosterom & Strackee, IEEE Trans. Biomed. Eng. 30, 1983), into
+    ``out``.  The corners are coordinate triples with norms ``nu``, ``nv``,
+    ``nw``; ``scratch`` holds six arrays of the shape of ``out``."""
+    tmp, term, den = scratch[3:]
+    det = _dot(u, _cross(v, w, scratch[:3], tmp), out, tmp)
+    np.multiply(nu, nv, out=den)
+    den *= nw
+    for x, y, n in ((u, v, nw), (u, w, nv), (v, w, nu)):
+        _dot(x, y, term, tmp)
+        term *= n
+        den += term
+    np.arctan2(det, den, out=out)
+    out *= 2.0
+    return out
 
 
 def polygon_linking(c1: Polyline, c2: Polyline) -> float:
@@ -271,19 +337,23 @@ def polygon_linking(c1: Polyline, c2: Polyline) -> float:
     over all pairs is 4 pi times an integer, up to round-off, at any
     vertex count.  Rows are summed one block of ``c1`` segments at a time.
     """
-    a, b = _closed_vertices(c1, c2)
-    total = 0.0
-    for rows in _row_blocks(len(a) - 1):
-        a0 = a[:-1][rows, None, :]
-        a1 = a[1:][rows, None, :]
-        r00, r01 = b[None, :-1, :] - a0, b[None, 1:, :] - a0
-        r10, r11 = b[None, :-1, :] - a1, b[None, 1:, :] - a1
-        near = np.linalg.norm(r00, axis=2).min()
+    a, b = _closed_coords(c1, c2)
+    a0, a1, b0, b1 = a[:, :-1], a[:, 1:], b[:, :-1], b[:, 1:]
+    sums = []
+    for rows, s in _row_blocks(a0.shape[1], b0.shape[1], 24):
+        s0, s1 = _column(a0, rows), _column(a1, rows)
+        r00, r01 = _minus(b0, s0, s[0:3]), _minus(b1, s0, s[3:6])
+        r10, r11 = _minus(b0, s1, s[6:9]), _minus(b1, s1, s[9:12])
+        angle, other, work = s[16], s[17], s[18:24]
+        n00, n01, n10, n11 = (np.sqrt(_dot(r, r, n, work[0]), out=n)
+                              for r, n in zip((r00, r01, r10, r11), s[12:16]))
+        near = n00.min()
         if near < 1e-3:
             raise CurvesTooClose(f"min vertex distance {near:.2e}")
-        total += (_triangle_solid_angle(r00, r10, r11)
-                  + _triangle_solid_angle(r00, r11, r01)).sum()
-    return float(total / (4.0 * np.pi))
+        _triangle_solid_angle(r00, r10, r11, n00, n10, n11, angle, work)
+        angle += _triangle_solid_angle(r00, r11, r01, n00, n11, n01, other, work)
+        sums.append(angle.sum())
+    return float(np.sum(sums) / (4.0 * np.pi))
 
 
 def linking_on_sphere(f1: Polyline, f2: Polyline, seed: int = 0) -> float:
@@ -296,23 +366,25 @@ def covering_degree(fb: Polyline, core: Polyline) -> int:
 
     Signed count of passes along the core direction: the winding number of
     the fiber's angular coordinate in the plane of the core.  ``fb`` must
-    lie within distance 0.3 of ``core``.  Each fiber point's distance to
-    the core's points is taken from |x|^2 + |y|^2 - 2 x.y, one block of
-    fiber points at a time.
+    lie within distance 0.3 of ``core``.  Each fiber point x's squared
+    distance to the core is |x|^2 plus the least |y|^2 - 2 x.y over the
+    core's points y, taken one block of fiber points at a time.
     """
-    core_pts = core.points
+    core_pts, pts = core.points, fb.points
     center = core_pts.mean(axis=0)
-    rel = fb.points - center
+    rel = pts - center
+    cols = -2.0 * _coords(core_pts)
     core_sq = (core_pts**2).sum(axis=1)
-    nearest = np.empty(len(fb.points))
-    for rows in _row_blocks(len(fb.points)):
-        x = fb.points[rows]
-        d2 = (x**2).sum(axis=1)[:, None] + core_sq[None, :] - 2.0 * x @ core_pts.T
-        nearest[rows] = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
+    near_sq = (pts**2).sum(axis=1)
+    for rows, (d2,) in _row_blocks(len(pts), len(core_pts), 1):
+        np.matmul(pts[rows], cols, out=d2)
+        d2 += core_sq
+        near_sq[rows] += d2.min(axis=1)
+    nearest = np.sqrt(np.maximum(near_sq, 0.0))
     if nearest.max() >= 0.3:
         raise NotInTube(f"max distance to core {nearest.max():.3f}")
     # plane of the core circle from its two leading principal directions
-    u, s, vt = np.linalg.svd(core_pts - center)
+    vt = np.linalg.svd(core_pts - center, full_matrices=False)[2]
     e1, e2 = vt[0], vt[1]
     ang = np.unwrap(np.arctan2(rel @ e2, rel @ e1))
     closing = np.arctan2(rel[0] @ e2, rel[0] @ e1) - ang[-1]

@@ -71,6 +71,22 @@ def test_germ_evaluations(kind):
     assert isinstance(h.value_at(pts[0]), np.complex128)
 
 
+@pytest.mark.parametrize("h", [
+    ProductOfLines(((1, 2),)),
+    BivariatePolynomial(((2, 0, 1.0), (1, 0, 0.5j))),
+], ids=["one-line", "bivariate-without-w"])
+def test_constant_partials_take_the_batch_shape(h):
+    # both partials of one line, and dh/dw of a bivariate without w terms,
+    # do not depend on the point
+    pts = points(germ_dim(h))
+    for g in h.partials_at(pts):
+        assert isinstance(g, np.ndarray)
+        assert g.shape == (N,) and g.dtype == np.complex128
+    for g in h.partials_at(pts[0]):
+        assert isinstance(g, np.complex128)
+    assert_batch_matches(h.partials_at, pts)
+
+
 @pytest.mark.parametrize("kind", ["node", "ramified", "bivariate", "lines"])
 def test_w_poly_coeffs(kind):
     h = GERMS[kind]

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import z2forms
-from z2forms.cli import MAX_RESOLUTION, main
+from z2forms.cli import MAX_RESOLUTION, build_parser, main
 from z2forms.defining import from_dict
 from z2forms.suites import (MAX_POINTS, SUITES, _form_from, _points_off_locus,
                             normalize_descriptor)
@@ -89,6 +89,18 @@ class TestVerify:
                    "--tol", "slope_tol=1e-12"])
         assert rc == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_tolerance_does_not_carry_into_the_next_call(self, tmp_path,
+                                                         capsys):
+        # one parser serves every main call in a process
+        assert build_parser() is build_parser()
+        spec = write_spec(tmp_path, "n.json", {"kind": "node", "a": 1,
+                                               "b": 0, "c": 0})
+        argv = ["verify", "--spec", spec, "--suite", "vanishing-order"]
+        assert main(argv + ["--tol", "slope_tol=1e-12"]) == 1
+        assert "[FAIL]" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
 
     def test_bad_tolerance_syntax(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "n.json", {"kind": "node", "a": 1,

@@ -9,7 +9,8 @@ from z2forms.errors import (CurvesTooClose, ImageAtInfinity, NotInTube,
                             SingularFiber)
 from z2forms.fd import fd_jacobian
 from z2forms.forms import PlanarForm
-from z2forms.morphisms import (ComposedGerm, core_fiber, covering_degree,
+from z2forms.morphisms import (BLOCK_VALUES, ComposedGerm, core_fiber,
+                               covering_degree,
                                fiber, fiber_windings, gauss_linking,
                                hopf_chart_map, laplace_beltrami_residual,
                                lb_cross_oracle, linking_on_sphere,
@@ -164,21 +165,11 @@ class TestLinking:
             gauss_linking(c1, c2)
 
     def test_blocked_gauss_sum_matches_dense(self):
-        def dense(c1, c2):
-            a, b = c1.vertices(), c2.vertices()
-            ra, dra = 0.5 * (a[:-1] + a[1:]), np.diff(a, axis=0)
-            rb, drb = 0.5 * (b[:-1] + b[1:]), np.diff(b, axis=0)
-            diff = ra[:, None, :] - rb[None, :, :]
-            cross = np.cross(dra[:, None, :], drb[None, :, :])
-            integrand = np.einsum("ijk,ijk->ij", cross, diff) \
-                / np.linalg.norm(diff, axis=2)**3
-            return integrand.sum() / (4.0 * np.pi)
-
         # row counts that are not multiples of the block
         for p, q, n1, n2 in ((2, 3, 1000, 300), (1, 1, 129, 700)):
             c1, c2 = project_curves([fiber(p, q, 0.8 + 0.1j, n=n1),
                                      fiber(p, q, -1.6 - 0.2j, n=n2)])
-            want = dense(c1, c2)
+            want = dense_gauss(c1, c2)
             assert abs(gauss_linking(c1, c2) - want) <= 1e-12 * abs(want)
 
     def test_projection_preserves_pole_distance(self):
@@ -186,6 +177,99 @@ class TestLinking:
         pole = stereographic_pole([fb.points])
         proj = stereographic_project(fb.points, pole)
         assert np.all(np.isfinite(proj))
+
+
+def dense_gauss(c1, c2):
+    """The Gauss double sum over all segment pairs at once."""
+    a, b = c1.vertices(), c2.vertices()
+    ra, dra = 0.5 * (a[:-1] + a[1:]), np.diff(a, axis=0)
+    rb, drb = 0.5 * (b[:-1] + b[1:]), np.diff(b, axis=0)
+    diff = ra[:, None, :] - rb[None, :, :]
+    cross = np.cross(dra[:, None, :], drb[None, :, :])
+    integrand = np.einsum("ijk,ijk->ij", cross, diff) \
+        / np.linalg.norm(diff, axis=2)**3
+    return integrand.sum() / (4.0 * np.pi)
+
+
+def dense_polygon(c1, c2):
+    """The segment-pair solid angles over all pairs at once."""
+    def solid_angle(u, v, w):
+        nu, nv, nw = (np.linalg.norm(x, axis=-1) for x in (u, v, w))
+        det = np.einsum("...k,...k->...", u, np.cross(v, w))
+        den = (nu * nv * nw + np.einsum("...k,...k->...", u, v) * nw
+               + np.einsum("...k,...k->...", u, w) * nv
+               + np.einsum("...k,...k->...", v, w) * nu)
+        return 2.0 * np.arctan2(det, den)
+
+    a, b = c1.vertices(), c2.vertices()
+    a0, a1 = a[:-1, None, :], a[1:, None, :]
+    r00, r01 = b[None, :-1, :] - a0, b[None, 1:, :] - a0
+    r10, r11 = b[None, :-1, :] - a1, b[None, 1:, :] - a1
+    return (solid_angle(r00, r10, r11)
+            + solid_angle(r00, r11, r01)).sum() / (4.0 * np.pi)
+
+
+def noisy_hopf_link(n1, n2, seed):
+    """Two linked unit circles with vertices moved by up to 0.1."""
+    rng = np.random.default_rng(seed)
+    c1 = circle([0, 0, 0], 1.0, n=n1, plane=(0, 1)).points
+    c2 = circle([1, 0, 0], 1.0, n=n2, plane=(0, 2)).points
+    return (Polyline(c1 + rng.uniform(-0.1, 0.1, c1.shape), closed=True),
+            Polyline(c2 + rng.uniform(-0.1, 0.1, c2.shape), closed=True))
+
+
+def loop_through(point, n, vertex):
+    """A unit circle of ``n`` vertices perpendicular to the xy-plane that
+    passes 1e-5 above ``point``, which lies on the unit circle of the
+    xy-plane; through a vertex if ``vertex``, else a segment midpoint."""
+    u, z = point / np.linalg.norm(point), np.array([0.0, 0.0, 1.0])
+    half = 0.0 if vertex else 0.5
+    t = 2.0 * np.pi * (np.arange(n) + half) / n
+    reach = 1.0 if vertex else np.cos(np.pi / n)
+    center = point + 1e-5 * z + reach * u
+    return Polyline(center - np.outer(np.cos(t), u) + np.outer(np.sin(t), z),
+                    closed=True)
+
+
+class TestKernelsAgainstReference:
+    """The blocked kernels against whole-array formulas.  A closed curve
+    of n points has n segments; a block holds BLOCK_VALUES // n rows
+    against a partner of n segments."""
+
+    @pytest.mark.parametrize("n1,n2,rows", [
+        (40, 30, 273),   # one block, fewer rows than the budget
+        (301, 100, 81),  # the last block ragged
+        (7, 5000, 1),    # a block holds a single row
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_linking_sums(self, n1, n2, rows, seed):
+        assert n_rows(n2) == rows
+        c1, c2 = noisy_hopf_link(n1, n2, seed)
+        gauss, exact = gauss_linking(c1, c2), polygon_linking(c1, c2)
+        assert abs(gauss - dense_gauss(c1, c2)) < 1e-12
+        assert abs(exact - dense_polygon(c1, c2)) < 1e-12
+        assert abs(abs(exact) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("kernel,vertex", [(gauss_linking, False),
+                                               (polygon_linking, True)])
+    def test_too_close_in_the_ragged_last_block(self, kernel, vertex):
+        # the close pair is c1's last segment, in its last block of
+        # 301 - 9 * 32 = 13 rows against 256 partner segments
+        c1 = circle([0, 0, 0], 1.0, n=301, plane=(0, 1))
+        a = c1.vertices()
+        point = a[300] if vertex else 0.5 * (a[300] + a[301])
+        assert n_rows(256) == 32 and 301 % 32 == 13
+        with pytest.raises(CurvesTooClose):
+            kernel(c1, loop_through(point, 256, vertex))
+        # the same loop raised 0.5 away is accepted
+        far = Polyline(loop_through(point, 256, vertex).points
+                       + [0.0, 0.0, 0.5], closed=True)
+        kernel(c1, far)
+
+
+def n_rows(cols):
+    """Rows of one block of a pairwise kernel against ``cols`` columns."""
+    return max(1, BLOCK_VALUES // cols)
 
 
 class TestExactLinking:
@@ -270,7 +354,8 @@ class TestCoveringDegree:
         assert report.passed
 
     def test_topology_suite_memory(self):
-        # no O(N * M) temporary: the parent's dense kernels peaked at 288 MB
+        # no O(N * M) temporary: dense kernels peak at 288 MB and 128-row
+        # blocks at 12.2 MiB; blocks of BLOCK_VALUES values stay near 1.7 MiB
         descriptor = normalize_descriptor({"kind": "fiber", "p": 2, "q": 5})
         tracemalloc.start()
         try:
@@ -279,7 +364,17 @@ class TestCoveringDegree:
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert peak < 64 * 2**20
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (3, 2), (2, 5)])
+    @pytest.mark.parametrize("n_fiber,n_core", [(2048, 1024), (2047, 1000)])
+    def test_suite_fibers(self, p, q, n_fiber, n_core):
+        # the suite's covering fiber, 0.1 from the core, also with a ragged
+        # last block of fiber points
+        c2 = 0.1
+        c1 = np.sqrt(1.0 - c2**2)
+        fb = fiber(p, q, c1**p / c2**q + 0j, n=n_fiber)
+        assert covering_degree(fb, core_fiber(0, n=n_core)) == q
 
     def test_not_in_tube_rejected(self):
         fb = fiber(2, 3, 1.0 + 0j, n=512)
