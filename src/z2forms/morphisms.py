@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable
 
 import numpy as np
 
@@ -25,76 +24,58 @@ from .paths import Polyline
 SPHERE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SmoothMap:
-    """A map between charts with closed-form evaluation and Jacobian."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, point) -> np.ndarray:
-        return np.asarray(self.func(np.asarray(point, dtype=float)), dtype=float)
-
-    def jacobian(self, point) -> np.ndarray:
-        return np.asarray(self.jac(np.asarray(point, dtype=float)), dtype=float)
+def _chart_pair(x):
+    """(z, w) of points (..., 4), none on the deleted fiber {w = 0}."""
+    z, w = to_complex_pair(x)
+    if np.min(np.abs(w)) < 1e-12:
+        raise ImageAtInfinity("point lies over the deleted pole (w = 0)")
+    return z, w
 
 
-def _complex_jacobian_rows(*coeffs: complex) -> np.ndarray:
-    """Real 2 x 2n Jacobian of zeta = sum coeffs_i * u_i for complex u_i."""
-    row_re, row_im = [], []
-    for a in coeffs:
-        row_re += [a.real, -a.imag]
-        row_im += [a.imag, a.real]
-    return np.array([row_re, row_im])
-
-
-def hopf_chart_map() -> SmoothMap:
+def hopf_chart(x) -> np.ndarray:
     """S^3 -> C, (z, w) -> z / w: the Hopf map composed with the
     stereographic identification of S^2 minus a pole with the plane.
 
-    The deleted set is the fiber {w = 0} over the pole.
+    Points (..., 4) to (..., 2); the deleted set is the fiber {w = 0}.
     """
-    def func(x):
-        z, w = to_complex_pair(x)
-        if np.min(np.abs(w)) < 1e-12:
-            raise ImageAtInfinity("point lies over the deleted pole (w = 0)")
-        zeta = z / w
-        return np.stack([np.real(zeta), np.imag(zeta)], axis=-1)
-
-    def jac(x):
-        z, w = to_complex_pair(x)
-        if abs(w) < 1e-12:
-            raise ImageAtInfinity("point lies over the deleted pole (w = 0)")
-        return _complex_jacobian_rows(1.0 / w, -z / (w * w))
-
-    return SmoothMap(func, jac)
+    z, w = _chart_pair(x)
+    zeta = z / w
+    return np.stack([np.real(zeta), np.imag(zeta)], axis=-1)
 
 
-def pullback(mp: SmoothMap, covector_at_image, point) -> np.ndarray:
-    """J^T v: pull a covector field back through a smooth map."""
+def hopf_jacobian(x) -> np.ndarray:
+    """Real 2 x 4 Jacobian of ``hopf_chart`` at one point, from
+    d zeta = dz / w - z dw / w^2."""
+    z, w = _chart_pair(x)
+    a, b = 1.0 / w, -z / (w * w)
+    return np.array([[a.real, -a.imag, b.real, -b.imag],
+                     [a.imag, a.real, b.imag, b.real]])
+
+
+def pullback(covector_at_image, point) -> np.ndarray:
+    """J^T v: pull a planar covector field back through the Hopf chart."""
     point = np.asarray(point, dtype=float)
-    v = np.asarray(covector_at_image(mp(point)), dtype=float)
-    return mp.jacobian(point).T @ v
+    v = np.asarray(covector_at_image(hopf_chart(point)), dtype=float)
+    return hopf_jacobian(point).T @ v
 
 
-def pullback_form(mp: SmoothMap, form, point) -> np.ndarray:
+def pullback_form(form, point) -> np.ndarray:
     """Pull back a planar Z2 form on the principal branch at the image point
     (continue a state with the composed germ to reach the other branch)."""
-    return pullback(mp, lambda image_pt: form.eval_omega(form.state_at(image_pt)),
+    return pullback(lambda image_pt: form.eval_omega(form.state_at(image_pt)),
                     point)
 
 
 @dataclass(frozen=True)
 class ComposedGerm:
-    """p composed with a chart map; feeds the winding/monodromy oracles.
+    """p composed with the Hopf chart; feeds the winding/monodromy oracles.
     Like ``DefiningFunction.value_at``, ``value_at`` takes one point or
-    many (..., dim), so the chart must map arrays of points."""
+    many (..., 4)."""
 
     p: object          # univariate defining function
-    chart: SmoothMap
 
     def value_at(self, point) -> complex:
-        return self.p.value_at(self.chart(point))
+        return self.p.value_at(hopf_chart(point))
 
 
 # --------------------------------------------------------------------------
@@ -356,100 +337,80 @@ def polygon_linking(c1: Polyline, c2: Polyline) -> float:
     return float(np.sum(sums) / (4.0 * np.pi))
 
 
-def linking_on_sphere(f1: Polyline, f2: Polyline, seed: int = 0) -> float:
+def linking_on_sphere(f1: Polyline, f2: Polyline) -> float:
     """Gauss linking of two S^3 curves after a shared stereographic projection."""
-    return gauss_linking(*project_curves([f1, f2], seed=seed))
+    return gauss_linking(*project_curves([f1, f2]))
 
 
 def covering_degree(fb: Polyline, core: Polyline) -> int:
     """Degree of the angular projection of ``fb`` onto the circle ``core``.
 
     Signed count of passes along the core direction: the winding number of
-    the fiber's angular coordinate in the plane of the core.  ``fb`` must
-    lie within distance 0.3 of ``core``.  Each fiber point x's squared
-    distance to the core is |x|^2 plus the least |y|^2 - 2 x.y over the
-    core's points y, taken one block of fiber points at a time.
+    the fiber's angle about the core's center in the core's plane.  ``fb``
+    must lie within distance 0.3 of ``core``.
     """
-    core_pts, pts = core.points, fb.points
-    center = core_pts.mean(axis=0)
-    rel = pts - center
-    cols = -2.0 * _coords(core_pts)
-    core_sq = (core_pts**2).sum(axis=1)
-    near_sq = (pts**2).sum(axis=1)
-    for rows, (d2,) in _row_blocks(len(pts), len(core_pts), 1):
-        np.matmul(pts[rows], cols, out=d2)
-        d2 += core_sq
-        near_sq[rows] += d2.min(axis=1)
-    nearest = np.sqrt(np.maximum(near_sq, 0.0))
-    if nearest.max() >= 0.3:
-        raise NotInTube(f"max distance to core {nearest.max():.3f}")
-    # plane of the core circle from its two leading principal directions
-    vt = np.linalg.svd(core_pts - center, full_matrices=False)[2]
-    e1, e2 = vt[0], vt[1]
-    ang = np.unwrap(np.arctan2(rel @ e2, rel @ e1))
-    closing = np.arctan2(rel[0] @ e2, rel[0] @ e1) - ang[-1]
-    closing = (closing + np.pi) % (2.0 * np.pi) - np.pi
-    return round((ang[-1] + closing - ang[0]) / (2.0 * np.pi))
+    dist, angle = _circle_coords(fb.points, core.points)
+    if dist.max() >= 0.3:
+        raise NotInTube(f"max distance to core {dist.max():.3f}")
+    ang = np.unwrap(np.append(angle, angle[0]))
+    return round((ang[-1] - ang[0]) / (2.0 * np.pi))
+
+
+def _circle_coords(points, circle) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's distance to the circle fitted to the samples ``circle``,
+    and its angle in the circle's plane.
+
+    The fit: the mean sample as center, the two leading principal
+    directions as plane, the mean distance to the center as radius.  A
+    point at in-plane distance rho from the center lies
+    sqrt((rho - radius)^2 + |normal offset|^2) from the circle."""
+    center = circle.mean(axis=0)
+    vt = np.linalg.svd(circle - center, full_matrices=False)[2]
+    radius = np.linalg.norm(circle - center, axis=1).mean()
+    rel = points - center
+    u, v = rel @ vt[0], rel @ vt[1]
+    rho = np.hypot(u, v)
+    normal_sq = np.maximum((rel * rel).sum(axis=1) - rho * rho, 0.0)
+    return np.sqrt((rho - radius) ** 2 + normal_sq), np.arctan2(v, u)
 
 
 # --------------------------------------------------------------------------
-# metric charts and the Laplace-Beltrami oracle
+# the stereographic chart of S^3 and the Laplace-Beltrami oracles
 
 
-@dataclass(frozen=True)
-class MetricChart:
-    """An open parameter box with a closed-form metric tensor."""
-
-    name: str
-    dim: int
-    lo: np.ndarray
-    hi: np.ndarray
-    metric: Callable[[np.ndarray], np.ndarray]
-    embed: Callable[[np.ndarray], np.ndarray]
-
-    def contains(self, y, margin: float = 0.0) -> bool:
-        y = np.asarray(y, dtype=float)
-        return bool(np.all(y >= self.lo + margin) and np.all(y <= self.hi - margin))
+def stereo_embed(y) -> np.ndarray:
+    """The S^3 point with stereographic coordinates y, pole (0, 0, 0, 1)."""
+    s = y @ y
+    return np.array([2 * y[0], 2 * y[1], 2 * y[2], s - 1.0]) / (1.0 + s)
 
 
-def stereo_s3_chart(extent: float = 4.0) -> MetricChart:
-    """Stereographic chart of the round S^3; conformal factor 2/(1+|y|^2)."""
-    def metric(y):
-        c = 2.0 / (1.0 + y @ y)
-        return c * c * np.eye(3)
-
-    def embed(y):
-        s = y @ y
-        return np.array([2 * y[0], 2 * y[1], 2 * y[2], s - 1.0]) / (1.0 + s)
-
-    return MetricChart("stereo-s3", 3, -extent * np.ones(3),
-                       extent * np.ones(3), metric, embed)
+def stereo_metric(y) -> np.ndarray:
+    """The round metric at stereographic coordinates y: 4/(1+|y|^2)^2 I."""
+    c = 2.0 / (1.0 + y @ y)
+    return c * c * np.eye(3)
 
 
-def laplace_beltrami_residual(chart: MetricChart, scalar, point,
-                              step: float = 1e-2) -> float:
-    """Second-order FD evaluation of (1/sqrt(g)) d_i(sqrt(g) g^{ij} d_j u).
+def laplace_beltrami_residual(scalar, point, step: float) -> float:
+    """Second-order FD evaluation of (1/sqrt(g)) d_i(sqrt(g) g^{ij} d_j u)
+    of a function ``scalar`` of the stereographic coordinates of S^3.
 
-    ``scalar`` is a function of the chart parameters.  The stencil uses
-    staggered half-step fluxes; the metric is evaluated in closed form.
+    The stencil uses staggered half-step fluxes of the closed-form metric's
+    inverse and determinant, independent of ``lb_round_s3_conformal``.
     """
     y0 = np.asarray(point, dtype=float)
-    if not chart.contains(y0, margin=2.0 * step):
-        raise ChartBoundary(f"stencil leaves chart {chart.name} at {y0}")
-    d = chart.dim
 
     def flux(y, i):
-        g = chart.metric(y)
+        g = stereo_metric(y)
         ginv = np.linalg.inv(g)
         sqrtg = np.sqrt(np.linalg.det(g))
         return sqrtg * (ginv[i] @ fd_jacobian(scalar, y, step))
 
     total = 0.0
-    for i in range(d):
-        e = np.zeros(d)
+    for i in range(3):
+        e = np.zeros(3)
         e[i] = 0.5 * step
         total += (flux(y0 + e, i) - flux(y0 - e, i)) / step
-    return total / np.sqrt(np.linalg.det(chart.metric(y0)))
+    return total / np.sqrt(np.linalg.det(stereo_metric(y0)))
 
 
 def lb_round_s3_conformal(scalar, y0, step: float) -> float:
@@ -479,10 +440,9 @@ def lb_cross_oracle(field_r4, x0) -> tuple[float, float]:
     if abs(x0[3] - 1.0) < 1e-6:
         raise ChartBoundary("point at the stereographic pole of the S^3 chart")
     y0 = x0[:3] / (1.0 - x0[3])
-    chart = stereo_s3_chart(extent=float(np.max(np.abs(y0))) + 1.0)
 
     def field_chart(y):
-        return field_r4(chart.embed(y))
+        return field_r4(stereo_embed(y))
 
     def extrap(fn):
         return (16.0 * fn(0.02) - fn(0.04)) / 15.0

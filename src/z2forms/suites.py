@@ -20,8 +20,9 @@ from .morphisms import (core_fiber, covering_degree, fiber, fiber_windings,
                         gauss_linking, polygon_linking, project_curves)
 from .paths import Polyline, circle
 from .report import Check, VerificationReport
-from .sun import (MAX_GRID, MAX_ZONAL_DEGREE, Cutoff, DoubleCoverGrid,
-                  SunPipeline, ZonalPoly, manufactured_error, min_ring_grid)
+from .sun import (CUTOFF_PROFILES, MAX_GRID, MAX_ZONAL_DEGREE, Cutoff,
+                  DoubleCoverGrid, SunPipeline, ZonalPoly, manufactured_error,
+                  min_ring_grid)
 
 #: descriptor kinds that carry a defining function (see ``from_dict``)
 GERM_KINDS = ("lines", "node", "ramified", "bivariate", "planar")
@@ -102,7 +103,7 @@ def _normalize_sun(spec: dict, path: str) -> dict:
             raise SchemaError(f"{path}.degrees[{i}]",
                               f"zonal degree {k} repeated")
     cutoff = spec.get("cutoff", "quintic")
-    if cutoff not in ("quintic", "cubic"):
+    if cutoff not in CUTOFF_PROFILES:
         raise SchemaError(f"{path}.cutoff", f"unknown cutoff {cutoff!r}")
     out = {"kind": "sun", "degrees": degrees, "cutoff": cutoff,
            "grid": _finite(spec.get("grid", 512), f"{path}.grid", integer=True)}
@@ -492,11 +493,12 @@ def run_suite(suite: str, descriptor: dict, seed: int = 0,
                                      f"expected one of {', '.join(SUITES)}")
     runner, kinds, defaults = SUITES[suite]
     tolerances = tolerances or {}
-    for name in tolerances:
+    for name, value in tolerances.items():
         if name not in defaults:
             raise SchemaError(f"$.tol.{name}", f"suite {suite!r} reads no "
                               f"tolerance {name!r}; it accepts: "
                               f"{', '.join(defaults) or 'none'}")
+        _finite(value, f"$.tol.{name}")
     if descriptor["kind"] not in kinds:
         raise SchemaError("$.kind", f"suite {suite!r} does not apply to "
                           f"{descriptor['kind']!r}; it takes: {', '.join(kinds)}")

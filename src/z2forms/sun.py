@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 # scipy is imported inside DoubleCoverGrid._matrix, ._lu and .interpolator
 # only: importing it costs about 50 MB of RSS and 0.6 s (2-core host), and
 # no suite but sun (and no export but `field`) reaches those three methods.
@@ -123,9 +124,18 @@ class ZonalPoly:
 # cutoff
 
 
+#: cutoff kind -> ascending coefficients in t of its profile, 0 at t = 0
+#: and 1 at t = 1, with the derivatives up to its smoothness 0 at both
+CUTOFF_PROFILES = {
+    "quintic": (0.0, 0.0, 0.0, 10.0, -15.0, 6.0),   # C^2
+    "cubic": (0.0, 0.0, 3.0, -2.0),                 # C^1
+}
+
+
 @dataclass(frozen=True)
 class Cutoff:
-    """Radial cutoff: 0 inside rho <= r1, 1 outside rho >= r2.
+    """Radial cutoff: 0 inside rho <= r1, 1 outside rho >= r2, and its
+    profile in t = (rho - r1) / (r2 - r1) between.
 
     ``quintic`` is the C^2 default; ``cubic`` (C^1) exists to check that
     the null-direction phenomenon does not depend on the cutoff choice.
@@ -138,40 +148,18 @@ class Cutoff:
     def __post_init__(self):
         if not (self.r2 > self.r1 > 1.0):
             raise ValueError("need r2 > r1 > 1 (the circle has rho = 1)")
-        if self.kind not in ("quintic", "cubic"):
+        if self.kind not in CUTOFF_PROFILES:
             raise ValueError(f"unknown cutoff kind {self.kind!r}")
 
-    def _t(self, rho):
-        """Shell mask r1 < rho < r2 and t = (rho - r1) / (r2 - r1) in [0, 1]."""
-        t = (np.asarray(rho, dtype=float) - self.r1) / (self.r2 - self.r1)
-        return (t > 0.0) & (t < 1.0), np.clip(t, 0.0, 1.0)
-
-    def chi(self, rho):
-        t = self._t(rho)[1]
-        if self.kind == "quintic":
-            out = t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
-        else:
-            out = t * t * (3.0 - 2.0 * t)
-        return out[()]
-
-    def dchi(self, rho):
-        inside, tc = self._t(rho)
-        w = self.r2 - self.r1
-        if self.kind == "quintic":
-            out = np.where(inside, 30.0 * tc * tc * (1.0 - tc) ** 2 / w, 0.0)
-        else:
-            out = np.where(inside, 6.0 * tc * (1.0 - tc) / w, 0.0)
-        return out[()]
-
-    def d2chi(self, rho):
-        inside, tc = self._t(rho)
-        w = self.r2 - self.r1
-        if self.kind == "quintic":
-            out = np.where(inside,
-                           60.0 * tc * (1.0 - 3.0 * tc + 2.0 * tc * tc) / w**2,
-                           0.0)
-        else:
-            out = np.where(inside, (6.0 - 12.0 * tc) / w**2, 0.0)
+    def chi(self, rho, order: int = 0):
+        """chi(rho), or its ``order``-th derivative in rho, elementwise;
+        derivatives are 0 outside the shell r1 < rho < r2."""
+        width = self.r2 - self.r1
+        t = (np.asarray(rho, dtype=float) - self.r1) / width
+        coef = P.polyder(CUTOFF_PROFILES[self.kind], order)
+        out = P.polyval(np.clip(t, 0.0, 1.0), coef) / width**order
+        if order:
+            out = np.where((t > 0.0) & (t < 1.0), out, 0.0)
         return out[()]
 
 
@@ -189,7 +177,7 @@ def source_meridian(p: ZonalPoly, chi: Cutoff, s, x3):
     m = (rho > chi.r1) & (rho < chi.r2)
     if m.any():
         rm = rho[m]
-        d1, d2 = chi.dchi(rm), chi.d2chi(rm)
+        d1, d2 = chi.chi(rm, 1), chi.chi(rm, 2)
         for (k, _), pk in zip(p.terms, p.term_values(s[m], x3[m])):
             out[m] += pk * (d2 + (2.0 + 2.0 * k) * d1 / rm)
     return out[()]

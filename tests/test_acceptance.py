@@ -14,9 +14,9 @@ from z2forms.fd import fd_jacobian
 from z2forms.forms import (AxialForm, ReHPowerForm, hausdorff_distance,
                            sample_lines_on_sphere)
 from z2forms.morphisms import (core_fiber, covering_degree, fiber,
-                               fiber_windings, hopf_chart_map,
+                               fiber_windings, hopf_chart,
                                laplace_beltrami_residual, lb_cross_oracle,
-                               linking_on_sphere, stereo_s3_chart)
+                               linking_on_sphere, stereo_embed)
 from z2forms.suites import normalize_descriptor, run_suite, _points_off_locus
 from z2forms.sun import (DoubleCoverGrid, SunPipeline, ZonalPoly,
                          manufactured_error)
@@ -146,8 +146,6 @@ def test_criterion_6_topology():
 
 
 def test_criterion_7_harmonic_morphism():
-    chart = stereo_s3_chart()
-    hc = hopf_chart_map()
     harmonics = [lambda v: v.real, lambda v: v.imag,
                  lambda v: (v * v).real, lambda v: (v * v).imag,
                  lambda v: (v ** 3).real]
@@ -155,11 +153,11 @@ def test_criterion_7_harmonic_morphism():
     ratios = []
     for harm in harmonics:
         def field(y, harm=harm):
-            zeta = hc(chart.embed(y))
+            zeta = hopf_chart(stereo_embed(y))
             return harm(complex(zeta[0], zeta[1]))
 
-        r1 = laplace_beltrami_residual(chart, field, y0, step=2e-2)
-        r2 = laplace_beltrami_residual(chart, field, y0, step=1e-2)
+        r1 = laplace_beltrami_residual(field, y0, step=2e-2)
+        r2 = laplace_beltrami_residual(field, y0, step=1e-2)
         ratios.append(r1 / r2)
     cross = []
     for fld in (lambda x: x[0] ** 2 * x[1] + x[2] * x[3] + 0.3 * x[1] ** 3,

@@ -168,6 +168,21 @@ class TestVerifyArgs:
                      "--tol", f"points={value}"]) == 2
         assert "schema error: $.tol.points:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite,name,value", [
+        ("harmonicity", "ratio_lo", "nan"),
+        ("harmonicity", "ratio_hi", "-inf"),
+        ("vanishing-order", "slope_tol", "inf"),
+        ("vanishing-order", "slope_tol", "nan"),
+    ])
+    def test_non_finite_tolerance_is_schema_error(self, tmp_path, capsys,
+                                                  suite, name, value):
+        # inf once passed every vanishing-order check and wrote Infinity,
+        # which is not JSON, into the report
+        spec = write_spec(tmp_path, "a.json", {"kind": "axial"})
+        assert main(["verify", "--spec", spec, "--suite", suite,
+                     "--tol", f"{name}={value}"]) == 2
+        assert f"schema error: $.tol.{name}:" in capsys.readouterr().err
+
     def test_unknown_tolerance_is_schema_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "a.json", {"kind": "axial"})
         assert main(["verify", "--spec", spec, "--suite", "harmonicity",
@@ -395,6 +410,8 @@ class TestVerifyFuzz:
              tols=[("points", "1e12")], seed=0)
     @example(spec={"kind": "axial"}, suite="harmonicity",
              tols=[("ratio_low", "3")], seed=0)
+    @example(spec={"kind": "axial"}, suite="vanishing-order",
+             tols=[("slope_tol", "inf")], seed=0)
     @example(spec={"kind": "axial"}, suite="harmonicity", tols=[], seed=-1)
     def test_verify_exits_zero_one_or_two(self, tmp_path_factory, spec,
                                           suite, tols, seed):

@@ -9,13 +9,14 @@ from z2forms.errors import (CurvesTooClose, ImageAtInfinity, NotInTube,
                             SingularFiber)
 from z2forms.fd import fd_jacobian
 from z2forms.forms import PlanarForm
-from z2forms.morphisms import (BLOCK_VALUES, ComposedGerm, core_fiber,
-                               covering_degree,
+from z2forms.morphisms import (BLOCK_VALUES, ComposedGerm, _circle_coords,
+                               core_fiber, covering_degree,
                                fiber, fiber_windings, gauss_linking,
-                               hopf_chart_map, laplace_beltrami_residual,
+                               hopf_chart, hopf_jacobian,
+                               laplace_beltrami_residual,
                                lb_cross_oracle, linking_on_sphere,
                                polygon_linking, project_curves, pullback,
-                               pullback_form, seifert_value, stereo_s3_chart,
+                               pullback_form, seifert_value, stereo_embed,
                                stereographic_pole, stereographic_project)
 from z2forms.suites import normalize_descriptor, run_suite
 
@@ -24,19 +25,19 @@ class TestPullback:
     def test_closed_form_vs_fd_jacobian(self):
         p = UnivariatePolynomial((0.5, 1.0))
         form = PlanarForm(p)
-        hc = hopf_chart_map()
         x = np.array([0.5, -0.2, 0.6, 0.0])
         x /= np.linalg.norm(x)
-        closed = pullback_form(hc, form, x)
-        J_fd = fd_jacobian(lambda q: hc(q), x)
+        closed = pullback_form(form, x)
+        J_fd = fd_jacobian(hopf_chart, x)
+        np.testing.assert_allclose(hopf_jacobian(x), J_fd, rtol=1e-6,
+                                   atol=1e-6)
         from z2forms.branch import principal_state
-        v = form.eval_omega(principal_state(p, hc(x)))
+        v = form.eval_omega(principal_state(p, hopf_chart(x)))
         np.testing.assert_allclose(closed, J_fd.T @ v, rtol=1e-6, atol=1e-6)
 
     def test_linearity(self):
         p1 = UnivariatePolynomial((0.5, 1.0))
         p2 = UnivariatePolynomial((1.0, 0.0, 1.0))
-        hc = hopf_chart_map()
         x = np.array([0.5, -0.2, 0.6, 0.0])
         x /= np.linalg.norm(x)
 
@@ -46,15 +47,15 @@ class TestPullback:
             return f
 
         a, b = 2.0, -0.7
-        combo = pullback(hc, lambda img: a * cov(PlanarForm(p1))(img)
+        combo = pullback(lambda img: a * cov(PlanarForm(p1))(img)
                          + b * cov(PlanarForm(p2))(img), x)
-        parts = a * pullback(hc, cov(PlanarForm(p1)), x) \
-            + b * pullback(hc, cov(PlanarForm(p2)), x)
+        parts = a * pullback(cov(PlanarForm(p1)), x) \
+            + b * pullback(cov(PlanarForm(p2)), x)
         np.testing.assert_allclose(combo, parts, atol=1e-10)
 
     def test_pulled_back_monodromy_around_core(self):
         # loop linking {z = 0} once; germ p(zeta) = zeta pulled through z/w
-        germ = ComposedGerm(UnivariatePolynomial((0.0, 1.0)), hopf_chart_map())
+        germ = ComposedGerm(UnivariatePolynomial((0.0, 1.0)))
         t = 2.0 * np.pi * np.arange(64) / 64
         r = 0.5
         z = r * np.exp(1j * t)
@@ -64,8 +65,9 @@ class TestPullback:
         assert winding_number(germ, loop) == 1
 
     def test_chart_pole_rejected(self):
-        with pytest.raises(ImageAtInfinity):
-            hopf_chart_map()(np.array([1.0, 0, 0, 0]))
+        for chart in (hopf_chart, hopf_jacobian):
+            with pytest.raises(ImageAtInfinity):
+                chart(np.array([1.0, 0, 0, 0]))
 
 
 class TestFibers:
@@ -369,12 +371,35 @@ class TestCoveringDegree:
     @pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (3, 2), (2, 5)])
     @pytest.mark.parametrize("n_fiber,n_core", [(2048, 1024), (2047, 1000)])
     def test_suite_fibers(self, p, q, n_fiber, n_core):
-        # the suite's covering fiber, 0.1 from the core, also with a ragged
-        # last block of fiber points
+        # the suite's covering fiber, 0.1 from the core, also at vertex
+        # counts that are not powers of two.  Its distance to the fitted
+        # circle is the distance to the nearest of 2^14 points of the core,
+        # which lies within pi / 2^14 of the nearest circle point: at
+        # distance 0.1 that adds at most 0.99 (pi / 2^14)^2 / 0.2 = 1.83e-7
         c2 = 0.1
         c1 = np.sqrt(1.0 - c2**2)
         fb = fiber(p, q, c1**p / c2**q + 0j, n=n_fiber)
-        assert covering_degree(fb, core_fiber(0, n=n_core)) == q
+        core = core_fiber(0, n=n_core)
+        excess = dense_core_distance(fb.points, core_fiber(0, n=2**14).points) \
+            - _circle_coords(fb.points, core.points)[0]
+        assert excess.min() > -1e-12 and excess.max() < 1.9e-7
+        assert covering_degree(fb, core) == q
+
+    @pytest.mark.parametrize("d,inside", [(0.29, True), (0.31, False)])
+    def test_tube_edge(self, d, inside):
+        # the fiber on the torus |z1| = c1, |z2| = c2 lies
+        # sqrt((1 - c1)^2 + c2^2) = sqrt(2 - 2 c1) from the core {z2 = 0}
+        c1 = 1.0 - 0.5 * d * d
+        c2 = np.sqrt(1.0 - c1**2)
+        fb = fiber(2, 3, c1**2 / c2**3 + 0j, n=2048)
+        core = core_fiber(0, n=1024)
+        np.testing.assert_allclose(_circle_coords(fb.points, core.points)[0],
+                                   d, rtol=1e-12)
+        if inside:
+            assert covering_degree(fb, core) == 3
+        else:
+            with pytest.raises(NotInTube):
+                covering_degree(fb, core)
 
     def test_not_in_tube_rejected(self):
         fb = fiber(2, 3, 1.0 + 0j, n=512)
@@ -382,23 +407,30 @@ class TestCoveringDegree:
             covering_degree(fb, core_fiber(0, n=256))
 
 
+def dense_core_distance(points, core_points):
+    """Distance of each point x to the nearest core point y, from
+    |x - y|^2 = |x|^2 + |y|^2 - 2 x.y over all pairs, 64 points at a time."""
+    core_sq = (core_points**2).sum(axis=1)
+    return np.concatenate([
+        np.sqrt(((x**2).sum(axis=1)[:, None] + core_sq - 2.0 * x @ core_points.T)
+                .min(axis=1))
+        for x in np.split(points, range(64, len(points), 64))])
+
+
 class TestLaplaceBeltrami:
     def test_constant_field(self):
-        chart = stereo_s3_chart()
-        res = laplace_beltrami_residual(chart, lambda y: 3.7, [0.2, -0.1, 0.3])
+        res = laplace_beltrami_residual(lambda y: 3.7, [0.2, -0.1, 0.3],
+                                        step=1e-2)
         assert abs(res) < 1e-9
 
     def test_hopf_pullback_harmonic_on_s3(self):
-        chart = stereo_s3_chart()
-        hc = hopf_chart_map()
-
         def field(y):
-            zeta = hc(chart.embed(y))
+            zeta = hopf_chart(stereo_embed(y))
             return complex(zeta[0], zeta[1]).real  # Re(z/w), locally harmonic
 
         y0 = np.array([0.4, -0.3, 0.25])
-        r1 = laplace_beltrami_residual(chart, field, y0, step=2e-2)
-        r2 = laplace_beltrami_residual(chart, field, y0, step=1e-2)
+        r1 = laplace_beltrami_residual(field, y0, step=2e-2)
+        r2 = laplace_beltrami_residual(field, y0, step=1e-2)
         assert 3.4 < r1 / r2 < 4.6
 
     def test_cross_oracle_agreement(self):

@@ -7,7 +7,12 @@ definition's own body; a method is known by its name alone, so any
 attribute of that name counts.  Definitions that only tests, the
 acceptance gate or planned suites use are listed in ``KEEP`` (methods as
 ``Class.method``) with the reason; what a kept definition calls
-(``pullback``, ``stereo_s3_chart``, ...) counts as used.
+(``pullback``, ``stereo_metric``, ...) counts as used.
+
+Every defaulted parameter of a library function or method is also passed,
+by keyword or by position, by some call in ``src/z2forms``, or listed in
+``KEEP_DEFAULTS`` with the reason: a default that no caller overrides is a
+constant dressed as an option.
 """
 import ast
 from pathlib import Path
@@ -17,7 +22,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "z2forms"
 KEEP = {
     # criterion 5 / 7 helpers and inputs of the planned tangent-cone and
     # morphism suites
-    "hopf_chart_map": "criterion 7 and the planned morphism suite",
     "pullback_form": "the planned morphism suite",
     "ComposedGerm": "the planned morphism suite",
     "laplace_beltrami_residual": "criterion 7",
@@ -114,3 +118,79 @@ def test_every_definition_has_a_caller_or_a_reason():
 def test_keep_list_names_only_unreferenced_definitions():
     stale = sorted(set(KEEP) - _unreferenced())
     assert not stale, f"KEEP entries that are called, or gone: {stale}"
+
+
+#: defaulted parameters (``function.parameter``, methods as
+#: ``Class.method.parameter``) that no call in src/ passes
+KEEP_DEFAULTS = {
+    "main.argv": "the console script passes none; tests pass the arguments",
+    "normalize_descriptor.path": "threads the JSON-path prefix into every "
+                                 "schema message; every caller today "
+                                 "normalizes a top-level spec",
+    "SunPipeline.evaluate_3d.sheet": "ROADMAP item 10: the sun field in R^3",
+}
+
+
+def _defaulted_parameters():
+    """(qualified name, called name, positional index or None, parameter
+    name) of every defaulted parameter of a module-level function or a
+    method of a module-level class.  A method's positional index does not
+    count ``self``."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield from _defaults_of(node, node.name, 0)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in item.decorator_list)
+                        yield from _defaults_of(item, f"{node.name}.{item.name}",
+                                                0 if static else 1)
+
+
+def _defaults_of(fn, qualname, skip):
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                            start=len(positional) - len(args.defaults)):
+        yield f"{qualname}.{arg.arg}", fn.name, i - skip, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield f"{qualname}.{arg.arg}", fn.name, None, arg.arg
+
+
+def _calls():
+    """called name -> list of (positional argument count, keyword names,
+    whether ``*args`` or ``**kwargs`` may pass every parameter) over every
+    call in src/."""
+    calls: dict = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, starred))
+    return calls
+
+
+def _unpassed_defaults():
+    calls = _calls()
+    return {qualname
+            for qualname, name, index, param in _defaulted_parameters()
+            if not any(starred or param in keywords
+                       or (index is not None and count > index)
+                       for count, keywords, starred in calls.get(name, []))}
+
+
+def test_every_default_is_passed_by_a_caller_or_has_a_reason():
+    unpassed = sorted(_unpassed_defaults() - set(KEEP_DEFAULTS))
+    assert not unpassed, f"defaults no call in src/ passes: {unpassed}"
+
+
+def test_keep_defaults_names_only_unpassed_parameters():
+    stale = sorted(set(KEEP_DEFAULTS) - _unpassed_defaults())
+    assert not stale, f"KEEP_DEFAULTS entries that are passed, or gone: {stale}"

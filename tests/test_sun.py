@@ -67,7 +67,7 @@ class TestCutoff:
         assert chi.chi(chi.r1) == 0.0
         assert chi.chi(chi.r2) == 1.0
         assert chi.chi(2.0) == 0.0 and chi.chi(7.0) == 1.0
-        assert chi.dchi(2.9) == 0.0 and chi.dchi(5.1) == 0.0
+        assert chi.chi(2.9, 1) == 0.0 and chi.chi(5.1, 1) == 0.0
 
     @pytest.mark.parametrize("kind", ["quintic", "cubic"])
     def test_derivatives_match_fd(self, kind):
@@ -75,9 +75,9 @@ class TestCutoff:
         for rho in np.linspace(3.1, 4.9, 7):
             h = 1e-6
             d1 = (chi.chi(rho + h) - chi.chi(rho - h)) / (2 * h)
-            d2 = (chi.dchi(rho + h) - chi.dchi(rho - h)) / (2 * h)
-            assert chi.dchi(rho) == pytest.approx(d1, abs=1e-7)
-            assert chi.d2chi(rho) == pytest.approx(d2, abs=1e-6)
+            d2 = (chi.chi(rho + h, 1) - chi.chi(rho - h, 1)) / (2 * h)
+            assert chi.chi(rho, 1) == pytest.approx(d1, abs=1e-7)
+            assert chi.chi(rho, 2) == pytest.approx(d2, abs=1e-6)
 
     def test_validation(self):
         with pytest.raises(ValueError):
