@@ -41,9 +41,10 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-# scipy is imported inside DoubleCoverGrid._matrix, ._lu and .interpolator
-# only: importing it costs about 50 MB of RSS and 0.6 s (2-core host), and
-# no suite but sun (and no export but `field`) reaches those three methods.
+# scipy is imported inside DoubleCoverGrid._matrix_csr, ._lu and
+# .interpolator only: importing it costs about 50 MB of RSS and 0.6 s
+# (2-core host), and no suite but sun (and no export but `field`) reaches
+# those three methods.
 
 from .errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
                      NoNullDirection, SolverDiverged)
@@ -63,6 +64,9 @@ N_THETA = 256
 
 #: rings per fit window near the circle
 N_RINGS = 12
+
+#: largest relative residual of an A1 fit that SunPipeline.a1_of accepts
+MAX_FIT_REL_RESIDUAL = 0.2
 
 
 # --------------------------------------------------------------------------
@@ -229,10 +233,6 @@ class DoubleCoverGrid:
         self.own = np.flatnonzero(self.swap < np.arange(self.swap.size))
 
     @cached_property
-    def _matrix_csr(self):
-        return self._matrix().tocsr()
-
-    @cached_property
     def _lu(self):
         # On sheet-odd fields v[swap[k]] = -v[k], the rows ``own`` of A v
         # read B v[own] with B = A[own, own] - A[own, swap[own]]; the mirror
@@ -253,7 +253,8 @@ class DoubleCoverGrid:
                          diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
 
-    def _matrix(self):
+    @cached_property
+    def _matrix_csr(self):
         """Five-point finite-volume matrix of div(s grad .), face-weighted."""
         import scipy.sparse as sp
 
@@ -287,7 +288,7 @@ class DoubleCoverGrid:
         vals.append(-((faces[0] + faces[1]) + (faces[2] + faces[3])))
         return sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(m, m))
+            shape=(m, m)).tocsr()
 
     def rhs_from_source(self, p: ZonalPoly, chi: Cutoff) -> np.ndarray:
         """4 |zeta|^2 s H on the active nodes (flattened)."""
@@ -348,31 +349,24 @@ def min_ring_grid(truncation: float) -> int:
 # leading-coefficient extraction
 
 
-@dataclass(frozen=True)
-class LeadingCoefficients:
-    """Coefficients of cos(theta/2) sqrt(r) and sin(theta/2) sqrt(r)."""
-
-    a_plus: float
-    a_minus: float
-    rel_residual: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a_plus, self.a_minus])
+def _rings(u_fn, radii: np.ndarray):
+    """theta on [0, 4 pi) and u_fn on every ring, from one call with the
+    radii as a column against the theta row."""
+    theta = 4.0 * np.pi * np.arange(N_THETA) / N_THETA
+    return theta, u_fn(radii[:, None], theta)
 
 
-def extract_a1(u_fn, radii,
-               max_rel_residual: float = 0.2) -> LeadingCoefficients:
-    """Fit per-ring half-angle projections of u against sqrt(r).
+def extract_a1(u_fn, radii) -> tuple[np.ndarray, float]:
+    """(A1+, A1-), the coefficients of cos(theta/2) sqrt(r) and
+    sin(theta/2) sqrt(r), and the fit's relative residual.
 
     ``u_fn(r, theta)`` samples the section near the circle and broadcasts
-    over arrays: it is called once, on radii as a column against the theta
-    row.  theta runs over [0, 4 pi) on the double cover.  Per ring,
+    over arrays; theta runs over [0, 4 pi) on the double cover.  Per ring,
     a(r) = (1/2pi) integral u cos(theta/2) dtheta (sin likewise); then A1
     comes from least squares of a(r) against sqrt(r).
     """
     radii = np.asarray(radii, dtype=float)
-    theta = 4.0 * np.pi * np.arange(N_THETA) / N_THETA
-    u = u_fn(radii[:, None], theta)
+    theta, u = _rings(u_fn, radii)
     proj_c = 2.0 * np.mean(u * np.cos(theta / 2.0), axis=1)
     proj_s = 2.0 * np.mean(u * np.sin(theta / 2.0), axis=1)
     sq = np.sqrt(radii)
@@ -383,9 +377,7 @@ def extract_a1(u_fn, radii,
                      np.linalg.norm(proj_s - a_minus * sq))
     scale = np.hypot(np.linalg.norm(proj_c), np.linalg.norm(proj_s))
     rel = resid / scale if scale > 1e-13 else 0.0
-    if rel > max_rel_residual:
-        raise FitIllConditioned(f"relative fit residual {rel:.3f}")
-    return LeadingCoefficients(a_plus, a_minus, rel)
+    return np.array([a_plus, a_minus]), float(rel)
 
 
 def ring_rms_slope(u_fn, radii) -> float:
@@ -394,8 +386,8 @@ def ring_rms_slope(u_fn, radii) -> float:
     ``u_fn(r, theta)`` broadcasts over arrays, as in :func:`extract_a1`.
     """
     radii = np.asarray(radii, dtype=float)
-    theta = 4.0 * np.pi * np.arange(N_THETA) / N_THETA
-    vals = np.sqrt(np.mean(u_fn(radii[:, None], theta) ** 2, axis=1))
+    _, u = _rings(u_fn, radii)
+    vals = np.sqrt(np.mean(u ** 2, axis=1))
     slope, _ = np.polyfit(np.log(radii), np.log(np.maximum(vals, 1e-300)), 1)
     return float(slope)
 
@@ -443,31 +435,33 @@ class SunPipeline:
         lo, hi = self.grid.ring_window()
         return np.geomspace(lo, hi, N_RINGS)
 
-    def a1_of(self, v_grid: np.ndarray,
-              max_rel_residual: float = 0.2) -> LeadingCoefficients:
-        return extract_a1(self.near_circle_fn(v_grid), self.ring_radii(),
-                          max_rel_residual)
+    def a1_of(self, v_grid: np.ndarray) -> tuple[np.ndarray, float]:
+        """(A1+, A1-) of u = U - V and the fit's relative residual; a
+        residual above MAX_FIT_REL_RESIDUAL raises FitIllConditioned."""
+        a1, rel = extract_a1(self.near_circle_fn(v_grid), self.ring_radii())
+        if rel > MAX_FIT_REL_RESIDUAL:
+            raise FitIllConditioned(f"relative fit residual {rel:.3f}")
+        return a1, rel
 
     def run(self, degrees) -> dict:
-        degrees = list(degrees)
-        solutions = {k: self.solve_for(ZonalPoly.single(k)) for k in degrees}
-        coeffs = {k: self.a1_of(solutions[k]) for k in degrees}
-        matrix = np.column_stack([coeffs[k].as_array() for k in degrees])
+        solutions = [self.solve_for(ZonalPoly.single(k)) for k in degrees]
+        fits = [self.a1_of(v) for v in solutions]
+        matrix = np.column_stack([a1 for a1, _ in fits])
         c = null_combination(matrix)
-        combined = sum(ck * solutions[k] for ck, k in zip(c, degrees))
-        # the null combination kills the sqrt(r) term, so the fit residual
-        # is dominated by the next order and the quality gate must be off
-        combo_a1 = self.a1_of(combined, max_rel_residual=np.inf)
+        # the null combination kills the sqrt(r) term, so its fit residual
+        # is dominated by the next order and its fit is not gated
+        u_fn = self.near_circle_fn(sum(ck * v for ck, v in zip(c, solutions)))
+        combo_a1, _ = extract_a1(u_fn, self.ring_radii())
         lo, _ = self.grid.ring_window()
-        slope_radii = np.geomspace(lo, 0.05, N_RINGS)
-        slope = ring_rms_slope(self.near_circle_fn(combined), slope_radii)
+        slope = ring_rms_slope(u_fn, np.geomspace(lo, 0.05, N_RINGS))
+        combo = float(np.linalg.norm(combo_a1))
         return {
             "a1_matrix": matrix,
             "null_vector": c,
-            "combo_a1": combo_a1,
+            "reduction": float(np.linalg.norm(matrix, axis=0).max()
+                               / max(combo, 1e-300)),
             "decay_slope": slope,
-            "solutions": solutions,
-            "fit_rel_residual": [coeffs[k].rel_residual for k in degrees],
+            "fit_rel_residual": [rel for _, rel in fits],
             "lu_nnz": self.grid._lu.nnz,
         }
 
@@ -487,54 +481,40 @@ class SunPipeline:
 # manufactured solution
 
 
-class RadialBump:
-    """C-infinity compactly supported bump exp(1 - 1/(1 - t^2)) in the chart."""
+def _bump(xi, eta):
+    """E and div(s grad E) at chart points, for the C-infinity compactly
+    supported bump E = exp(1 - 1/(1 - t^2)), t = |zeta - 1.2| / 0.8 < 1.
 
-    center = (1.2, 0.0)
-    radius = 0.8
-
-    def _profile(self, t):
-        """(E, E', E'') of E(t) = exp(1 - 1/(1 - t^2)) for t < 1."""
-        t = np.asarray(t, dtype=float)
-        inside = t < 1.0 - 1e-9
-        one = np.where(inside, 1.0 - t * t, 1.0)
-        e = np.where(inside, np.exp(1.0 - 1.0 / one), 0.0)
-        g = -2.0 * t / one**2                      # d/dt of (1 - 1/(1-t^2))
-        dg = -2.0 / one**2 - 8.0 * t * t / one**3
-        return e, e * g, e * (g * g + dg)
-
-    def value(self, xi, eta):
-        d = np.hypot(np.asarray(xi) - self.center[0],
-                     np.asarray(eta) - self.center[1])
-        return self._profile(d / self.radius)[0]
-
-    def weighted_laplacian(self, xi, eta):
-        """div(s grad V*) in the chart: s Delta V* + grad s . grad V*."""
-        xi, eta = np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
-        dx, dy = xi - self.center[0], eta - self.center[1]
-        d = np.hypot(dx, dy)
-        e, de, d2e = self._profile(d / self.radius)
-        r2 = self.radius**2
-        dsafe = np.where(d < 1e-12, 1.0, d)
-        lap = np.where(d < 1e-12, 2.0 * d2e / r2,
-                       d2e / r2 + de / (self.radius * dsafe))
-        gx = np.where(d < 1e-12, 0.0, de / (self.radius * dsafe) * dx)
-        gy = np.where(d < 1e-12, 0.0, de / (self.radius * dsafe) * dy)
-        svals = 1.0 + xi * xi - eta * eta
-        return svals * lap + 2.0 * xi * gx - 2.0 * eta * gy
-
-
-def manufactured_error(grid: DoubleCoverGrid, rms: bool = False) -> float:
-    """Error of the solve against a closed-form sheet-odd solution.
-
-    The exact solution is the odd pair V*(zeta) - V*(-zeta) of the bump, the
-    class of fields the grid solves for.  Max-norm by default; ``rms=True``
-    averages over the active nodes, which converges more smoothly and is
-    what the order check uses.
+    div(s grad E) = s Delta E + grad s . grad E, with E' and E'' in t.
     """
-    bump = RadialBump()
+    radius = 0.8
+    dx, dy = xi - 1.2, eta
+    d = np.hypot(dx, dy)
+    t = d / radius
+    inside = t < 1.0 - 1e-9
+    one = np.where(inside, 1.0 - t * t, 1.0)
+    e = np.where(inside, np.exp(1.0 - 1.0 / one), 0.0)
+    g = -2.0 * t / one**2                      # d/dt of (1 - 1/(1-t^2))
+    dg = -2.0 / one**2 - 8.0 * t * t / one**3
+    de, d2e = e * g, e * (g * g + dg)
+    r2 = radius**2
+    dsafe = np.where(d < 1e-12, 1.0, d)
+    lap = np.where(d < 1e-12, 2.0 * d2e / r2,
+                   d2e / r2 + de / (radius * dsafe))
+    gx = np.where(d < 1e-12, 0.0, de / (radius * dsafe) * dx)
+    gy = np.where(d < 1e-12, 0.0, de / (radius * dsafe) * dy)
+    svals = 1.0 + xi * xi - eta * eta
+    return e, svals * lap + 2.0 * xi * gx - 2.0 * eta * gy
+
+
+def manufactured_error(grid: DoubleCoverGrid) -> np.ndarray:
+    """|V - V*| at each active node for a closed-form sheet-odd V*.
+
+    V* is the odd pair E(zeta) - E(-zeta) of the bump, the class of fields
+    the grid solves for.
+    """
     xi, eta = grid.xi[grid.active], grid.eta[grid.active]
-    v = grid.solve(bump.weighted_laplacian(xi, eta)
-                   - bump.weighted_laplacian(-xi, -eta))
-    err = np.abs(v[grid.active] - (bump.value(xi, eta) - bump.value(-xi, -eta)))
-    return float(np.sqrt(np.mean(err**2))) if rms else float(np.max(err))
+    e_pos, lap_pos = _bump(xi, eta)
+    e_neg, lap_neg = _bump(-xi, -eta)
+    v = grid.solve(lap_pos - lap_neg)
+    return np.abs(v[grid.active] - (e_pos - e_neg))

@@ -18,8 +18,7 @@ from z2forms.morphisms import (core_fiber, covering_degree, fiber,
                                laplace_beltrami_residual, lb_cross_oracle,
                                linking_on_sphere, stereo_embed)
 from z2forms.suites import normalize_descriptor, run_suite, _points_off_locus
-from z2forms.sun import (DoubleCoverGrid, SunPipeline, ZonalPoly,
-                         manufactured_error)
+from z2forms.sun import DoubleCoverGrid, SunPipeline, ZonalPoly
 
 THREE_LINES = {"kind": "lines", "lines": [[1, 0], [0, 1], [1, 1]]}
 
@@ -175,31 +174,24 @@ def test_criterion_7_harmonic_morphism():
 
 def test_criterion_8_sun_pipeline():
     t0 = time.monotonic()
-    coarse = manufactured_error(DoubleCoverGrid(n=160), rms=True)
-    fine = manufactured_error(DoubleCoverGrid(n=320), rms=True)
-    order = float(np.log2(coarse / fine))
-
-    pipe = SunPipeline(grid=DoubleCoverGrid(n=512))
-    out = pipe.run(range(5))
-    norms = np.linalg.norm(out["a1_matrix"], axis=0)
-    combo = float(np.linalg.norm(out["combo_a1"].as_array()))
-    reduction = norms.max() / max(combo, 1e-300)
-    slope = out["decay_slope"]
-
-    mixed = pipe.a1_of(pipe.solve_for(ZonalPoly(((0, 0.7), (2, -1.3)))))
-    want = 0.7 * pipe.a1_of(out["solutions"][0]).as_array() \
-        - 1.3 * pipe.a1_of(out["solutions"][2]).as_array()
-    lin = np.linalg.norm(mixed.as_array() - want) / np.linalg.norm(want)
+    report = run_suite("sun", normalize_descriptor({"kind": "sun",
+                                                    "grid": 512}))
+    details = {c.name: c.details for c in report.checks}
+    order = details["sun.manufactured_order"]["order"]
+    lin = details["sun.superposition_linearity"]["relative_error"]
+    reduction = details["sun.null_combination_reduction"]["reduction"]
+    slope = details["sun.decay_slope"]["slope"]
     elapsed = time.monotonic() - t0
 
-    a512 = pipe.a1_of(out["solutions"][2]).a_plus
+    # A1+ of zonal degree 2, the third of the default degrees 0..4
+    a512 = details["sun.null_combination_reduction"]["a1_matrix"][0, 2]
     fine_pipe = SunPipeline(grid=DoubleCoverGrid(n=1024))
-    a1024 = fine_pipe.a1_of(fine_pipe.solve_for(ZonalPoly.single(2))).a_plus
+    a1024 = fine_pipe.a1_of(fine_pipe.solve_for(ZonalPoly.single(2)))[0][0]
     res_shift = abs(a1024 - a512) / abs(a1024)
 
     # doubling the truncation radius at matched grid step
     trunc_pipe = SunPipeline(grid=DoubleCoverGrid(n=716, truncation=40.0))
-    a40 = trunc_pipe.a1_of(trunc_pipe.solve_for(ZonalPoly.single(2))).a_plus
+    a40 = trunc_pipe.a1_of(trunc_pipe.solve_for(ZonalPoly.single(2)))[0][0]
     trunc_shift = abs(a40 - a512) / abs(a512)
 
     ok = (order >= 1.8 and lin <= 1e-4 and res_shift <= 0.02

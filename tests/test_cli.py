@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import z2forms
 from z2forms.cli import MAX_RESOLUTION, build_parser, main
-from z2forms.defining import from_dict
+from z2forms.defining import MAX_GERM_DEGREE, from_dict
 from z2forms.suites import (MAX_POINTS, SUITES, _form_from, _points_off_locus,
                             normalize_descriptor)
 from z2forms.sun import MAX_GRID
@@ -301,9 +301,35 @@ class TestFormSchema:
         ({"kind": "node", "a": float("nan")}, "$.a"),
         ({"kind": "planar", "p": [float("nan"), 1]}, "$.p[0]"),
         ({"kind": "bivariate", "terms": [[1.5, 1, 1.0]]}, "$.terms[0][0]"),
+        ({"kind": "bivariate", "terms": []}, "$.terms"),
+        ({"kind": "bivariate", "terms": [[1, 0, 0]]}, "$.terms"),
+        ({"kind": "bivariate", "terms": [[1, 0, 1], [1, 0, -1]]}, "$.terms"),
+        ({"kind": "lines", "lines": []}, "$.lines"),
+        ({"kind": "planar", "p": [0, 0]}, "$.p"),
+        ({"kind": "bivariate", "terms": [[MAX_GERM_DEGREE + 1, 0, 1]]},
+         "$.terms[0][0]"),
+        ({"kind": "bivariate", "terms": [[0, 1, 1], [0, 10**5, 1]]},
+         "$.terms[1][1]"),
+        ({"kind": "bivariate", "terms": [[1, 1, 1]] * (MAX_GERM_DEGREE + 1)},
+         "$.terms"),
+        ({"kind": "lines", "lines": [[1, 0]] * (MAX_GERM_DEGREE + 1)},
+         "$.lines"),
+        ({"kind": "planar", "p": [1] * (MAX_GERM_DEGREE + 2)}, "$.p"),
+        ({"kind": "node", "b": [1e300, 1e300]}, "$.b"),
+        ({"kind": "planar", "p": [[1e308, 1e308], 1]}, "$.p[0]"),
+        ({"kind": "ramified", "a": [1e308, 1e308]}, "$.a"),
+        ({"kind": "node", "a": 1e308}, "$.a"),
+        ({"kind": "lines", "lines": [[1, 0], [1, [1.7e308, -1.7e308]]]},
+         "$.lines[1][1]"),
+        ({"kind": "bivariate", "terms": [[1, 0, [0, 2e6]]]}, "$.terms[0][2]"),
     ], ids=["axial-k-text", "ramified-k-text", "axial-k-fraction",
             "fiber-base-text", "node-a-nan", "planar-coeff-nan",
-            "bivariate-exponent-fraction"])
+            "bivariate-exponent-fraction", "bivariate-empty",
+            "bivariate-zero", "bivariate-cancelling", "lines-empty",
+            "planar-zero", "bivariate-z-degree", "bivariate-w-degree",
+            "bivariate-terms", "lines-count", "planar-degree",
+            "node-b-huge", "planar-coeff-huge", "ramified-a-huge",
+            "node-a-huge", "lines-coeff-huge", "bivariate-coeff-huge"])
     def test_bad_spec_is_schema_error(self, tmp_path, capsys, spec, path):
         spec = write_spec(tmp_path, "s.json", spec)
         assert main(["verify", "--spec", spec, "--suite", "monodromy"]) == 2
@@ -355,9 +381,13 @@ class TestConstructFuzz:
             assert main(["construct", "--spec", str(path)]) in (0, 2)
 
 
-NUMBERS = st.integers(-3, 3) | st.floats(-3.0, 3.0)
+#: mostly small numbers, but up to the float range, past MAX_COEFFICIENT
+NUMBERS = st.integers(-3, 3) | st.floats(-3.0, 3.0) \
+    | st.floats(-1e308, 1e308)
 COMPLEX = NUMBERS | st.lists(NUMBERS, min_size=2, max_size=2)
 INDEX = st.integers(1, 3)
+#: mostly small exponents, but some past MAX_GERM_DEGREE
+EXPONENTS = st.integers(0, 3) | st.integers(0, 10**6)
 
 FORM_SPECS = st.one_of(
     st.fixed_dictionaries({"kind": st.just("node")},
@@ -372,8 +402,8 @@ FORM_SPECS = st.one_of(
                           optional={"a": COMPLEX, "k": INDEX}),
     st.fixed_dictionaries({"kind": st.just("bivariate"),
                            "terms": st.lists(st.tuples(
-                               st.integers(0, 3), st.integers(0, 3), COMPLEX)
-                               .map(list), min_size=1, max_size=3)},
+                               EXPONENTS, EXPONENTS, COMPLEX)
+                               .map(list), min_size=0, max_size=3)},
                           optional={"k": INDEX}),
     st.fixed_dictionaries({"kind": st.just("planar"),
                            "p": st.lists(COMPLEX, min_size=1, max_size=4)}),
@@ -413,6 +443,36 @@ class TestVerifyFuzz:
     @example(spec={"kind": "axial"}, suite="vanishing-order",
              tols=[("slope_tol", "inf")], seed=0)
     @example(spec={"kind": "axial"}, suite="harmonicity", tols=[], seed=-1)
+    # an empty or zero germ table
+    @example(spec={"kind": "bivariate", "terms": []}, suite="monodromy",
+             tols=[], seed=0)
+    @example(spec={"kind": "bivariate", "terms": []},
+             suite="vanishing-order", tols=[], seed=0)
+    @example(spec={"kind": "bivariate", "terms": []}, suite="harmonicity",
+             tols=[], seed=0)
+    @example(spec={"kind": "bivariate", "terms": [[1, 0, 0]]},
+             suite="monodromy", tols=[], seed=0)
+    # germ degrees past MAX_GERM_DEGREE must fail fast
+    @example(spec={"kind": "bivariate", "terms": [[0, 800, 1], [1, 0, 1]]},
+             suite="vanishing-order", tols=[], seed=0)
+    @example(spec={"kind": "bivariate",
+                   "terms": [[0, 100000, 1], [1, 0, 1]]},
+             suite="vanishing-order", tols=[], seed=0)
+    @example(spec={"kind": "planar", "p": [1] * 2001}, suite="monodromy",
+             tols=[], seed=0)
+    @example(spec={"kind": "planar", "p": [1] * 100001}, suite="monodromy",
+             tols=[], seed=0)
+    # coefficients near the float range
+    @example(spec={"kind": "node", "b": [1e300, 1e300]}, suite="monodromy",
+             tols=[], seed=0)
+    @example(spec={"kind": "planar", "p": [[1e308, 1e308], 1]},
+             suite="monodromy", tols=[], seed=0)
+    @example(spec={"kind": "ramified", "a": [1e308, 1e308]},
+             suite="monodromy", tols=[], seed=0)
+    @example(spec={"kind": "ramified", "a": [1e308, 1e308]},
+             suite="vanishing-order", tols=[], seed=0)
+    @example(spec={"kind": "node", "a": 1e308}, suite="vanishing-order",
+             tols=[], seed=0)
     def test_verify_exits_zero_one_or_two(self, tmp_path_factory, spec,
                                           suite, tols, seed):
         path = tmp_path_factory.getbasetemp() / "fuzz-verify.json"

@@ -299,7 +299,8 @@ class TestExactLinking:
         f1, f2 = fiber(2, 3, 0.8 + 0.1j, n=256), fiber(2, 3, -1.6 - 0.2j, n=256)
         lk = {seed: polygon_linking(*project_curves([f1, f2], seed=seed))
               for seed in range(10)}
-        assert len(set(lk.values())) == 1
+        # one sign at every pole: a flip is off by 12, round-off by ~1e-15
+        assert all(abs(v - lk[0]) < 1e-9 for v in lk.values())
         assert abs(abs(lk[0]) - 6.0) < 1e-9
 
 
