@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .defining import from_dict
+from .defining import _finite, from_dict
 from .errors import SchemaError, Z2FormsError
 from .forms import sample_sigma
 from .morphisms import fiber, project_curves
@@ -38,8 +38,7 @@ def _load_spec(path: str) -> dict:
 def _load_descriptor(args) -> dict:
     """Check ``--seed`` and normalize the spec, with ``--grid`` overriding a
     sun spec's grid."""
-    if args.seed < 0:
-        raise SchemaError("$.seed", f"seed must be >= 0, got {args.seed}")
+    _finite(args.seed, "$.seed", integer=True, lo=0)
     spec = _load_spec(args.spec)
     if args.grid is not None:
         if not isinstance(spec, dict) or spec.get("kind") != "sun":
@@ -100,10 +99,8 @@ def _export_sigma(descriptor: dict, out: Path, seed: int, resolution) -> None:
 
 
 def _export_fiber(descriptor: dict, out: Path, seed: int, resolution) -> None:
-    n = 1024 if resolution is None else resolution
-    if not 3 <= n <= MAX_RESOLUTION:
-        raise SchemaError("$.resolution",
-                          f"resolution {n} outside [3, {MAX_RESOLUTION}]")
+    n = _finite(1024 if resolution is None else resolution, "$.resolution",
+                integer=True, lo=3, hi=MAX_RESOLUTION)
     fb = fiber(descriptor["p"], descriptor["q"],
                complex(*descriptor["base"]), n=n)
     # stereographic projection from a pole away from the curve gives a

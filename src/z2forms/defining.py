@@ -8,11 +8,12 @@ R^2); every evaluation takes points (..., dim).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import SchemaError
+from .report import jsonable
 
 #: largest germ degree a spec may give, and most entries of its table: a
 #: bivariate exponent, the number of lines or of bivariate terms, and a
@@ -41,22 +42,22 @@ def to_complex(point):
     return p[..., 0] + 1j * p[..., 1]
 
 
-def _cx(v) -> list[float]:
-    v = complex(v)
-    return [v.real, v.imag]
-
-
-def _finite(value, path: str, integer: bool = False):
-    """A finite JSON number (integral if ``integer``), else a SchemaError."""
+def _finite(value, path: str, integer: bool = False, lo=-math.inf,
+            hi=math.inf):
+    """A finite JSON number in [lo, hi], integral if ``integer``, else a
+    SchemaError at ``path``."""
+    kind = "integer" if integer else "number"
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
         ok = ok and math.isfinite(value) and (not integer or value == int(value))
     except OverflowError:
         ok = False
     if not ok:
-        kind = "integer" if integer else "number"
         raise SchemaError(path, f"expected a finite {kind}, got {value!r}")
-    return int(value) if integer else float(value)
+    out = int(value) if integer else float(value)
+    if not lo <= out <= hi:
+        raise SchemaError(path, f"{kind} {out} outside [{lo}, {hi}]")
+    return out
 
 
 def _entries(value, count: int, path: str) -> list:
@@ -93,14 +94,6 @@ def _table(spec: dict, key: str, path: str, most: int) -> list:
     return value
 
 
-def _exponent(value, path: str) -> int:
-    """An integer in [0, MAX_GERM_DEGREE], else a SchemaError."""
-    out = _finite(value, path, integer=True)
-    if not 0 <= out <= MAX_GERM_DEGREE:
-        raise SchemaError(path, f"exponent {out} outside [0, {MAX_GERM_DEGREE}]")
-    return out
-
-
 def _build(cls, path: str, table: tuple):
     """``cls(table)``, with a ValueError of its checks as a SchemaError."""
     try:
@@ -121,20 +114,23 @@ class DefiningFunction:
     arity: int  # 1 (univariate) or 2 (bivariate)
     kind: str
 
-    def value(self, z: complex, w: complex | None = None) -> complex:
+    def value(self, *zw) -> complex:
+        """h at z for arity 1, at (z, w) for arity 2."""
         raise NotImplementedError
 
-    def partials(self, z: complex, w: complex | None = None):
-        """(dh/dz,) for arity 1, (dh/dz, dh/dw) for arity 2."""
+    def partials(self, *zw):
+        """(dh/dz,) at z for arity 1, (dh/dz, dh/dw) at (z, w) for arity 2."""
         raise NotImplementedError
+
+    def _zw(self, point) -> tuple:
+        """The arguments of ``value`` and ``partials`` at points (..., dim)."""
+        return (to_complex(point),) if self.arity == 1 else to_complex_pair(point)
 
     def value_at(self, point) -> complex:
-        if self.arity == 1:
-            return self.value(to_complex(point))
-        return self.value(*to_complex_pair(point))
+        return self.value(*self._zw(point))
 
     def partials_at(self, point):
-        zw = (to_complex(point),) if self.arity == 1 else to_complex_pair(point)
+        zw = self._zw(point)
         # a partial that does not depend on the point comes back from
         # ``partials`` as a Python constant; give it the batch shape
         shape = np.shape(zw[0])
@@ -156,7 +152,8 @@ class DefiningFunction:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The JSON descriptor: the kind and every field under its spec key."""
+        return jsonable({"kind": self.kind, **vars(self)})
 
 
 @dataclass(frozen=True)
@@ -178,13 +175,13 @@ class ProductOfLines(DefiningFunction):
     def factors(self, z, w):
         return [a * z + b * w for a, b in self.lines]
 
-    def value(self, z, w=None):
+    def value(self, z, w):
         out = 1.0 + 0.0j
         for f in self.factors(z, w):
             out *= f
         return out
 
-    def partials(self, z, w=None):
+    def partials(self, z, w):
         facs = self.factors(z, w)
         hz = 0.0 + 0.0j
         hw = 0.0 + 0.0j
@@ -219,53 +216,44 @@ class ProductOfLines(DefiningFunction):
             dirs.append(v / np.linalg.norm(np.abs(v)))
         return dirs
 
-    def to_dict(self):
-        return {"kind": self.kind, "lines": [[_cx(a), _cx(b)] for a, b in self.lines]}
-
 
 @dataclass(frozen=True)
 class Node(DefiningFunction):
     """h = (z - b)(w - c) - a: smooth for a != 0, nodal at a = 0."""
 
-    a: complex = 0.0
-    b: complex = 0.0
-    c: complex = 0.0
+    a: complex = 0j
+    b: complex = 0j
+    c: complex = 0j
     arity = 2
     kind = "node"
 
-    def value(self, z, w=None):
+    def value(self, z, w):
         return (z - self.b) * (w - self.c) - self.a
 
-    def partials(self, z, w=None):
+    def partials(self, z, w):
         return (w - self.c), (z - self.b)
 
     def w_poly_coeffs(self, z):
         # (z-b) w - (z-b) c - a
         return np.array([-(z - self.b) * self.c - self.a, z - self.b])
 
-    def to_dict(self):
-        return {"kind": self.kind, "a": _cx(self.a), "b": _cx(self.b), "c": _cx(self.c)}
-
 
 @dataclass(frozen=True)
 class RamifiedCover(DefiningFunction):
     """h = w^2 - a (z^3 + 1): elliptic curve for a != 0, doubled plane at a = 0."""
 
-    a: complex = 1.0
+    a: complex = 1 + 0j
     arity = 2
     kind = "ramified"
 
-    def value(self, z, w=None):
+    def value(self, z, w):
         return w * w - self.a * (z**3 + 1.0)
 
-    def partials(self, z, w=None):
+    def partials(self, z, w):
         return -3.0 * self.a * z * z, 2.0 * w
 
     def w_poly_coeffs(self, z):
         return np.stack(np.broadcast_arrays(-self.a * (z**3 + 1.0), 0j, 1 + 0j))
-
-    def to_dict(self):
-        return {"kind": self.kind, "a": _cx(self.a)}
 
 
 @dataclass(frozen=True)
@@ -287,10 +275,10 @@ class BivariatePolynomial(DefiningFunction):
             raise ValueError("polynomial must be nonzero")
         object.__setattr__(self, "terms", terms)
 
-    def value(self, z, w=None):
+    def value(self, z, w):
         return sum(c * z**i * w**j for i, j, c in self.terms)
 
-    def partials(self, z, w=None):
+    def partials(self, z, w):
         hz = sum((c * i * z ** (i - 1) * w**j for i, j, c in self.terms
                   if i > 0), 0j)
         hw = sum((c * j * z**i * w ** (j - 1) for i, j, c in self.terms
@@ -305,42 +293,35 @@ class BivariatePolynomial(DefiningFunction):
             coeffs[j] += c * z**i
         return coeffs
 
-    def to_dict(self):
-        return {"kind": self.kind,
-                "terms": [[i, j, _cx(c)] for i, j, c in self.terms]}
-
 
 @dataclass(frozen=True)
 class UnivariatePolynomial(DefiningFunction):
     """p(z) with ascending coefficients; the germ of the planar forms."""
 
-    coeffs: tuple[complex, ...]
+    p: tuple[complex, ...]
     arity = 1
     kind = "planar"
 
     def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        if not coeffs or all(c == 0 for c in coeffs):
+        p = tuple(complex(c) for c in self.p)
+        if not p or all(c == 0 for c in p):
             raise ValueError("polynomial must be nonzero")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "p", p)
 
-    def value(self, z, w=None):
+    def value(self, z):
         out = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
+        for c in reversed(self.p):
             out = out * z + c
         return out
 
-    def partials(self, z, w=None):
+    def partials(self, z):
         out = 0.0 + 0.0j
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            out = out * z + k * self.coeffs[k]
+        for k in range(len(self.p) - 1, 0, -1):
+            out = out * z + k * self.p[k]
         return (out,)
 
     def roots(self) -> np.ndarray:
-        return np.roots(list(reversed(self.coeffs)))
-
-    def to_dict(self):
-        return {"kind": self.kind, "p": [_cx(c) for c in self.coeffs]}
+        return np.roots(list(reversed(self.p)))
 
 
 def from_dict(spec: dict, path: str = "$") -> DefiningFunction:
@@ -355,18 +336,20 @@ def from_dict(spec: dict, path: str = "$") -> DefiningFunction:
         return _build(ProductOfLines, at, tuple(
             (_from_cx(a, f"{at}[{i}][0]"), _from_cx(b, f"{at}[{i}][1]"))
             for i, (a, b) in enumerate(lines)))
-    if kind == "node":
-        return Node(a=_from_cx(spec.get("a", 0), f"{path}.a"),
-                    b=_from_cx(spec.get("b", 0), f"{path}.b"),
-                    c=_from_cx(spec.get("c", 0), f"{path}.c"))
-    if kind == "ramified":
-        return RamifiedCover(a=_from_cx(spec.get("a", 1), f"{path}.a"))
+    if kind in ("node", "ramified"):
+        # a coefficient the spec leaves out keeps its dataclass default
+        cls = Node if kind == "node" else RamifiedCover
+        return cls(**{f.name: _from_cx(spec[f.name], f"{path}.{f.name}")
+                      for f in fields(cls) if f.name in spec})
     if kind == "bivariate":
         at = f"{path}.terms"
         terms = [_entries(t, 3, f"{at}[{i}]") for i, t
                  in enumerate(_table(spec, "terms", at, MAX_GERM_DEGREE))]
         return _build(BivariatePolynomial, at, tuple(
-            (_exponent(t[0], f"{at}[{i}][0]"), _exponent(t[1], f"{at}[{i}][1]"),
+            (_finite(t[0], f"{at}[{i}][0]", integer=True, lo=0,
+                     hi=MAX_GERM_DEGREE),
+             _finite(t[1], f"{at}[{i}][1]", integer=True, lo=0,
+                     hi=MAX_GERM_DEGREE),
              _from_cx(t[2], f"{at}[{i}][2]"))
             for i, t in enumerate(terms)))
     if kind == "planar":

@@ -13,7 +13,8 @@ import numpy as np
 
 from .branch import HalfPower, monodromy, monodromy_and_winding
 from .defining import _finite, from_dict
-from .errors import GridTooCoarse, SamplerExhausted, SchemaError
+from .errors import (EmptyIntersection, GridTooCoarse, SamplerExhausted,
+                     SchemaError)
 from .fd import fd_laplacian, rms
 from .forms import AxialForm, PlanarForm, ReHPowerForm, sample_sigma, vanishing_order
 from .morphisms import (core_fiber, covering_degree, fiber, fiber_windings,
@@ -60,17 +61,17 @@ def normalize_descriptor(spec: dict, path: str = "$") -> dict:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise SchemaError(path, "expected an object with a 'kind' field")
     kind = spec["kind"]
-    if kind in GERM_KINDS:
-        out = from_dict(spec, path).to_dict()
-        out["k"] = _half_power_index(spec, path)
+    if kind in FORM_KINDS:
+        out = (from_dict(spec, path).to_dict() if kind in GERM_KINDS
+               else {"kind": kind})
+        out["k"] = _finite(spec.get("k", 1), f"{path}.k", integer=True, lo=1)
         return out
-    if kind == "axial":
-        return {"kind": "axial", "k": _half_power_index(spec, path)}
     if kind == "fiber":
-        p = _finite(spec.get("p", 1), f"{path}.p", integer=True)
-        q = _finite(spec.get("q", 1), f"{path}.q", integer=True)
-        if p < 1 or q < 1 or math.gcd(p, q) != 1:
-            raise SchemaError(f"{path}.p", "need coprime positive (p, q)")
+        p = _finite(spec.get("p", 1), f"{path}.p", integer=True, lo=1)
+        q = _finite(spec.get("q", 1), f"{path}.q", integer=True, lo=1)
+        if math.gcd(p, q) != 1:
+            raise SchemaError(f"{path}.p",
+                              f"need coprime (p, q), got ({p}, {q})")
         base = spec.get("base", [0.7, 0.2])
         if not (isinstance(base, (list, tuple)) and len(base) == 2):
             raise SchemaError(f"{path}.base", "expected [re, im]")
@@ -82,23 +83,13 @@ def normalize_descriptor(spec: dict, path: str = "$") -> dict:
     raise SchemaError(f"{path}.kind", f"unknown descriptor kind {kind!r}")
 
 
-def _half_power_index(spec: dict, path: str) -> int:
-    k = _finite(spec.get("k", 1), f"{path}.k", integer=True)
-    if k < 1:
-        raise SchemaError(f"{path}.k", "half-power index must be >= 1")
-    return k
-
-
 def _normalize_sun(spec: dict, path: str) -> dict:
     degrees = spec.get("degrees", [0, 1, 2, 3, 4])
     if not isinstance(degrees, list) or not degrees:
         raise SchemaError(f"{path}.degrees", "expected a non-empty list")
-    degrees = [_finite(k, f"{path}.degrees[{i}]", integer=True)
-               for i, k in enumerate(degrees)]
+    degrees = [_finite(k, f"{path}.degrees[{i}]", integer=True, lo=0,
+                       hi=MAX_ZONAL_DEGREE) for i, k in enumerate(degrees)]
     for i, k in enumerate(degrees):
-        if not 0 <= k <= MAX_ZONAL_DEGREE:
-            raise SchemaError(f"{path}.degrees[{i}]", f"zonal degree {k} "
-                              f"outside [0, {MAX_ZONAL_DEGREE}]")
         if k in degrees[:i]:
             raise SchemaError(f"{path}.degrees[{i}]",
                               f"zonal degree {k} repeated")
@@ -106,12 +97,10 @@ def _normalize_sun(spec: dict, path: str) -> dict:
     if cutoff not in CUTOFF_PROFILES:
         raise SchemaError(f"{path}.cutoff", f"unknown cutoff {cutoff!r}")
     out = {"kind": "sun", "degrees": degrees, "cutoff": cutoff,
-           "grid": _finite(spec.get("grid", 512), f"{path}.grid", integer=True)}
+           "grid": _finite(spec.get("grid", 512), f"{path}.grid", integer=True,
+                           lo=64, hi=MAX_GRID)}
     for key, default in (("truncation", 20.0), ("r1", 3.0), ("r2", 5.0)):
         out[key] = _finite(spec.get(key, default), f"{path}.{key}")
-    if not 64 <= out["grid"] <= MAX_GRID:
-        raise SchemaError(f"{path}.grid",
-                          f"grid {out['grid']} outside [64, {MAX_GRID}]")
     if not out["r1"] > 1.0:
         raise SchemaError(f"{path}.r1", "need r1 > 1 (the circle has rho = 1)")
     if not out["r2"] > out["r1"]:
@@ -179,10 +168,8 @@ def run_harmonicity(descriptor: dict, seed: int, tol: dict) -> list[Check]:
     which has no Richardson ratio; a residual below ``ROUNDOFF_FLOOR``
     eps * rms f / step^2 passes, with that floor in the details."""
     lo, hi = tol["ratio_lo"], tol["ratio_hi"]
-    count = _finite(tol["points"], "$.tol.points", integer=True)
-    if not 1 <= count <= MAX_POINTS:
-        raise SchemaError("$.tol.points",
-                          f"points {count} outside [1, {MAX_POINTS}]")
+    count = _finite(tol["points"], "$.tol.points", integer=True, lo=1,
+                    hi=MAX_POINTS)
     form = _form_from(descriptor)
     steps = (1e-2, 5e-3)
     pts = _points_off_locus(form, count, seed)
@@ -297,7 +284,7 @@ def run_monodromy(descriptor: dict, seed: int, tol: dict) -> list[Check]:
             {"sign": sign, "expected": expected, "winding": wind,
              "sign_refined": refined}))
     if not checks:
-        raise SchemaError("$", "no meridian loops found for this descriptor")
+        raise EmptyIntersection("no meridian loops found for this descriptor")
     return checks
 
 
@@ -319,16 +306,21 @@ def run_vanishing_order(descriptor: dict, seed: int, tol: dict) -> list[Check]:
                 {"slope_tol": band}, {"slope": slope, "expected": want}))
         return checks
     if kind == "planar":
-        roots = form.h.roots()
-        simple = [c for c, m in _cluster_roots(roots) if m == 1]
+        clusters = _cluster_roots(form.h.roots())
+        simple = [c for c, m in clusters if m == 1]
         for root in simple[:3]:
+            # the fit window ends a tenth of the way to the nearest other
+            # root, where |omega| stops looking like |z - root|^(1/2)
+            gap = min((abs(root - c) for c, _ in clusters if c != root),
+                      default=math.inf)
+            r_hi = min(0.1, gap / 10)
             slope = vanishing_order(form.magnitude, [root.real, root.imag],
-                                    [1, 0])
+                                    [1, 0], r_lo=r_hi / 100, r_hi=r_hi)
             checks.append(Check(
                 f"vanishing-order[root {root:.3g}]", abs(slope - 0.5) < band,
                 {"slope_tol": band}, {"slope": slope, "expected": 0.5}))
         if not checks:
-            raise SchemaError("$", "no simple roots to probe")
+            raise EmptyIntersection("no simple roots to probe")
         return checks
     h = form.h
     clouds = sample_sigma(h, [[-2, 2]] * 4, 40, seed=seed)
@@ -350,7 +342,7 @@ def run_vanishing_order(descriptor: dict, seed: int, tol: dict) -> list[Check]:
                                   "base": list(base)}))
         probed += 1
     if not checks:
-        raise SchemaError("$", "no smooth branching-set points sampled")
+        raise EmptyIntersection("no smooth branching-set points sampled")
     return checks
 
 

@@ -29,12 +29,41 @@ def write_spec(tmp_path, name, spec):
     return str(path)
 
 
+#: (spec, its exact echo) per descriptor kind; a germ's complex
+#: coefficients echo as [re, im], and a field the spec leaves out echoes
+#: its default
+ECHOES = {
+    "lines": ({"kind": "lines", "lines": [[1, 0], [1, [0, 2]]]},
+              {"kind": "lines", "k": 1,
+               "lines": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 2.0]]]}),
+    "node": ({"kind": "node", "a": 0.5, "c": [0, -1]},
+             {"kind": "node", "k": 1, "a": [0.5, 0.0], "b": [0.0, 0.0],
+              "c": [0.0, -1.0]}),
+    "ramified": ({"kind": "ramified", "k": 2},
+                 {"kind": "ramified", "k": 2, "a": [1.0, 0.0]}),
+    "bivariate": ({"kind": "bivariate", "terms": [[2, 0, 1], [0, 3, [0, -1]]]},
+                  {"kind": "bivariate", "k": 1,
+                   "terms": [[2, 0, [1.0, 0.0]], [0, 3, [0.0, -1.0]]]}),
+    "planar": ({"kind": "planar", "p": [-2, [0, 1], 1.5]},
+               {"kind": "planar", "k": 1,
+                "p": [[-2.0, 0.0], [0.0, 1.0], [1.5, 0.0]]}),
+    "axial": ({"kind": "axial"}, {"kind": "axial", "k": 1}),
+    "fiber": ({"kind": "fiber", "p": 2, "q": 3},
+              {"kind": "fiber", "p": 2, "q": 3, "base": [0.7, 0.2]}),
+    "sun": ({"kind": "sun", "grid": 160},
+            {"kind": "sun", "degrees": [0, 1, 2, 3, 4], "cutoff": "quintic",
+             "grid": 160, "truncation": 20.0, "r1": 3.0, "r2": 5.0}),
+}
+
+
 class TestConstruct:
-    def test_descriptor_echo_round_trips(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, "s.json", {"kind": "node", "a": 0,
-                                               "b": 0, "c": 0})
-        assert main(["construct", "--spec", spec]) == 0
+    @pytest.mark.parametrize("kind", ECHOES)
+    def test_descriptor_echo_round_trips(self, tmp_path, capsys, kind):
+        spec, echo = ECHOES[kind]
+        assert main(["construct", "--spec",
+                     write_spec(tmp_path, "s.json", spec)]) == 0
         echoed = json.loads(capsys.readouterr().out)
+        assert echoed == echo
         spec2 = write_spec(tmp_path, "s2.json", echoed)
         assert main(["construct", "--spec", spec2]) == 0
         assert json.loads(capsys.readouterr().out) == echoed
@@ -154,6 +183,29 @@ class TestVerify:
         spec = write_spec(tmp_path, "c.json", {"kind": "bivariate",
                                                "terms": [[0, 0, 1]]})
         assert main(["verify", "--spec", spec, "--suite", suite]) == 2
+
+    @pytest.mark.parametrize("spec, suite", [
+        ({"kind": "lines", "lines": [[1, [0.01 * k, 1]] for k in range(64)]},
+         "vanishing-order"),
+        ({"kind": "bivariate", "terms": [[1, 0, 1]]}, "monodromy"),
+    ], ids=["lines-no-smooth-point", "z-no-meridian"])
+    def test_nothing_to_probe_is_not_a_schema_error(self, tmp_path, capsys,
+                                                    spec, suite):
+        # a valid spec on which the suite finds nothing to measure is a
+        # plain error, not a schema error
+        spec = write_spec(tmp_path, "s.json", spec)
+        assert main(["verify", "--spec", spec, "--suite", suite]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("p", [[-1] + [0] * 63 + [1], [1] * 65],
+                             ids=["z64-minus-1", "all-ones-degree-64"])
+    def test_planar_window_follows_root_spacing(self, tmp_path, capsys, p):
+        # the roots are about 0.1 apart: a fit window reaching 0.1 from a
+        # root measures the neighbours too (slope 0.317)
+        spec = write_spec(tmp_path, "p.json", {"kind": "planar", "p": p})
+        assert main(["verify", "--spec", spec,
+                     "--suite", "vanishing-order"]) == 0
+        assert capsys.readouterr().out.count("[PASS]") == 3
 
 
 class TestVerifyArgs:
@@ -298,6 +350,7 @@ class TestFormSchema:
         ({"kind": "ramified", "k": "x"}, "$.k"),
         ({"kind": "axial", "k": 1.5}, "$.k"),
         ({"kind": "fiber", "p": 2, "q": 3, "base": ["a", 1]}, "$.base[0]"),
+        ({"kind": "fiber", "p": 2, "q": 0}, "$.q"),
         ({"kind": "node", "a": float("nan")}, "$.a"),
         ({"kind": "planar", "p": [float("nan"), 1]}, "$.p[0]"),
         ({"kind": "bivariate", "terms": [[1.5, 1, 1.0]]}, "$.terms[0][0]"),
@@ -323,7 +376,7 @@ class TestFormSchema:
          "$.lines[1][1]"),
         ({"kind": "bivariate", "terms": [[1, 0, [0, 2e6]]]}, "$.terms[0][2]"),
     ], ids=["axial-k-text", "ramified-k-text", "axial-k-fraction",
-            "fiber-base-text", "node-a-nan", "planar-coeff-nan",
+            "fiber-base-text", "fiber-q-zero", "node-a-nan", "planar-coeff-nan",
             "bivariate-exponent-fraction", "bivariate-empty",
             "bivariate-zero", "bivariate-cancelling", "lines-empty",
             "planar-zero", "bivariate-z-degree", "bivariate-w-degree",

@@ -13,6 +13,10 @@ Every defaulted parameter of a library function or method is also passed,
 by keyword or by position, by some call in ``src/z2forms``, or listed in
 ``KEEP_DEFAULTS`` with the reason: a default that no caller overrides is a
 constant dressed as an option.
+
+The library's settable values, parameters with a default plus dataclass
+fields, may not grow past ``MAX_SETTABLE``: a change that adds one takes
+another out, or raises the maximum and says why.
 """
 import ast
 from pathlib import Path
@@ -194,3 +198,33 @@ def test_every_default_is_passed_by_a_caller_or_has_a_reason():
 def test_keep_defaults_names_only_unpassed_parameters():
     stale = sorted(set(KEEP_DEFAULTS) - _unpassed_defaults())
     assert not stale, f"KEEP_DEFAULTS entries that are passed, or gone: {stale}"
+
+
+#: most settable values the library may have: parameters with a default
+#: (nested functions included, lambdas not) plus dataclass fields
+MAX_SETTABLE = 56
+
+
+def _is_dataclass(node) -> bool:
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _settable_values() -> int:
+    count = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(item, ast.AnnAssign)
+                             for item in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    count = _settable_values()
+    assert count <= MAX_SETTABLE, (
+        f"{count} settable values (defaulted parameters plus dataclass "
+        f"fields), above the recorded maximum {MAX_SETTABLE}")
