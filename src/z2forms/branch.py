@@ -6,9 +6,9 @@ relative to the principal branch (argument in (-pi, pi]).
 
 Every walk is an array walk: h is evaluated at all segment ends in one
 array call and the nearest root is picked for all segments at once.  Only
-segments on which arg h turns by pi/2 or more go through the dyadic
-refinement ``_refine``.  Every state holds points (..., dim), one point
-(dim,) included, and answers with numpy scalars for one point.
+segments on which arg h turns by pi/2 or more are halved, in rounds of one
+array call each.  Every state holds points (..., dim), one point (dim,)
+included, and answers with numpy scalars for one point.
 """
 from __future__ import annotations
 
@@ -77,22 +77,6 @@ def principal_state(h, point) -> BranchState:
     return BranchState(at=point, h_value=hv, sign=+1)
 
 
-def _refine(h, a: np.ndarray, b: np.ndarray, out: list, depth: int = 0) -> None:
-    """Append to ``out`` h at the end of each dyadic piece of the segment
-    [a, b] on which arg h turns by less than pi/2; ``out[-1]`` is h(a)."""
-    hv_b = h.value_at(b)
-    if abs(hv_b) < EPS_SIGMA:
-        raise PathHitsBranchLocus(f"|h| = {abs(hv_b):.3e} on path")
-    if abs(np.angle(hv_b / out[-1])) < np.pi / 2:
-        out.append(hv_b)
-        return
-    if depth >= MAX_REFINE_DEPTH:
-        raise RefinementLimit("segment required more than 2**20 subdivisions")
-    mid = 0.5 * (a + b)
-    _refine(h, a, mid, out, depth + 1)
-    _refine(h, mid, b, out, depth + 1)
-
-
 def _flips(h_a, h_b):
     """Whether the principal root jumps to the far side from h_a to h_b, so
     that the continued root changes its sign relative to it.  With
@@ -101,28 +85,43 @@ def _flips(h_a, h_b):
     return np.abs(r_b - r_a) > np.abs(r_b + r_a)
 
 
-def _segments(h, h_a, h_b, ends):
-    """Walk straight segments, given h at both ends of each (flat arrays);
-    ``ends(i)`` gives the end points of segment i.
+def _segments(h, a, b, h_a, h_b):
+    """Walk the segments [a[i], b[i]], given h at their ends (flat arrays).
 
     Returns, per segment, whether the continued root flips its sign
     relative to the principal one, and the turn of arg h.  A segment on
     which arg h turns by pi/2 or more, or which ends within EPS_SIGMA of
-    the locus, is walked by ``_refine``, which raises where the scalar
-    walk would; every other segment is a single step.
+    the locus, is halved in rounds, one h evaluation per round for the
+    pieces of all such segments; every other segment is a single step.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         turn = np.angle(h_b / h_a)
     flip = _flips(h_a, h_b)
-    for i in np.flatnonzero(~(np.abs(turn) < np.pi / 2)
-                            | (np.abs(h_b) < EPS_SIGMA)):
-        hvs = [h_a[i]]
-        _refine(h, *ends(i), hvs)
-        # the end keeps the value the next segment starts from
-        hvs = np.array(hvs[:-1] + [h_b[i]])
-        turn[i] = np.angle(hvs[1:] / hvs[:-1]).sum()
-        flip[i] = np.count_nonzero(_flips(hvs[:-1], hvs[1:])) % 2
-    return flip, turn
+    bad = np.flatnonzero(~(np.abs(turn) < np.pi / 2)
+                         | (np.abs(h_b) < EPS_SIGMA))
+    if not bad.size:
+        return flip, turn
+    # each piece keeps the index of its segment in ``owner``
+    owner, a, b, h_a, h_b = bad, a[bad], b[bad], h_a[bad], h_b[bad]
+    turn[bad], flip[bad] = 0.0, False
+    for _ in range(MAX_REFINE_DEPTH + 1):
+        least = np.min(np.abs(h_b))
+        if least < EPS_SIGMA:
+            raise PathHitsBranchLocus(f"|h| = {least:.3e} on path")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.angle(h_b / h_a)
+        done = np.abs(step) < np.pi / 2
+        turn += np.bincount(owner[done], step[done], turn.size)
+        flip ^= np.bincount(owner[done], _flips(h_a[done], h_b[done]),
+                            flip.size) % 2 == 1
+        if done.all():
+            return flip, turn
+        a, b, h_a, h_b, owner = (x[~done] for x in (a, b, h_a, h_b, owner))
+        mid = 0.5 * (a + b)
+        h_mid = h.value_at(mid)
+        a, b, h_a, h_b, owner = (np.concatenate(x) for x in (
+            (a, mid), (mid, b), (h_a, h_mid), (h_mid, h_b), (owner, owner)))
+    raise RefinementLimit("segment required more than 2**20 subdivisions")
 
 
 def _along(h, verts, start: BranchState) -> tuple[BranchState, float]:
@@ -134,8 +133,7 @@ def _along(h, verts, start: BranchState) -> tuple[BranchState, float]:
     hvs[1:] = h.value_at(verts[1:])
     if np.array_equal(verts[-1], start.at):
         hvs[-1] = start.h_value
-    flip, turn = _segments(h, hvs[:-1], hvs[1:],
-                           lambda i: (verts[i], verts[i + 1]))
+    flip, turn = _segments(h, verts[:-1], verts[1:], hvs[:-1], hvs[1:])
     sign = -start.sign if np.count_nonzero(flip) % 2 else start.sign
     return BranchState(at=verts[-1], h_value=hvs[-1], sign=sign), \
         float(turn.sum())
@@ -167,8 +165,9 @@ def continue_straight(h, start: BranchState, point) -> BranchState:
     a, b = (np.broadcast_to(x, full).reshape(-1, full[-1])
             for x in (start.at, point))
     h_end = np.broadcast_to(h_end, shape)
-    flip, _ = _segments(h, np.broadcast_to(start.h_value, shape).ravel(),
-                        h_end.ravel(), lambda i: (a[i], b[i]))
+    flip, _ = _segments(h, a, b,
+                        np.broadcast_to(start.h_value, shape).ravel(),
+                        h_end.ravel())
     sign = np.where(flip, -1, 1).reshape(shape) * start.sign
     return BranchState(at=np.broadcast_to(point, full), h_value=h_end[()],
                        sign=sign[()])

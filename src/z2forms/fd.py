@@ -1,50 +1,50 @@
 """Finite-difference oracles: Laplacians, gradients, Jacobians, curls.
 
 These are test instruments, deliberately independent of the closed-form
-evaluation paths they check.  Every stencil takes points (..., dim): ``f``
-is called once per stencil offset on all of them and answers with values
-(...) or (..., components).
+evaluation paths they check.  A stencil is a table of offsets along each
+axis and their weights (Fornberg, Math. Comp. 51, 1988).  It calls ``f``
+once, on its points (offsets, dim, ..., dim) around points (..., dim); f
+answers with values (offsets, dim, ...), plus any component axis.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
-def _axis_terms(f, point, step: float, term):
-    """``term(g)`` for each axis i in turn, where ``g(m)`` is f at
-    point + m * step * e_i."""
+def _axis_sums(f, point, step: float, offsets, weights) -> np.ndarray:
+    """sum_m w_m f(point + m * step * e_i), axis i leading, from one call
+    of f; the weights are applied left to right."""
     point = np.asarray(point, dtype=float)
-    for e in step * np.eye(point.shape[-1]):
-        yield term(lambda m, e=e: f(point + m * e))
+    shifts = np.multiply.outer(offsets, step * np.eye(point.shape[-1]))
+    values = np.asarray(f(point + np.expand_dims(
+        shifts, tuple(range(2, point.ndim + 1)))))
+    total = weights[0] * values[0]
+    for w, v in zip(weights[1:], values[1:]):
+        total = total + w * v
+    return total
 
 
 def fd_laplacian(f, point, step: float) -> float:
     """Central second-difference Laplacian (5/7/9-point in 2/3/4 dims)."""
-    center = f(np.asarray(point, dtype=float))
-    return sum(_axis_terms(f, point, step,
-                           lambda g: g(1) - 2.0 * center + g(-1))) / step**2
+    return sum(_axis_sums(f, point, step, (1, 0, -1), (1, -2, 1))) / step**2
 
 
 def fd_laplacian_order4(f, point, step: float) -> float:
     """Fourth-order five-point-per-axis Laplacian."""
-    center = f(np.asarray(point, dtype=float))
-    return sum(_axis_terms(
-        f, point, step, lambda g: (-g(2) + 16 * g(1) - 30 * center
-                                   + 16 * g(-1) - g(-2)) / 12.0)) / step**2
+    return sum(_axis_sums(f, point, step, (2, 1, 0, -1, -2),
+                          (-1, 16, -30, 16, -1)) / 12.0) / step**2
 
 
 def fd_gradient_order4(f, point, step: float) -> np.ndarray:
-    return np.stack(list(_axis_terms(
-        f, point, step, lambda g: (-g(2) + 8 * g(1) - 8 * g(-1) + g(-2))
-        / (12.0 * step))), axis=-1)
+    return np.moveaxis(_axis_sums(f, point, step, (2, 1, -1, -2),
+                                  (-1, 8, -8, 1)) / (12.0 * step), 0, -1)
 
 
 def fd_jacobian(fn, point, step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of a map: ``jac[..., i, j] = d_j fn_i``
     (``jac[..., j] = d_j fn`` for a scalar map)."""
-    return np.stack(list(_axis_terms(
-        fn, point, step, lambda g: (np.asarray(g(1)) - np.asarray(g(-1)))
-        / (2.0 * step))), axis=-1)
+    return np.moveaxis(_axis_sums(fn, point, step, (1, -1), (1, -1))
+                       / (2.0 * step), 0, -1)
 
 
 def fd_divergence(field, point, step: float) -> float:

@@ -19,7 +19,7 @@ from .defining import to_complex_pair
 from .errors import (ChartBoundary, CurvesTooClose, ImageAtInfinity,
                      NotInTube, NotOnSphere, SingularFiber)
 from .fd import fd_gradient_order4, fd_jacobian, fd_laplacian_order4
-from .paths import Polyline
+from .paths import Polyline, circle
 
 SPHERE_TOL = 1e-10
 
@@ -127,12 +127,7 @@ def fiber(p: int, q: int, base: complex, n: int = 1024) -> Polyline:
 
 def core_fiber(axis: int, n: int = 1024) -> Polyline:
     """A singular fiber: the unit circle {z2 = 0} (axis=0) or {z1 = 0} (axis=1)."""
-    t = 2.0 * np.pi * np.arange(n) / n
-    pts = np.zeros((n, 4))
-    off = 0 if axis == 0 else 2
-    pts[:, off] = np.cos(t)
-    pts[:, off + 1] = np.sin(t)
-    return Polyline(pts, closed=True)
+    return circle(np.zeros(4), 1.0, n, plane=(0, 1) if axis == 0 else (2, 3))
 
 
 def fiber_windings(fb: Polyline) -> tuple[int, int]:
@@ -379,37 +374,39 @@ def _circle_coords(points, circle) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stereo_embed(y) -> np.ndarray:
-    """The S^3 point with stereographic coordinates y, pole (0, 0, 0, 1)."""
-    s = y @ y
-    return np.array([2 * y[0], 2 * y[1], 2 * y[2], s - 1.0]) / (1.0 + s)
+    """The S^3 points (..., 4) with stereographic coordinates y (..., 3),
+    pole (0, 0, 0, 1)."""
+    s = (y * y).sum(axis=-1)[..., None]
+    return np.concatenate([2 * y, s - 1.0], axis=-1) / (1.0 + s)
 
 
 def stereo_metric(y) -> np.ndarray:
-    """The round metric at stereographic coordinates y: 4/(1+|y|^2)^2 I."""
-    c = 2.0 / (1.0 + y @ y)
-    return c * c * np.eye(3)
+    """The round metric at stereographic coordinates y (..., 3):
+    4/(1+|y|^2)^2 I, shape (..., 3, 3)."""
+    c = 2.0 / (1.0 + (y * y).sum(axis=-1))
+    return (c * c)[..., None, None] * np.eye(3)
 
 
 def laplace_beltrami_residual(scalar, point, step: float) -> float:
     """Second-order FD evaluation of (1/sqrt(g)) d_i(sqrt(g) g^{ij} d_j u)
-    of a function ``scalar`` of the stereographic coordinates of S^3.
+    at points (..., 3) of a function ``scalar`` of the stereographic
+    coordinates of S^3.
 
     The stencil uses staggered half-step fluxes of the closed-form metric's
-    inverse and determinant, independent of ``lb_round_s3_conformal``.
+    inverse and determinant, independent of ``lb_round_s3_conformal``, with
+    the gradients at all six faces from one ``fd_jacobian`` call.
     """
     y0 = np.asarray(point, dtype=float)
-
-    def flux(y, i):
-        g = stereo_metric(y)
-        ginv = np.linalg.inv(g)
-        sqrtg = np.sqrt(np.linalg.det(g))
-        return sqrtg * (ginv[i] @ fd_jacobian(scalar, y, step))
-
+    # the faces y0 -/+ (step/2) e_i, shape (side, i, ..., 3)
+    half = np.multiply.outer([-0.5, 0.5], step * np.eye(3))
+    faces = y0 + half.reshape((2, 3) + (1,) * (y0.ndim - 1) + (3,))
+    g = stereo_metric(faces)
+    grad = fd_jacobian(scalar, faces, step)
+    flux = np.sqrt(np.linalg.det(g))[..., None] \
+        * (np.linalg.inv(g) @ grad[..., None])[..., 0]
     total = 0.0
     for i in range(3):
-        e = np.zeros(3)
-        e[i] = 0.5 * step
-        total += (flux(y0 + e, i) - flux(y0 - e, i)) / step
+        total += (flux[1, i, ..., i] - flux[0, i, ..., i]) / step
     return total / np.sqrt(np.linalg.det(stereo_metric(y0)))
 
 
@@ -458,8 +455,6 @@ def lb_homogeneous_extension(field_r4, x0, step: float) -> float:
     x0 = np.asarray(x0, dtype=float)
     if abs(np.linalg.norm(x0) - 1.0) > SPHERE_TOL:
         raise NotOnSphere(f"|x| = {np.linalg.norm(x0):.12f}")
-
-    def ext(x):
-        return field_r4(x / np.linalg.norm(x))
-
-    return fd_laplacian_order4(ext, x0, step)
+    return fd_laplacian_order4(
+        lambda x: field_r4(x / np.linalg.norm(x, axis=-1, keepdims=True)),
+        x0, step)

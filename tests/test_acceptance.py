@@ -153,15 +153,17 @@ def test_criterion_7_harmonic_morphism():
     for harm in harmonics:
         def field(y, harm=harm):
             zeta = hopf_chart(stereo_embed(y))
-            return harm(complex(zeta[0], zeta[1]))
+            return harm(zeta[..., 0] + 1j * zeta[..., 1])
 
         r1 = laplace_beltrami_residual(field, y0, step=2e-2)
         r2 = laplace_beltrami_residual(field, y0, step=1e-2)
         ratios.append(r1 / r2)
     cross = []
-    for fld in (lambda x: x[0] ** 2 * x[1] + x[2] * x[3] + 0.3 * x[1] ** 3,
-                lambda x: x[0] ** 4 - x[3] ** 2 * x[1] + x[2],
-                lambda x: np.sin(x[0]) * x[1] + x[2] ** 3):
+    for fld in (lambda x: x[..., 0] ** 2 * x[..., 1] + x[..., 2] * x[..., 3]
+                + 0.3 * x[..., 1] ** 3,
+                lambda x: x[..., 0] ** 4 - x[..., 3] ** 2 * x[..., 1]
+                + x[..., 2],
+                lambda x: np.sin(x[..., 0]) * x[..., 1] + x[..., 2] ** 3):
         x0 = np.array([0.5, -0.2, 0.6, 0.1])
         x0 /= np.linalg.norm(x0)
         a, b = lb_cross_oracle(fld, x0)

@@ -1,5 +1,6 @@
 """One code path per formula: every evaluation of ``branch``, ``defining``,
-``forms``, ``fd`` and ``sun`` takes one point (dim,) or many (..., dim).
+``forms``, ``fd``, ``sun`` and the stereographic chart of ``morphisms``
+takes one point (dim,) or many (..., dim).
 
 One call on N points must match N single-point calls, and a single point
 gives a numpy scalar, never a 0-d array.  ``sample_sigma``, which handles
@@ -17,6 +18,8 @@ from z2forms.fd import (fd_curl_components, fd_divergence,
                         fd_gradient_order4, fd_jacobian, fd_laplacian,
                         fd_laplacian_order4)
 from z2forms.forms import SIGMA_RESIDUAL
+from z2forms.morphisms import (hopf_chart, laplace_beltrami_residual,
+                               stereo_embed, stereo_metric)
 from z2forms.sun import (Cutoff, DoubleCoverGrid, SunPipeline, ZonalPoly,
                          legendre_values, source_meridian, zonal)
 
@@ -264,6 +267,74 @@ def test_scalar_stencils(stencil):
                                      fd_curl_components])
 def test_vector_stencils(stencil):
     assert_batch_matches(lambda p: stencil(rotation, p, 1e-4), points(3))
+
+
+def one_offset_at_a_time(f, point, step):
+    """Reference: every stencil, as a function of no arguments, with f
+    called once per offset and axis, in the documented order of operations
+    (weights left to right, /12 per axis before the axis sum, /step^2
+    last)."""
+    point = np.asarray(point, dtype=float)
+    axes = step * np.eye(point.shape[-1])
+
+    def g(m):
+        return [np.asarray(f(point + m * e)) for e in axes]
+
+    c = np.asarray(f(point))
+    p2, p1, m1, m2 = g(2), g(1), g(-1), g(-2)
+    jac = np.stack([(a - b) / (2.0 * step) for a, b in zip(p1, m1)], axis=-1)
+    i, j = np.triu_indices(jac.shape[-1], 1)
+    return {
+        fd_laplacian: lambda: sum(a - 2.0 * c + b
+                                  for a, b in zip(p1, m1)) / step**2,
+        fd_laplacian_order4: lambda: sum(
+            (-a2 + 16 * a1 - 30 * c + 16 * b1 - b2) / 12.0
+            for a2, a1, b1, b2 in zip(p2, p1, m1, m2)) / step**2,
+        fd_gradient_order4: lambda: np.stack([
+            (-a2 + 8 * a1 - 8 * b1 + b2) / (12.0 * step)
+            for a2, a1, b1, b2 in zip(p2, p1, m1, m2)], axis=-1),
+        fd_jacobian: lambda: jac,
+        fd_divergence: lambda: np.trace(jac, axis1=-2, axis2=-1),
+        fd_curl_components: lambda: (np.swapaxes(jac, -1, -2) - jac)[..., i, j],
+    }
+
+
+@pytest.mark.parametrize("f, stencils", [
+    (smooth, [fd_laplacian, fd_laplacian_order4, fd_gradient_order4,
+              fd_jacobian]),
+    (rotation, [fd_laplacian, fd_laplacian_order4, fd_gradient_order4,
+                fd_jacobian, fd_divergence, fd_curl_components]),
+], ids=["scalar", "vector"])
+@pytest.mark.parametrize("pts", [points(3)[0], points(3)], ids=["one", "many"])
+def test_stencils_call_f_once(f, stencils, pts):
+    reference = one_offset_at_a_time(f, pts, 1e-3)
+    for stencil in stencils:
+        calls = []
+
+        def counted(p):
+            calls.append(p.shape)
+            return f(p)
+
+        got = stencil(counted, pts, 1e-3)
+        assert len(calls) == 1, stencil.__name__
+        assert np.array_equal(got, reference[stencil]()), stencil.__name__
+
+
+# --------------------------------------------------------------------------
+# the stereographic chart of S^3
+
+
+def hopf_real(y):
+    return hopf_chart(stereo_embed(y))[..., 0]
+
+
+@pytest.mark.parametrize("field", [hopf_real, smooth], ids=["hopf", "smooth"])
+def test_stereographic_chart(field):
+    pts = 0.4 * points(3, seed=5)
+    assert_batch_matches(stereo_embed, pts)
+    assert_batch_matches(stereo_metric, pts)
+    assert_batch_matches(
+        lambda y: laplace_beltrami_residual(field, y, 1e-2), pts)
 
 
 # --------------------------------------------------------------------------

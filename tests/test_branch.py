@@ -9,7 +9,8 @@ from z2forms import (BivariatePolynomial, Node, Polyline, ProductOfLines,
                      RamifiedCover, UnivariatePolynomial, circle,
                      continue_branch, monodromy, principal_state,
                      winding_number)
-from z2forms.branch import (BranchState, HalfPower, _refine, continue_straight,
+from z2forms.branch import (EPS_SIGMA, MAX_REFINE_DEPTH, BranchState,
+                            HalfPower, continue_straight,
                             monodromy_and_winding)
 from z2forms.errors import PathHitsBranchLocus, RefinementLimit
 
@@ -118,11 +119,28 @@ class TestContinuation:
         assert s1.sqrt_value == pytest.approx(s2.sqrt_value)
 
 
+def dyadic(h, a, b, out: list, depth: int = 0) -> None:
+    """Reference refinement, one point at a time: append to ``out`` h at
+    the end of each dyadic piece of the segment [a, b] on which arg h turns
+    by less than pi/2, depth first; ``out[-1]`` is h(a)."""
+    hv_b = h.value_at(b)
+    if abs(hv_b) < EPS_SIGMA:
+        raise PathHitsBranchLocus(f"|h| = {abs(hv_b):.3e} on path")
+    if abs(np.angle(hv_b / out[-1])) < np.pi / 2:
+        out.append(hv_b)
+        return
+    if depth >= MAX_REFINE_DEPTH:
+        raise RefinementLimit("segment required more than 2**20 subdivisions")
+    mid = 0.5 * (a + b)
+    dyadic(h, a, mid, out, depth + 1)
+    dyadic(h, mid, b, out, depth + 1)
+
+
 def scalar_walk(h, a, b):
     """Reference: the principal root at a continued to b one point at a
     time, with cmath roots and the dyadic walk; returns (h(b), sign)."""
     hvs = [h.value_at(a)]
-    _refine(h, a, b, hvs)
+    dyadic(h, a, b, hvs)
     sign, r_prev = 1, cmath.sqrt(hvs[0])
     for hv in hvs[1:]:
         r = cmath.sqrt(hv)

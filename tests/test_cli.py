@@ -375,6 +375,8 @@ class TestFormSchema:
         ({"kind": "lines", "lines": [[1, 0], [1, [1.7e308, -1.7e308]]]},
          "$.lines[1][1]"),
         ({"kind": "bivariate", "terms": [[1, 0, [0, 2e6]]]}, "$.terms[0][2]"),
+        ({"kind": "node", "a": 0.5, "k": 400}, "$.k"),
+        ({"kind": "ramified", "k": 10**8}, "$.k"),
     ], ids=["axial-k-text", "ramified-k-text", "axial-k-fraction",
             "fiber-base-text", "fiber-q-zero", "node-a-nan", "planar-coeff-nan",
             "bivariate-exponent-fraction", "bivariate-empty",
@@ -382,7 +384,8 @@ class TestFormSchema:
             "planar-zero", "bivariate-z-degree", "bivariate-w-degree",
             "bivariate-terms", "lines-count", "planar-degree",
             "node-b-huge", "planar-coeff-huge", "ramified-a-huge",
-            "node-a-huge", "lines-coeff-huge", "bivariate-coeff-huge"])
+            "node-a-huge", "lines-coeff-huge", "bivariate-coeff-huge",
+            "node-k-400", "ramified-k-1e8"])
     def test_bad_spec_is_schema_error(self, tmp_path, capsys, spec, path):
         spec = write_spec(tmp_path, "s.json", spec)
         assert main(["verify", "--spec", spec, "--suite", "monodromy"]) == 2
@@ -438,7 +441,8 @@ class TestConstructFuzz:
 NUMBERS = st.integers(-3, 3) | st.floats(-3.0, 3.0) \
     | st.floats(-1e308, 1e308)
 COMPLEX = NUMBERS | st.lists(NUMBERS, min_size=2, max_size=2)
-INDEX = st.integers(1, 3)
+#: mostly small half-power indices, but some past MAX_HALF_POWER
+INDEX = st.integers(1, 3) | st.integers(-2, 10**9)
 #: mostly small exponents, but some past MAX_GERM_DEGREE
 EXPONENTS = st.integers(0, 3) | st.integers(0, 10**6)
 
@@ -467,6 +471,10 @@ TOL_NAMES = st.sampled_from(sorted({n for _, _, defaults in SUITES.values()
     | st.text(max_size=4)
 TOL_VALUES = st.floats().map(repr) | st.integers(-10, 10**13).map(str) \
     | st.text(max_size=4)
+
+
+def not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
 
 
 class TestVerifyFuzz:
@@ -526,16 +534,24 @@ class TestVerifyFuzz:
              suite="vanishing-order", tols=[], seed=0)
     @example(spec={"kind": "node", "a": 1e308}, suite="vanishing-order",
              tols=[], seed=0)
+    # a half-power index past MAX_HALF_POWER once wrote NaN into the report
+    @example(spec={"kind": "node", "a": 0.5, "k": 400}, suite="harmonicity",
+             tols=[], seed=0)
     def test_verify_exits_zero_one_or_two(self, tmp_path_factory, spec,
                                           suite, tols, seed):
         path = tmp_path_factory.getbasetemp() / "fuzz-verify.json"
         path.write_text(json.dumps(spec))
+        out = tmp_path_factory.getbasetemp() / "fuzz-verify"
+        report = out / f"report-{suite}.json"
+        report.unlink(missing_ok=True)
         argv = ["verify", "--spec", str(path), "--suite", suite,
-                "--seed", str(seed)]
+                "--seed", str(seed), "--out", str(out)]
         for name, value in tols:
             argv += ["--tol", f"{name}={value}"]
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+        if report.exists():
+            json.loads(report.read_text(), parse_constant=not_json)
 
 
 class TestSamplerBound:

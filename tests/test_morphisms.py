@@ -420,14 +420,13 @@ def dense_core_distance(points, core_points):
 
 class TestLaplaceBeltrami:
     def test_constant_field(self):
-        res = laplace_beltrami_residual(lambda y: 3.7, [0.2, -0.1, 0.3],
-                                        step=1e-2)
+        res = laplace_beltrami_residual(lambda y: np.full(y.shape[:-1], 3.7),
+                                        [0.2, -0.1, 0.3], step=1e-2)
         assert abs(res) < 1e-9
 
     def test_hopf_pullback_harmonic_on_s3(self):
         def field(y):
-            zeta = hopf_chart(stereo_embed(y))
-            return complex(zeta[0], zeta[1]).real  # Re(z/w), locally harmonic
+            return hopf_chart(stereo_embed(y))[..., 0]  # Re(z/w), harmonic
 
         y0 = np.array([0.4, -0.3, 0.25])
         r1 = laplace_beltrami_residual(field, y0, step=2e-2)
@@ -436,7 +435,8 @@ class TestLaplaceBeltrami:
 
     def test_cross_oracle_agreement(self):
         def field(x):
-            return x[0] ** 2 * x[1] + x[2] * x[3] + 0.3 * x[1] ** 3
+            return x[..., 0] ** 2 * x[..., 1] + x[..., 2] * x[..., 3] \
+                + 0.3 * x[..., 1] ** 3
 
         x0 = np.array([0.5, -0.2, 0.6, 0.0])
         x0 /= np.linalg.norm(x0)

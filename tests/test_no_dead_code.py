@@ -202,7 +202,7 @@ def test_keep_defaults_names_only_unpassed_parameters():
 
 #: most settable values the library may have: parameters with a default
 #: (nested functions included, lambdas not) plus dataclass fields
-MAX_SETTABLE = 56
+MAX_SETTABLE = 55
 
 
 def _is_dataclass(node) -> bool:

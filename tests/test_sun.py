@@ -99,7 +99,7 @@ class TestSource:
         p, chi = ZonalPoly.single(k), Cutoff()
 
         def f(x):
-            return chi.chi(np.linalg.norm(x)) * p.value_3d(x)
+            return chi.chi(np.linalg.norm(x, axis=-1)) * p.value_3d(x)
 
         for _ in range(6):
             x = RNG.uniform(-1, 1, size=3)
