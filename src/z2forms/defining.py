@@ -213,7 +213,11 @@ class ProductOfLines(DefiningFunction):
         dirs = []
         for a, b in self.lines:
             v = np.array([b, -a], dtype=complex)
-            dirs.append(v / np.linalg.norm(np.abs(v)))
+            # |v| taken on v over the power of two at its largest |component|,
+            # so |v|^2 cannot underflow; the scaling is exact, so |v| is
+            # unchanged to the bit wherever |v|^2 is a normal float
+            scale = np.ldexp(1.0, np.frexp(np.abs(v).max())[1] - 1)
+            dirs.append(v / (np.linalg.norm(np.abs(v) / scale) * scale))
         return dirs
 
 

@@ -69,6 +69,10 @@ class NoNullDirection(Z2FormsError):
     """Too few columns to search for a null combination."""
 
 
+class NonFiniteResult(Z2FormsError):
+    """A check measured a value that is NaN or infinite."""
+
+
 class SchemaError(Z2FormsError):
     """Construction descriptor does not match the expected schema."""
 

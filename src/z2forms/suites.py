@@ -6,6 +6,7 @@ claims with independent finite-difference / combinatorial oracles.
 """
 from __future__ import annotations
 
+import json
 import math
 from functools import cache
 
@@ -13,14 +14,14 @@ import numpy as np
 
 from .branch import HalfPower, monodromy, monodromy_and_winding
 from .defining import _finite, from_dict
-from .errors import (EmptyIntersection, GridTooCoarse, SamplerExhausted,
-                     SchemaError)
+from .errors import (EmptyIntersection, GridTooCoarse, NonFiniteResult,
+                     SamplerExhausted, SchemaError)
 from .fd import fd_laplacian, rms
 from .forms import AxialForm, PlanarForm, ReHPowerForm, sample_sigma, vanishing_order
 from .morphisms import (core_fiber, covering_degree, fiber, fiber_windings,
                         gauss_linking, polygon_linking, project_curves)
 from .paths import Polyline, circle
-from .report import Check, VerificationReport
+from .report import Check, VerificationReport, jsonable
 from .sun import (CUTOFF_PROFILES, MAX_GRID, MAX_ZONAL_DEGREE, Cutoff,
                   DoubleCoverGrid, SunPipeline, ZonalPoly, manufactured_error,
                   min_ring_grid)
@@ -496,5 +497,14 @@ def run_suite(suite: str, descriptor: dict, seed: int = 0,
         raise SchemaError("$.kind", f"suite {suite!r} does not apply to "
                           f"{descriptor['kind']!r}; it takes: {', '.join(kinds)}")
     checks = runner(descriptor, seed, {**defaults, **tolerances})
+    # a report is strict JSON: a NaN or infinite measurement is an error,
+    # not a check result
+    for check in checks:
+        for key, value in check.details.items():
+            try:
+                json.dumps(jsonable(value), allow_nan=False)
+            except ValueError:
+                raise NonFiniteResult(f"check {check.name}: details.{key} "
+                                      "is not finite") from None
     return VerificationReport(suite=suite, descriptor=descriptor, seed=seed,
                               checks=checks)

@@ -23,9 +23,9 @@ the two-sheeted function U = +-chi p; its Laplacian H = Delta U is the
 compactly supported source; V solves Delta V = H with Dirichlet data at a
 truncation radius; u = U - V.  A Z2 harmonic function changes sign between
 the sheets, so U, H and V are all odd under the sheet swap zeta -> -zeta,
-and the solver works on sheet-odd fields only: its unknowns are node
-pairs (zeta, -zeta), half the nodes of the chart.  Near the circle u has
-the expansion
+and the solver works on sheet-odd fields only.  They split again by
+parity under eta -> -eta (x3 -> -x3), so the solve factors two blocks,
+each on a quarter of the chart.  Near the circle u has the expansion
 
     u = A1p cos(theta/2) sqrt(r) + A1m sin(theta/2) sqrt(r) + O(r^{3/2}),
 
@@ -41,10 +41,11 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-# scipy is imported inside DoubleCoverGrid._matrix_csr, ._lu and
-# .interpolator only: importing it costs about 50 MB of RSS and 0.6 s
-# (2-core host), and no suite but sun (and no export but `field`) reaches
-# those three methods.
+# scipy.sparse is imported inside DoubleCoverGrid._matrix_csr, ._quarter
+# and ._lu only: importing scipy.sparse.linalg costs about 32 MB of RSS and
+# 0.4 s (2-core host), and no suite but sun (and no export but `field`)
+# reaches those three methods.  The interpolator is numpy, because
+# scipy.interpolate would cost another 20 MB and 0.3 s in every sun job.
 
 from .errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
                      NoNullDirection, SolverDiverged)
@@ -52,7 +53,7 @@ from .errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
 MAX_ZONAL_DEGREE = 12
 
 #: largest chart grid a spec may ask for: a full n = 2048 sun job took
-#: 18.6 s at a 1629 MB peak RSS on a 2-core host, and cost grows faster
+#: 5-10 s at a 1.3 GB peak RSS on a 2-core host, and cost grows faster
 #: than n^2
 MAX_GRID = 2048
 
@@ -199,15 +200,26 @@ class DoubleCoverGrid:
     L = sqrt(truncation + 1), which contains the preimage of the physical
     ball rho <= truncation.  Active nodes are those with s > 0 (inside the
     rotation-axis hyperbola) and rho < truncation; all other nodes carry
-    Dirichlet zero.
+    Dirichlet zero.  The grid keeps the ``active`` mask, the active-node
+    ``index`` and the active nodes' ``xi``, ``eta``, ``s`` and ``x3``, in
+    row-major order; no full n x n float array outlives the constructor.
 
     The grid solves for sheet-odd fields only, V(-zeta) = -V(zeta): every
-    source a Z2 harmonic function gives is odd and the operator commutes
-    with the swap, so every solution is odd too.  The axis is exactly odd,
-    so the swap maps node (i, j) to node (n-1-i, n-1-j) exactly.  The
-    unknowns are the node pairs, one "own" node per pair (``own``); at odd
-    n the center node zeta = 0 is its own mirror and an odd field vanishes
-    there.  One half-size system per grid replaces the full double cover.
+    source a Z2 harmonic function gives is odd.  The operator commutes with
+    the group {1, S, R, SR} of the sheet swap S: (i, j) -> (n-1-i, n-1-j)
+    and the reflection R: (i, j) -> (i, n-1-j), which is eta -> -eta, that
+    is x3 -> -x3; both are exact on the nodes because the axis is exactly
+    odd.  So a sheet-odd field splits into two parity blocks, eps = +1 and
+    eps = -1 under R, that solve independently, and a degree-k source lies
+    in the block eps = (-1)^k exactly.
+
+    Each orbit {q, Sq, Rq, SRq} has one unknown per parity, at its lowest
+    active index in row-major order: the node with xi <= 0 and eta <= 0, a
+    quarter of the chart.  The orbit's other nodes carry that value times
+    the character of the group element (S: -1, R: eps, SR: -eps).  A node
+    fixed by an element of character -1 carries 0.  That happens at odd n
+    only: at zeta = 0 always, on the eta = 0 line for eps = -1 and on the
+    xi = 0 line for eps = +1.
     """
 
     n: int = 512
@@ -218,39 +230,78 @@ class DoubleCoverGrid:
         axis = np.linspace(-self.half_width, self.half_width, self.n)
         self.axis = 0.5 * (axis - axis[::-1])  # axis[::-1] == -axis exactly
         self.h = self.axis[1] - self.axis[0]
-        self.xi, self.eta = np.meshgrid(self.axis, self.axis, indexing="ij")
-        self.s = 1.0 + self.xi**2 - self.eta**2
-        self.x3 = 2.0 * self.xi * self.eta
-        self.rho = np.hypot(self.s, self.x3)
-        self.active = (self.s > 0.0) & (self.rho < self.truncation)
+        xi, eta = self.axis[:, None], self.axis[None, :]
+        s = 1.0 + xi**2 - eta**2
+        self.active = (s > 0.0) & (np.hypot(s, 2.0 * xi * eta)
+                                   < self.truncation)
         idx = -np.ones((self.n, self.n), dtype=np.int64)
         idx[self.active] = np.arange(int(self.active.sum()))
         self.index = idx
-        # active index of each active node's mirror (n-1-i, n-1-j), and the
-        # later node of each pair in row-major order: i > n-1-i, or j > n-1-j
-        # on the center column of odd n (the center node pairs with itself)
+        ii, jj = np.nonzero(self.active)
+        self.xi, self.eta = self.axis[ii], self.axis[jj]
+        self.s = 1.0 + self.xi**2 - self.eta**2
+        self.x3 = 2.0 * self.xi * self.eta
+        # active index of each active node's sheet mirror (n-1-i, n-1-j)
         self.swap = idx[::-1, ::-1][self.active]
-        self.own = np.flatnonzero(self.swap < np.arange(self.swap.size))
+
+    @cached_property
+    def _quarter(self):
+        """(reps, mirrors, parity, fold) of the quarter-chart unknowns.
+
+        ``reps`` and ``mirrors`` are the active indices of each unknown's
+        representative node and of that node's R-mirror, ``parity`` is the
+        unknown's eps (the eps = +1 block first), and ``fold`` is the sparse
+        (active nodes x unknowns) matrix that spreads unknowns to the
+        sheet-odd field they stand for.
+        """
+        import scipy.sparse as sp
+
+        n, idx = self.n, self.index
+        ii, jj = np.nonzero(self.active)
+        flip_i, flip_j = ii > n - 1 - ii, jj > n - 1 - jj  # xi > 0, eta > 0
+        rep = idx[np.minimum(ii, n - 1 - ii), np.minimum(jj, n - 1 - jj)]
+        own = np.flatnonzero(rep == np.arange(rep.size))
+        # a node carries its representative's value times the character of
+        # S^flip_i R^(flip_i != flip_j); the orbits of the fixed nodes that
+        # carry 0 lose their column
+        spread = (np.arange(rep.size), np.searchsorted(own, rep))
+        sheet = np.where(flip_i, -1.0, 1.0)
+        folds, reps, parity = [], [], []
+        for eps, fixed in ((1.0, ii == n - 1 - ii), (-1.0, jj == n - 1 - jj)):
+            keep = ~fixed[own]
+            fold = sp.csc_matrix((sheet * np.where(flip_i != flip_j, eps, 1.0),
+                                  spread), shape=(rep.size, own.size))
+            folds.append(fold[:, keep])
+            reps.append(own[keep])
+            parity.append(np.full(keep.sum(), eps))
+        reps = np.concatenate(reps)
+        return (reps, idx[ii[reps], n - 1 - jj[reps]], np.concatenate(parity),
+                sp.hstack(folds, format="csc"))
 
     @cached_property
     def _lu(self):
-        # On sheet-odd fields v[swap[k]] = -v[k], the rows ``own`` of A v
-        # read B v[own] with B = A[own, own] - A[own, swap[own]]; the mirror
-        # rows are their negatives because A commutes with the swap.  -A is
-        # symmetric positive definite: each face weight enters both of its
-        # nodes' rows alike, the diagonal holds minus the sum of all face
-        # weights (Dirichlet faces included), and every connected part of
-        # the active region reaches the Dirichlet truncation circle.  B is
-        # half of A restricted to the odd subspace (basis e_k - e_swap[k]),
-        # so -B is exactly symmetric positive definite too: diagonal pivots
-        # in any symmetric order are stable, and minimum degree on B + B^T
-        # has about half the fill of the default COLAMD order.
+        # In a parity block, row q of A fold x is the representative's row
+        # times the character taking the representative to q, so the rows
+        # at the representatives are the whole system: B = diag(B+, B-).
+        # B = D^-1 M with M = fold^T A fold on a block and D the orbit sizes
+        # (4, or 2 through a fixed node).  -A is symmetric positive definite
+        # (each face weight enters both of its nodes' rows alike, the
+        # diagonal holds minus the sum of all face weights, Dirichlet faces
+        # included, and every connected part of the active region reaches
+        # the Dirichlet truncation circle), so -M is too: diagonal pivots in
+        # any symmetric order are stable, and minimum degree on B + B^T has
+        # far less fill than COLAMD.  The ordering depends on the choice of
+        # representatives: at n = 1024 the L + U fill is 10.1M with the
+        # lowest index of each orbit and 14.4M with the highest.
+        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        a = self._matrix_csr[self.own]
-        b = a[:, self.own] - a[:, self.swap[self.own]]
-        return spla.splu(b.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0,
+        a = self._matrix_csr
+        reps, _, parity, fold = self._quarter
+        split = int(np.count_nonzero(parity > 0))
+        b = sp.block_diag([a[reps[:split]] @ fold[:, :split],
+                           a[reps[split:]] @ fold[:, split:]], format="csc")
+        return spla.splu(b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
 
     @cached_property
@@ -258,21 +309,21 @@ class DoubleCoverGrid:
         """Five-point finite-volume matrix of div(s grad .), face-weighted."""
         import scipy.sparse as sp
 
-        n, h = self.n, self.h
+        n, h, axis = self.n, self.h, self.axis
         idx, active = self.index, self.active
         rows, cols, vals, faces = [], [], [], []
 
         ii, jj = np.nonzero(active)
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             ni, nj = np.clip(ii + di, 0, n - 1), np.clip(jj + dj, 0, n - 1)
-            xm = 0.5 * (self.axis[ii] + self.axis[ni])
-            ym = 0.5 * (self.axis[jj] + self.axis[nj])
+            xm = 0.5 * (axis[ii] + axis[ni])
+            ym = 0.5 * (axis[jj] + axis[nj])
             w = np.maximum(1.0 + xm * xm - ym * ym, 0.0) / h**2
             # faces toward the axis region (neighbor with s <= 0) carry no
             # flux: that is the natural boundary condition of the weighted
             # form, and imposing Dirichlet there instead is wrong and
             # grid-alignment dependent
-            w[self.s[ni, nj] <= 0.0] = 0.0
+            w[1.0 + axis[ni]**2 - axis[nj]**2 <= 0.0] = 0.0
             faces.append(w)
             rows_here = idx[ii, jj]
             nb_active = active[ni, nj] & ((ni != ii) | (nj != jj))
@@ -292,27 +343,25 @@ class DoubleCoverGrid:
 
     def rhs_from_source(self, p: ZonalPoly, chi: Cutoff) -> np.ndarray:
         """4 |zeta|^2 s H on the active nodes (flattened)."""
-        a = self.active
-        xi, eta, s = self.xi[a], self.eta[a], self.s[a]
-        h = source_meridian(p, chi, s, self.x3[a])
-        return np.sign(xi) * 4.0 * (xi**2 + eta**2) * s * h
+        h = source_meridian(p, chi, self.s, self.x3)
+        return np.sign(self.xi) * 4.0 * (self.xi**2 + self.eta**2) * self.s * h
 
     def solve(self, rhs_active: np.ndarray) -> np.ndarray:
         """Solve div(s grad V) = rhs for a sheet-odd rhs; returns V on the
         full grid (0 outside).
 
         A rhs that is not exactly odd under the sheet swap raises
-        ValueError: this grid has no sheet-even solve.  The residual check
-        runs on the full five-point system, so it certifies the half-size
-        reduction as well as the factorization.
+        ValueError: this grid has no sheet-even solve.  The rhs is split
+        into its two R-parity parts at the representatives, exactly for a
+        pure-parity rhs.  The residual check runs on the full five-point
+        system, so it certifies the quarter-chart reduction as well as the
+        factorization.
         """
         rhs = np.asarray(rhs_active, dtype=float)
         if not np.array_equal(rhs[self.swap], -rhs):
             raise ValueError("rhs is not odd under the sheet swap zeta -> -zeta")
-        x = self._lu.solve(rhs[self.own])
-        v = np.zeros_like(rhs)
-        v[self.own] = x
-        v[self.swap[self.own]] = -x
+        reps, mirrors, parity, fold = self._quarter
+        v = fold @ self._lu.solve(0.5 * (rhs[reps] + parity * rhs[mirrors]))
         res = self._matrix_csr @ v - rhs
         scale = max(np.linalg.norm(rhs), 1e-300)
         if np.linalg.norm(res) > 1e-8 * scale:
@@ -323,11 +372,31 @@ class DoubleCoverGrid:
         return full
 
     def interpolator(self, values: np.ndarray):
-        from scipy.interpolate import RegularGridInterpolator
+        """Bilinear interpolant of chart values (n, n).
 
-        return RegularGridInterpolator((self.axis, self.axis), values,
-                                       method="linear", bounds_error=False,
-                                       fill_value=0.0)
+        The returned callable takes a tuple (xi, eta) of coordinate arrays,
+        which broadcast, and gives 0 outside the chart square.
+        """
+        axis, values = self.axis, np.asarray(values, dtype=float)
+
+        def cell(x):
+            i = np.clip(np.searchsorted(axis, x, side="right") - 1,
+                        0, self.n - 2)
+            return i, (x - axis[i]) / (axis[i + 1] - axis[i])
+
+        def interp(points):
+            x, y = np.broadcast_arrays(*(np.asarray(c, dtype=float)
+                                         for c in points))
+            (i, tx), (j, ty) = cell(x), cell(y)
+            out = (values[i, j] * (1.0 - tx) * (1.0 - ty)
+                   + values[i, j + 1] * (1.0 - tx) * ty
+                   + values[i + 1, j] * tx * (1.0 - ty)
+                   + values[i + 1, j + 1] * tx * ty)
+            outside = ((x < axis[0]) | (x > axis[-1])
+                       | (y < axis[0]) | (y > axis[-1]))
+            return np.where(outside, 0.0, out)
+
+        return interp
 
     def ring_window(self) -> tuple[float, float]:
         """Physical-r fit window [r_lo, 0.1] resolvable on this grid near the
@@ -513,8 +582,7 @@ def manufactured_error(grid: DoubleCoverGrid) -> np.ndarray:
     V* is the odd pair E(zeta) - E(-zeta) of the bump, the class of fields
     the grid solves for.
     """
-    xi, eta = grid.xi[grid.active], grid.eta[grid.active]
-    e_pos, lap_pos = _bump(xi, eta)
-    e_neg, lap_neg = _bump(-xi, -eta)
+    e_pos, lap_pos = _bump(grid.xi, grid.eta)
+    e_neg, lap_neg = _bump(-grid.xi, -grid.eta)
     v = grid.solve(lap_pos - lap_neg)
     return np.abs(v[grid.active] - (e_pos - e_neg))

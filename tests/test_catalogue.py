@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,28 @@ class TestHarmonicPolynomialInputs:
         d = normalize_descriptor({"kind": "node", "a": 0, "b": 0, "c": 0})
         check, = run_suite("harmonicity", d).checks
         assert "roundoff_floor" not in check.details
+
+
+class TestLineDirections:
+    def test_tiny_coefficients_do_not_underflow(self):
+        """{1e-200 z + 1e-200 w = 0} is the line z + w = 0; |(a, b)|^2
+        underflows, and the direction must not."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (v,) = ProductOfLines(((1e-200, 1e-200),)).unit_directions()
+        assert np.array_equal(v, np.array([1, -1]) / np.sqrt(2))
+
+    def test_directions_unchanged_for_ordinary_coefficients(self):
+        """Bit for bit, signed zeros included, the plain v / |v| wherever
+        |v|^2 is a normal float."""
+        rng = np.random.default_rng(5)
+        coef = (rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))) \
+            * 10.0 ** rng.uniform(-100, 100, size=(200, 1))
+        coef[::5, 0], coef[1::5, 1] = 0.0, 1.0
+        lines = ProductOfLines(tuple(map(tuple, coef)))
+        for (a, b), got in zip(coef, lines.unit_directions()):
+            v = np.array([b, -a])
+            assert got.tobytes() == (v / np.linalg.norm(np.abs(v))).tobytes()
 
 
 class TestVanishingOrder:

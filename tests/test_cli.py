@@ -197,6 +197,26 @@ class TestVerify:
         assert main(["verify", "--spec", spec, "--suite", suite]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    # h^k overflows on these valid specs (coefficients at MAX_COEFFICIENT,
+    # k = 24), and numpy warns about it
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("spec", [
+        {"kind": "node", "a": 1e6, "b": 1e6, "c": 1e6, "k": 24},
+        {"kind": "ramified", "a": 1e6, "k": 24},
+        {"kind": "lines", "lines": [[1e6, 1e6]] * 10, "k": 24},
+        {"kind": "bivariate", "terms": [[3, 3, 1e6], [1, 0, 1]], "k": 24},
+    ], ids=["node", "ramified", "lines", "bivariate"])
+    def test_non_finite_measurement_is_an_error(self, tmp_path, capsys, spec):
+        # a NaN or infinite detail names its check and key, and no report
+        # is written
+        spec = write_spec(tmp_path, "s.json", spec)
+        out = tmp_path / "art"
+        assert main(["verify", "--spec", spec, "--suite", "harmonicity",
+                     "--out", str(out)]) == 2
+        assert re.match(r"error: check harmonicity\.\S+: details\.\w+ is not "
+                        r"finite$", capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("p", [[-1] + [0] * 63 + [1], [1] * 65],
                              ids=["z64-minus-1", "all-ones-degree-64"])
     def test_planar_window_follows_root_spacing(self, tmp_path, capsys, p):
@@ -705,7 +725,8 @@ print(json.dumps(out))
 class TestLazyScipy:
     def test_only_the_sun_suite_loads_scipy(self, tmp_path):
         """Importing the CLI and running a non-sun job load no scipy; a sun
-        job in the same process loads it and passes."""
+        job in the same process loads scipy's sparse solver, and not
+        scipy.interpolate, and passes."""
         node = write_spec(tmp_path, "node.json", {"kind": "node"})
         sun = write_spec(tmp_path, "sun.json", {"kind": "sun", "grid": 96,
                                                 "truncation": 10})
@@ -719,7 +740,7 @@ class TestLazyScipy:
         assert out["import"] == [] and out["node"] == []
         assert out["node_code"] == 0 and out["sun_code"] == 0
         assert "scipy.sparse.linalg" in out["sun"]
-        assert "scipy.interpolate" in out["sun"]
+        assert "scipy.interpolate" not in out["sun"]
 
 
 class TestReadme:

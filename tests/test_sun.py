@@ -117,8 +117,10 @@ class TestSource:
 class TestGrid:
     def test_active_region(self):
         g = DoubleCoverGrid(n=96)
-        assert not g.active[g.s <= 0].any()
-        assert not g.active[g.rho >= g.truncation].any()
+        xi, eta = np.meshgrid(g.axis, g.axis, indexing="ij")
+        s = 1.0 + xi**2 - eta**2
+        assert not g.active[s <= 0].any()
+        assert not g.active[np.hypot(s, 2.0 * xi * eta) >= g.truncation].any()
         # active nodes never sit on the outer edge of the chart square
         assert not g.active[0].any() and not g.active[-1].any()
 
@@ -128,11 +130,27 @@ class TestGrid:
         assert np.array_equal(g.axis[::-1], -g.axis)
 
     @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
+    def test_active_node_arrays_follow_index(self, n):
+        """The active-node arrays hold each active node's chart values in
+        the order of ``index``."""
+        g = DoubleCoverGrid(n=n)
+        ii, jj = np.nonzero(g.active)
+        assert np.array_equal(g.index[ii, jj], np.arange(ii.size))
+        assert np.array_equal(g.xi, g.axis[ii])
+        assert np.array_equal(g.eta, g.axis[jj])
+        assert np.array_equal(g.s, 1.0 + g.axis[ii]**2 - g.axis[jj]**2)
+        assert np.array_equal(g.x3, 2.0 * g.axis[ii] * g.axis[jj])
+
+    @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
     def test_matrix_commutes_with_swap(self, n):
+        """The matrix commutes with the sheet swap S and with the
+        reflection R (eta -> -eta), and both are involutions."""
         g = DoubleCoverGrid(n=n)
         a = g._matrix_csr
-        assert (a[g.swap][:, g.swap] != a).nnz == 0
-        assert np.array_equal(g.swap[g.swap], np.arange(a.shape[0]))
+        refl = g.index[:, ::-1][g.active]
+        for mirror in (g.swap, refl):
+            assert (a[mirror][:, mirror] != a).nnz == 0
+            assert np.array_equal(mirror[mirror], np.arange(a.shape[0]))
 
     def test_solve_linearity(self):
         g = DoubleCoverGrid(n=96)
@@ -155,17 +173,56 @@ class TestGrid:
         assert (a.diagonal() < 0.0).all()
 
     def test_symmetric_lu_matches_colamd_with_less_fill(self):
-        """The half-size solve equals a full-domain COLAMD LU solve, from
-        about a quarter of its fill, at even and odd n (odd n has the
-        self-mirrored node zeta = 0)."""
+        """The quarter-chart solve equals a full-domain COLAMD LU solve, from
+        about a fifth of its fill, at even and odd n (odd n has the fixed
+        nodes: zeta = 0, and the eta = 0 and xi = 0 lines), for a
+        mixed-parity and a pure odd-parity source."""
         for n in (N_TEST, N_TEST + 1):
             g = DoubleCoverGrid(n=n)
             ref = spla.splu(g._matrix_csr.tocsc())
-            rhs = g.rhs_from_source(ZonalPoly(((0, 1.0), (3, -0.5))), Cutoff())
-            want = ref.solve(rhs)
-            got = g.solve(rhs)[g.active]
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            assert g._lu.nnz <= 0.3 * ref.nnz
+            for p in (ZonalPoly(((0, 1.0), (3, -0.5))), ZonalPoly.single(3)):
+                rhs = g.rhs_from_source(p, Cutoff())
+                want = ref.solve(rhs)
+                got = g.solve(rhs)[g.active]
+                assert np.linalg.norm(got - want) <= \
+                    1e-12 * np.linalg.norm(want)
+            assert g._lu.nnz <= 0.22 * ref.nnz
+
+    @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
+    def test_interpolator_matches_regular_grid_interpolator(self, n):
+        """The numpy bilinear interpolant equals scipy's linear
+        RegularGridInterpolator on interior points, on grid lines and nodes
+        and on the edges of the chart square, and is 0 outside it."""
+        from scipy.interpolate import RegularGridInterpolator
+
+        g = DoubleCoverGrid(n=n)
+        a = g.axis
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=(n, n))
+        ref = RegularGridInterpolator((a, a), values, method="linear",
+                                      bounds_error=False, fill_value=0.0)
+        free = rng.uniform(a[0], a[-1], size=400)
+        nodes = rng.choice(a, size=400)
+        edges = rng.choice([a[0], a[-1]], size=400)
+        inside = np.concatenate([
+            np.stack([free, rng.permutation(free)], axis=-1),
+            np.stack([nodes, free], axis=-1),
+            np.stack([free, nodes], axis=-1),
+            np.stack([nodes, rng.permutation(nodes)], axis=-1),
+            np.stack([edges, free], axis=-1),
+            np.stack([nodes, edges], axis=-1),
+            np.array([[a[0], a[0]], [a[0], a[-1]], [a[-1], a[0]],
+                      [a[-1], a[-1]]])])
+        got = g.interpolator(values)((inside[:, 0], inside[:, 1]))
+        want = ref(inside)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        beyond = np.nextafter(a[-1], np.inf)
+        outside = np.array([[beyond, 0.0], [0.0, -beyond], [-beyond, beyond],
+                            [3.0 * a[-1], 0.5], [0.5, -3.0 * a[-1]]])
+        assert np.array_equal(ref(outside), np.zeros(len(outside)))
+        assert np.array_equal(
+            g.interpolator(values)((outside[:, 0], outside[:, 1])),
+            np.zeros(len(outside)))
 
     def test_ring_window_guard(self):
         with pytest.raises(GridTooCoarse):
@@ -269,7 +326,8 @@ class TestPipeline:
         """A grid field with no sqrt(r) term, u = r^{5/2} cos(theta/2)
         (v = -xi |zeta|^4), fits sqrt(r) badly, and a1_of refuses it."""
         g = pipeline.grid
-        v = np.where(g.active, -g.xi * (g.xi**2 + g.eta**2) ** 2, 0.0)
+        xi, eta = np.meshgrid(g.axis, g.axis, indexing="ij")
+        v = np.where(g.active, -xi * (xi**2 + eta**2) ** 2, 0.0)
         _, rel = extract_a1(pipeline.near_circle_fn(v), pipeline.ring_radii())
         assert rel > MAX_FIT_REL_RESIDUAL
         with pytest.raises(FitIllConditioned):
