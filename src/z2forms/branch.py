@@ -5,10 +5,11 @@ one consistent value along a sampled path, always recording the sign
 relative to the principal branch (argument in (-pi, pi]).
 
 Every walk is an array walk: h is evaluated at all segment ends in one
-array call and the nearest root is picked for all segments at once.  Only
-segments on which arg h turns by pi/2 or more are halved, in rounds of one
-array call each.  Every state holds points (..., dim), one point (dim,)
-included, and answers with numpy scalars for one point.
+array call, and it measures only the turn of arg h, from which the sign
+of the continued root and a loop's winding number follow.  Segments on
+which arg h turns by pi/2 or more are halved, in rounds of one array call
+each.  Every state holds points (..., dim), one point (dim,) included,
+and answers with numpy scalars for one point.
 """
 from __future__ import annotations
 
@@ -67,55 +68,52 @@ class BranchState:
         return np.where(self.sign == +1, r, -r)[()]
 
 
+def _check_off_locus(h_value, where: str) -> None:
+    """Raise PathHitsBranchLocus where some |h| is below EPS_SIGMA; the
+    one near-locus guard of the walks and the form evaluators."""
+    least = np.min(np.abs(h_value), initial=np.inf)
+    if least < EPS_SIGMA:
+        raise PathHitsBranchLocus(f"|h| = {least:.3e} {where}")
+
+
 def principal_state(h, point) -> BranchState:
     """BranchState at points (..., dim) on the principal branch (sign +1)."""
     point = np.asarray(point, dtype=float)
     hv = h.value_at(point)
-    least = np.min(np.abs(hv))
-    if least < EPS_SIGMA:
-        raise PathHitsBranchLocus(f"|h| = {least:.3e} at base point")
+    _check_off_locus(hv, "at base point")
     return BranchState(at=point, h_value=hv, sign=+1)
 
 
-def _flips(h_a, h_b):
-    """Whether the principal root jumps to the far side from h_a to h_b, so
-    that the continued root changes its sign relative to it.  With
-    |d arg h| < pi/2 the two roots are never equidistant."""
-    r_a, r_b = np.sqrt(h_a), np.sqrt(h_b)
-    return np.abs(r_b - r_a) > np.abs(r_b + r_a)
+def _sign_change(h_a, turn, h_b):
+    """-1 where the principal root at h_a, continued while arg h turns by
+    ``turn``, is minus the principal root at h_b, else +1: their arguments
+    (angle(h_a) + turn) / 2 and angle(h_b) / 2 differ by a multiple of pi.
+    At the cut a signed zero decides ``angle`` and ``sqrt`` the same way."""
+    half = np.rint((np.angle(h_a) + turn - np.angle(h_b)) / (2.0 * np.pi)) / 2
+    return np.where(half == np.rint(half), 1, -1)  # float % is slow
 
 
 def _segments(h, a, b, h_a, h_b):
-    """Walk the segments [a[i], b[i]], given h at their ends (flat arrays).
+    """The turn of arg h along each segment [a[i], b[i]], given h at their
+    ends (flat arrays).
 
-    Returns, per segment, whether the continued root flips its sign
-    relative to the principal one, and the turn of arg h.  A segment on
-    which arg h turns by pi/2 or more, or which ends within EPS_SIGMA of
-    the locus, is halved in rounds, one h evaluation per round for the
-    pieces of all such segments; every other segment is a single step.
+    A segment on which arg h turns by pi/2 or more is halved in rounds,
+    one h evaluation per round for the pieces of all such segments, and
+    its turn is the sum of its pieces'; every other segment is a single
+    step.  Each round first checks the ends of its pieces against the
+    locus, so a segment end raises before any halving.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        turn = np.angle(h_b / h_a)
-    flip = _flips(h_a, h_b)
-    bad = np.flatnonzero(~(np.abs(turn) < np.pi / 2)
-                         | (np.abs(h_b) < EPS_SIGMA))
-    if not bad.size:
-        return flip, turn
+    turn = np.zeros(len(h_b))
     # each piece keeps the index of its segment in ``owner``
-    owner, a, b, h_a, h_b = bad, a[bad], b[bad], h_a[bad], h_b[bad]
-    turn[bad], flip[bad] = 0.0, False
+    owner = np.arange(len(h_b))
     for _ in range(MAX_REFINE_DEPTH + 1):
-        least = np.min(np.abs(h_b))
-        if least < EPS_SIGMA:
-            raise PathHitsBranchLocus(f"|h| = {least:.3e} on path")
+        _check_off_locus(h_b, "on path")
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.angle(h_b / h_a)
         done = np.abs(step) < np.pi / 2
         turn += np.bincount(owner[done], step[done], turn.size)
-        flip ^= np.bincount(owner[done], _flips(h_a[done], h_b[done]),
-                            flip.size) % 2 == 1
         if done.all():
-            return flip, turn
+            return turn
         a, b, h_a, h_b, owner = (x[~done] for x in (a, b, h_a, h_b, owner))
         mid = 0.5 * (a + b)
         h_mid = h.value_at(mid)
@@ -127,23 +125,23 @@ def _segments(h, a, b, h_a, h_b):
 def _along(h, verts, start: BranchState) -> tuple[BranchState, float]:
     """``start`` carried along the polyline through ``verts``, and the turn
     of arg h on the way.  h is evaluated at all vertices in one array
-    call; a path back to its start ends on the start's h value."""
+    call; a path back to its start ends on the start's h value.  The sign
+    changes of the segments telescope, so the total turn decides."""
     hvs = np.empty(len(verts), dtype=complex)
     hvs[0] = start.h_value
     hvs[1:] = h.value_at(verts[1:])
     if np.array_equal(verts[-1], start.at):
         hvs[-1] = start.h_value
-    flip, turn = _segments(h, verts[:-1], verts[1:], hvs[:-1], hvs[1:])
-    sign = -start.sign if np.count_nonzero(flip) % 2 else start.sign
-    return BranchState(at=verts[-1], h_value=hvs[-1], sign=sign), \
-        float(turn.sum())
+    turn = float(_segments(h, verts[:-1], verts[1:], hvs[:-1], hvs[1:]).sum())
+    sign = start.sign * int(_sign_change(hvs[0], turn, hvs[-1]))
+    return BranchState(at=verts[-1], h_value=hvs[-1], sign=sign), turn
 
 
 def continue_branch(h, path: Polyline, start: BranchState) -> BranchState:
-    """Continue ``start`` along ``path`` by stepwise nearest-root choice.
+    """Continue ``start`` along ``path`` by the turn of arg h.
 
     Segments on which the argument of h changes by pi/2 or more are
-    refined dyadically, so the nearest-root choice is always unambiguous.
+    refined dyadically, so the turn is always unambiguous.
     """
     verts = path.vertices()
     if not np.allclose(verts[0], start.at, atol=1e-12):
@@ -164,12 +162,10 @@ def continue_straight(h, start: BranchState, point) -> BranchState:
     full = shape + point.shape[-1:]
     a, b = (np.broadcast_to(x, full).reshape(-1, full[-1])
             for x in (start.at, point))
-    h_end = np.broadcast_to(h_end, shape)
-    flip, _ = _segments(h, a, b,
-                        np.broadcast_to(start.h_value, shape).ravel(),
-                        h_end.ravel())
-    sign = np.where(flip, -1, 1).reshape(shape) * start.sign
-    return BranchState(at=np.broadcast_to(point, full), h_value=h_end[()],
+    h_a, h_b = (np.broadcast_to(x, shape) for x in (start.h_value, h_end))
+    turn = _segments(h, a, b, h_a.ravel(), h_b.ravel()).reshape(shape)
+    sign = _sign_change(h_a, turn, h_b) * start.sign
+    return BranchState(at=np.broadcast_to(point, full), h_value=h_b[()],
                        sign=sign[()])
 
 
@@ -177,9 +173,9 @@ def monodromy_and_winding(h, loop: Polyline) -> tuple[int, int]:
     """Sign picked up by the square root of h around a closed loop, and the
     winding number of t -> h(loop(t)) around 0, from one walk.
 
-    The sign comes from the nearest-root choice and the winding number from
-    the argument increments of the same h values; the monodromy equals
-    (-1)**winding_number, a cross-check.
+    Both come from the one turn of arg h around the loop: the sign is
+    (-1)**winding_number by construction, and the monodromy suite's
+    independent evidence is the expected sign and a refined loop's.
     """
     if not loop.closed:
         raise ValueError("monodromy and winding number need a closed loop")

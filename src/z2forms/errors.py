@@ -6,15 +6,12 @@ class Z2FormsError(Exception):
 
 
 class PathHitsBranchLocus(Z2FormsError):
-    """A continuation path passes too close to the zero set of h."""
+    """A continuation path, or an evaluation, comes too close to the zero
+    set of h."""
 
 
 class RefinementLimit(Z2FormsError):
     """Adaptive path refinement exceeded its subdivision budget."""
-
-
-class OnBranchLocus(Z2FormsError):
-    """Evaluation requested too close to the branching locus."""
 
 
 class EmptyIntersection(Z2FormsError):

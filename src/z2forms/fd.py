@@ -35,11 +35,6 @@ def fd_laplacian_order4(f, point, step: float) -> float:
                           (-1, 16, -30, 16, -1)) / 12.0) / step**2
 
 
-def fd_gradient_order4(f, point, step: float) -> np.ndarray:
-    return np.moveaxis(_axis_sums(f, point, step, (2, 1, -1, -2),
-                                  (-1, 8, -8, 1)) / (12.0 * step), 0, -1)
-
-
 def fd_jacobian(fn, point, step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of a map: ``jac[..., i, j] = d_j fn_i``
     (``jac[..., j] = d_j fn`` for a scalar map)."""

@@ -14,10 +14,10 @@ All three share one branch-aware protocol: a germ ``h`` whose square root
 the form is built on; ``state_at(point)``, the principal ``BranchState``;
 ``eval_omega(state)``, the covector on the state's branch;
 ``magnitude(point)``, |omega|, which no branch choice changes; and
-``f_near(center_state)``, the harmonic function the harmonicity suite
-checks, continued along straight segments from the center's branch.  That
-function is f for the first and third families and the covector omega,
-each of whose components is harmonic, for planar forms.
+``f_near(center_state)``, ``eval_f`` continued along straight segments
+from the center's branch: the harmonic function the harmonicity suite
+checks.  ``eval_f`` is f for the first and third families and the
+covector omega, each of whose components is harmonic, for planar forms.
 
 Covector components are real arrays in the coordinates
 (Re z, Im z, Re w, Im w), (x, y) and (x, y, z) respectively, on the last
@@ -32,25 +32,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branch import (BranchState, EPS_SIGMA, HalfPower, continue_straight,
-                     principal_state)
+from .branch import (BranchState, HalfPower, _check_off_locus,
+                     continue_straight, principal_state)
 from .defining import (DefiningFunction, ProductOfLines,
                        UnivariatePolynomial, to_complex)
-from .errors import EmptyIntersection, OnBranchLocus
+from .errors import EmptyIntersection
 
 #: residual contract for sampled points of the zero locus
 SIGMA_RESIDUAL = 1e-9
 
 
-def _require_off_locus(hv):
-    least = np.min(np.abs(hv))
-    if least < EPS_SIGMA:
-        raise OnBranchLocus(f"|h| = {least:.3e} below cutoff {EPS_SIGMA}")
-
-
 def _half_powers(state: BranchState, k: HalfPower) -> tuple[complex, complex]:
     """h^((2k+1)/2) and h^((2k-1)/2) on the state's branch."""
-    _require_off_locus(state.h_value)
+    _check_off_locus(state.h_value, "in state")
     high = state.h_value ** k.k * state.sqrt_value
     return high, high / state.h_value
 
@@ -114,15 +108,10 @@ class PlanarForm(_BranchForm):
     dimension = 2
 
     def eval_omega(self, state: BranchState) -> np.ndarray:
-        _require_off_locus(state.h_value)
+        _check_off_locus(state.h_value, "in state")
         return _re_covector(state.sqrt_value)
 
-    def f_near(self, center: BranchState):
-        """omega near ``center``, branch continued from it; each component
-        is harmonic."""
-        def f(point):
-            return self.eval_omega(continue_straight(self.h, center, point))
-        return f
+    eval_f = eval_omega  # each component of omega is harmonic
 
 
 @dataclass(frozen=True)
@@ -206,6 +195,7 @@ def _w_roots(coeffs) -> np.ndarray:
     out = np.full((coeffs.shape[1], deg), np.nan, dtype=complex)
     nonzero = coeffs != 0
     top, low = deg - np.argmax(nonzero[::-1], axis=0), np.argmax(nonzero, axis=0)
+    top[~nonzero.any(axis=0)] = 0  # an all-zero column has no roots
     for t, lo in set(zip(top, low)):
         # as np.roots: eigenvalues of the companion matrix without the zero
         # leading coefficients, then a root 0 per zero low coefficient

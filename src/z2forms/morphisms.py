@@ -3,7 +3,9 @@
 The Hopf chart map (z, w) -> z/w and its Seifert generalizations
 [z1^p : z2^q], fiber parameterization (torus knots, multiple covers),
 pullback of planar forms, Gauss linking numbers, covering degrees, and
-chart-based Laplace-Beltrami residuals.
+two Laplace-Beltrami discretizations of the round S^3: conformal fluxes
+in the stereographic chart, and the flat Laplacian of the homogeneous
+extension.
 
 Points of S^3 are real 4-vectors (Re z1, Im z1, Re z2, Im z2).
 """
@@ -18,7 +20,7 @@ import numpy as np
 from .defining import to_complex_pair
 from .errors import (ChartBoundary, CurvesTooClose, ImageAtInfinity,
                      NotInTube, NotOnSphere, SingularFiber)
-from .fd import fd_gradient_order4, fd_jacobian, fd_laplacian_order4
+from .fd import fd_jacobian, fd_laplacian_order4
 from .paths import Polyline, circle
 
 SPHERE_TOL = 1e-10
@@ -380,73 +382,42 @@ def stereo_embed(y) -> np.ndarray:
     return np.concatenate([2 * y, s - 1.0], axis=-1) / (1.0 + s)
 
 
-def stereo_metric(y) -> np.ndarray:
-    """The round metric at stereographic coordinates y (..., 3):
-    4/(1+|y|^2)^2 I, shape (..., 3, 3)."""
-    c = 2.0 / (1.0 + (y * y).sum(axis=-1))
-    return (c * c)[..., None, None] * np.eye(3)
-
-
 def laplace_beltrami_residual(scalar, point, step: float) -> float:
     """Second-order FD evaluation of (1/sqrt(g)) d_i(sqrt(g) g^{ij} d_j u)
     at points (..., 3) of a function ``scalar`` of the stereographic
     coordinates of S^3.
 
-    The stencil uses staggered half-step fluxes of the closed-form metric's
-    inverse and determinant, independent of ``lb_round_s3_conformal``, with
-    the gradients at all six faces from one ``fd_jacobian`` call.
+    The round metric is conformal, g = c^2 delta with c = 2/(1+|y|^2), so
+    sqrt(g) g^{ij} = c delta^{ij} and sqrt(g) = c^3: staggered half-step
+    fluxes c d_i u, with the gradients at all six faces from one
+    ``fd_jacobian`` call, summed and divided by c^3.
     """
     y0 = np.asarray(point, dtype=float)
     # the faces y0 -/+ (step/2) e_i, shape (side, i, ..., 3)
     half = np.multiply.outer([-0.5, 0.5], step * np.eye(3))
     faces = y0 + half.reshape((2, 3) + (1,) * (y0.ndim - 1) + (3,))
-    g = stereo_metric(faces)
-    grad = fd_jacobian(scalar, faces, step)
-    flux = np.sqrt(np.linalg.det(g))[..., None] \
-        * (np.linalg.inv(g) @ grad[..., None])[..., 0]
+    c = 2.0 / (1.0 + (faces * faces).sum(axis=-1))
+    flux = c[..., None] * fd_jacobian(scalar, faces, step)
     total = 0.0
     for i in range(3):
         total += (flux[1, i, ..., i] - flux[0, i, ..., i]) / step
-    return total / np.sqrt(np.linalg.det(stereo_metric(y0)))
-
-
-def lb_round_s3_conformal(scalar, y0, step: float) -> float:
-    """Chart-formula oracle for the round S^3 in its stereographic chart.
-
-    The metric is conformal, g = c^2 * delta with c = 2/(1+|y|^2), so
-
-    Delta_g u = c^-2 [Delta u + grad(log c) . grad u]
-
-    in three dimensions.  The closed-form metric derivative makes this a
-    single-level fourth-order FD scheme, suitable for the high-accuracy
-    cross-oracle comparison.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    lap = fd_laplacian_order4(scalar, y0, step)
-    grad = fd_gradient_order4(scalar, y0, step)
-    c = 2.0 / (1.0 + y0 @ y0)
-    log_grad = -2.0 * y0 / (1.0 + y0 @ y0)
-    return (lap + log_grad @ grad) / (c * c)
+    return total / (2.0 / (1.0 + (y0 * y0).sum(axis=-1))) ** 3
 
 
 def lb_cross_oracle(field_r4, x0) -> tuple[float, float]:
     """Richardson-extrapolated Laplace-Beltrami value on round S^3 by the
-    two independent discretizations (chart formula, homogeneous extension),
-    each at steps 0.04 and 0.02."""
+    two independent discretizations: ``laplace_beltrami_residual`` in the
+    stereographic chart (second order, steps 0.01 and 0.005) and
+    ``lb_homogeneous_extension`` (fourth order, steps 0.04 and 0.02)."""
     x0 = np.asarray(x0, dtype=float)
     if abs(x0[3] - 1.0) < 1e-6:
         raise ChartBoundary("point at the stereographic pole of the S^3 chart")
     y0 = x0[:3] / (1.0 - x0[3])
 
-    def field_chart(y):
-        return field_r4(stereo_embed(y))
-
-    def extrap(fn):
-        return (16.0 * fn(0.02) - fn(0.04)) / 15.0
-
-    a = extrap(lambda s: lb_round_s3_conformal(field_chart, y0, s))
-    b = extrap(lambda s: lb_homogeneous_extension(field_r4, x0, s))
-    return a, b
+    chart = [laplace_beltrami_residual(lambda y: field_r4(stereo_embed(y)),
+                                       y0, s) for s in (0.01, 0.005)]
+    ext = [lb_homogeneous_extension(field_r4, x0, s) for s in (0.04, 0.02)]
+    return (4.0 * chart[1] - chart[0]) / 3.0, (16.0 * ext[1] - ext[0]) / 15.0
 
 
 def lb_homogeneous_extension(field_r4, x0, step: float) -> float:

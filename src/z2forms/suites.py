@@ -17,7 +17,8 @@ from .defining import _finite, from_dict
 from .errors import (EmptyIntersection, GridTooCoarse, NonFiniteResult,
                      SamplerExhausted, SchemaError)
 from .fd import fd_laplacian, rms
-from .forms import AxialForm, PlanarForm, ReHPowerForm, sample_sigma, vanishing_order
+from .forms import (AxialForm, PlanarForm, ReHPowerForm, _re_covector,
+                    _w_roots, sample_sigma, vanishing_order)
 from .morphisms import (core_fiber, covering_degree, fiber, fiber_windings,
                         gauss_linking, polygon_linking, project_curves)
 from .paths import Polyline, circle
@@ -81,9 +82,11 @@ def normalize_descriptor(spec: dict, path: str = "$") -> dict:
         base = spec.get("base", [0.7, 0.2])
         if not (isinstance(base, (list, tuple)) and len(base) == 2):
             raise SchemaError(f"{path}.base", "expected [re, im]")
-        return {"kind": "fiber", "p": p, "q": q,
-                "base": [_finite(v, f"{path}.base[{i}]")
-                         for i, v in enumerate(base)]}
+        base = [_finite(v, f"{path}.base[{i}]") for i, v in enumerate(base)]
+        if base == [0, 0]:
+            raise SchemaError(f"{path}.base", "base 0 is the chart value of "
+                              "the singular fiber {z1 = 0}")
+        return {"kind": "fiber", "p": p, "q": q, "base": base}
     if kind == "sun":
         return _normalize_sun(spec, path)
     raise SchemaError(f"{path}.kind", f"unknown descriptor kind {kind!r}")
@@ -248,8 +251,8 @@ def _meridian_loops(kind: str, h):
         return loops
 
     z0 = 1.1 + 0.0j
-    coeffs = h.w_poly_coeffs(z0)
-    roots = np.roots(list(reversed(coeffs))) if len(coeffs) > 1 else []
+    roots = _w_roots(np.asarray(h.w_poly_coeffs(z0))[:, None])[0]
+    roots = roots[~np.isnan(roots)]
     for center, mult in _cluster_roots(roots):
         loop, label = w_loop(z0, center, _clearance(center, roots),
                              f"w-meridian at z={z0:.3g}, w={center:.3g}")
@@ -334,8 +337,7 @@ def run_vanishing_order(descriptor: dict, seed: int, tol: dict) -> list[Check]:
     probed = 0
     for cloud in clouds:
         base = cloud[rng.integers(len(cloud))]
-        hz, hw = h.partials_at(base)
-        grad = np.array([hz.real, -hz.imag, hw.real, -hw.imag])
+        grad = np.concatenate([_re_covector(d) for d in h.partials_at(base)])
         norm = np.linalg.norm(grad)
         if norm < 1e-6:
             continue  # non-smooth point of the branching set
@@ -359,7 +361,7 @@ def run_vanishing_order(descriptor: dict, seed: int, tol: dict) -> list[Check]:
 def run_topology(descriptor: dict, seed: int, tol: dict) -> list[Check]:
     p, q = descriptor["p"], descriptor["q"]
     base = complex(*descriptor["base"])
-    other = -2.0 * base  # base 0 is a singular fiber: fiber() raises
+    other = -2.0 * base  # base 0, a singular fiber, is a schema error
     band = tol["linking_tol"]
     if band is None:
         band = 0.05 if p * q == 1 else 0.1
@@ -417,6 +419,11 @@ def run_sun(descriptor: dict, seed: int, tol: dict) -> list[Check]:
     if len(descriptor["degrees"]) < 3:
         raise SchemaError("$.degrees", "the sun suite needs at least 3 "
                           f"polynomial degrees, got {descriptor['degrees']}")
+    need = min_ring_grid(descriptor["truncation"])
+    if need > MAX_GRID:
+        raise SchemaError("$.truncation", f"at truncation "
+                          f"{descriptor['truncation']} the sun suite needs "
+                          f"grid >= {need}, above the largest grid {MAX_GRID}")
     pipe = _sun_pipeline(descriptor)
     try:
         pipe.grid.ring_window()

@@ -10,7 +10,7 @@ from z2forms import (BivariatePolynomial, Node, Polyline, ProductOfLines,
                      continue_branch, monodromy, principal_state,
                      winding_number)
 from z2forms.branch import (EPS_SIGMA, MAX_REFINE_DEPTH, BranchState,
-                            HalfPower, continue_straight,
+                            HalfPower, _segments, continue_straight,
                             monodromy_and_winding)
 from z2forms.errors import PathHitsBranchLocus, RefinementLimit
 
@@ -252,6 +252,55 @@ class TestBatchedContinuation:
         assert list(batch.sign.ravel()) == [s for _, s in expected]
         np.testing.assert_allclose(batch.h_value.ravel(),
                                    [hv for hv, _ in expected], rtol=1e-13)
+
+
+class SignedZeroLine:
+    """h(x, y) = x + iy on R^2 with the sign of a zero y kept in Im h
+    (x + 1j * y turns y = -0.0 into Im h = +0.0)."""
+
+    def value_at(self, point):
+        p = np.asarray(point, dtype=float)
+        out = np.empty(p.shape[:-1], dtype=complex)
+        out.real, out.imag = p[..., 0], p[..., 1]
+        return out[()]
+
+
+class TestTurnSign:
+    """The sign from the turn of arg h where it can go wrong: at the cut of
+    the principal root, and across a halved segment turning by more than
+    pi, against the root-distance reference ``scalar_walk``."""
+
+    @pytest.mark.parametrize("a, b, sign", [
+        ((-1.0, 0.5), (-1.0, 0.0), 1),
+        ((-1.0, 0.5), (-1.0, -0.0), -1),
+        ((-1.0, -0.5), (-1.0, 0.0), -1),
+        ((-1.0, -0.5), (-1.0, -0.0), 1),
+        ((-2.0, -0.0), (-1.0, -0.0), 1),
+        ((-2.0, -0.0), (-1.0, 0.0), -1),
+        ((1.0, 0.5), (-1.0, -0.0), -1),   # halved: arg h turns by 2.7
+        ((1.0, -0.5), (-1.0, 0.0), -1),
+    ])
+    def test_segment_ends_on_the_cut(self, a, b, sign):
+        h = SignedZeroLine()
+        a, b = np.array(a), np.array(b)
+        assert np.signbit(h.value_at(b).imag) == np.signbit(b[1])
+        assert scalar_walk(h, a, b)[1] == sign
+        assert_matches_scalar(h, a[None], b[None])
+
+    @pytest.mark.parametrize("power, delta", [(2, 0.5), (3, 0.2)])
+    def test_halved_segment_turning_more_than_pi(self, power, delta):
+        # arg z turns by pi - 2 delta along the segment, arg h by power
+        # times that, which exceeds pi; one step would see it mod 2 pi,
+        # at least pi/2 away from 0, so the segment is halved
+        h = UnivariatePolynomial((0.0,) * power + (1.0,))
+        a, b = (0.1 * np.array([np.cos(t), np.sin(t)])
+                for t in (delta, np.pi - delta))
+        hv = h.value_at(np.array([a, b]))
+        assert abs(np.angle(hv[1] / hv[0])) >= np.pi / 2
+        turn = _segments(h, a[None], b[None], hv[:1], hv[1:])[0]
+        assert turn == pytest.approx(power * (np.pi - 2 * delta), rel=1e-12)
+        assert turn > np.pi
+        assert_matches_scalar(h, a[None], b[None])
 
 
 class TestLoopWalk:

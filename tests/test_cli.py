@@ -323,6 +323,18 @@ class TestSunSchema:
         assert f"needs grid >= {smallest}" in err
         assert time.monotonic() - t0 < 1.0  # before any solve
 
+    @pytest.mark.parametrize("truncation", [1e6, 1e300])
+    def test_truncation_beyond_every_grid_is_schema_error(self, tmp_path,
+                                                          capsys, truncation):
+        # the largest grid resolves the ring window up to truncation 5818
+        spec = write_spec(tmp_path, "s.json", {"kind": "sun", "grid": MAX_GRID,
+                                               "truncation": truncation})
+        assert main(["verify", "--spec", spec, "--suite", "sun"]) == 2
+        err = capsys.readouterr().err
+        assert "schema error: $.truncation:" in err
+        assert f"above the largest grid {MAX_GRID}" in err
+        assert main(["construct", "--spec", spec]) == 0
+
     @pytest.mark.parametrize("degrees", [[0, 1], [2]])
     def test_too_few_degrees_for_the_suite(self, tmp_path, capsys,
                                            monkeypatch, degrees):
@@ -411,6 +423,15 @@ class TestFormSchema:
         assert main(["verify", "--spec", spec, "--suite", "monodromy"]) == 2
         assert f"schema error: {path}:" in capsys.readouterr().err
 
+    def test_fiber_base_zero_is_schema_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "f.json", {"kind": "fiber", "p": 2,
+                                               "q": 3, "base": [0, -0.0]})
+        for argv in (["verify", "--spec", spec, "--suite", "topology"],
+                     ["export", "--spec", spec, "--what", "fiber",
+                      "--out", str(tmp_path / "art")]):
+            assert main(argv) == 2
+            assert "schema error: $.base:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec, path, count", [
         ({"kind": "lines", "lines": [[1]]}, "$.lines[0]", 2),
         ({"kind": "bivariate", "terms": [[1, 2]]}, "$.terms[0]", 3),
@@ -497,22 +518,43 @@ def not_json(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-class TestVerifyFuzz:
-    """Any form spec, fast suite, ``--tol`` list and ``--seed`` gives exit
-    0, 1 or 2: never a traceback, never a hang.
+FIBER_SPECS = st.fixed_dictionaries(
+    {"kind": st.just("fiber")},
+    optional={"p": INDEX, "q": INDEX,
+              "base": st.lists(NUMBERS, min_size=2, max_size=2)})
 
-    The topology suite is left out: each of its jobs takes about 1 s
-    whatever the spec, so it would dominate the run and find nothing the
-    schema tests do not.
-    """
+TOLS = st.lists(st.tuples(TOL_NAMES, TOL_VALUES), max_size=2)
+SEEDS = st.integers(-2**8, 2**70)
+
+
+def assert_verify_exits_zero_one_or_two(tmp_path_factory, spec, suite, tols,
+                                        seed):
+    """``verify`` exits 0, 1 or 2, and any report it writes is strict JSON."""
+    path = tmp_path_factory.getbasetemp() / "fuzz-verify.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path_factory.getbasetemp() / "fuzz-verify"
+    report = out / f"report-{suite}.json"
+    report.unlink(missing_ok=True)
+    argv = ["verify", "--spec", str(path), "--suite", suite,
+            "--seed", str(seed), "--out", str(out)]
+    for name, value in tols:
+        argv += ["--tol", f"{name}={value}"]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)
+    if report.exists():
+        json.loads(report.read_text(), parse_constant=not_json)
+
+
+class TestVerifyFuzz:
+    """Any form or fiber spec, suite but sun, ``--tol`` list and ``--seed``
+    gives exit 0, 1 or 2: never a traceback, never a hang."""
 
     @settings(max_examples=100, deadline=timedelta(seconds=20),
               derandomize=True)
     @given(spec=FORM_SPECS,
            suite=st.sampled_from(("harmonicity", "monodromy",
                                   "vanishing-order")),
-           tols=st.lists(st.tuples(TOL_NAMES, TOL_VALUES), max_size=2),
-           seed=st.integers(-2**8, 2**70))
+           tols=TOLS, seed=SEEDS)
     @example(spec={"kind": "axial"}, suite="harmonicity",
              tols=[("points", "inf")], seed=0)
     @example(spec={"kind": "axial"}, suite="harmonicity",
@@ -559,19 +601,20 @@ class TestVerifyFuzz:
              tols=[], seed=0)
     def test_verify_exits_zero_one_or_two(self, tmp_path_factory, spec,
                                           suite, tols, seed):
-        path = tmp_path_factory.getbasetemp() / "fuzz-verify.json"
-        path.write_text(json.dumps(spec))
-        out = tmp_path_factory.getbasetemp() / "fuzz-verify"
-        report = out / f"report-{suite}.json"
-        report.unlink(missing_ok=True)
-        argv = ["verify", "--spec", str(path), "--suite", suite,
-                "--seed", str(seed), "--out", str(out)]
-        for name, value in tols:
-            argv += ["--tol", f"{name}={value}"]
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            assert main(argv) in (0, 1, 2)
-        if report.exists():
-            json.loads(report.read_text(), parse_constant=not_json)
+        assert_verify_exits_zero_one_or_two(tmp_path_factory, spec, suite,
+                                            tols, seed)
+
+    @settings(max_examples=100, deadline=timedelta(seconds=20),
+              derandomize=True)
+    @given(spec=FIBER_SPECS, tols=TOLS, seed=SEEDS)
+    @example(spec={"kind": "fiber", "base": [0, 0]}, tols=[], seed=0)
+    @example(spec={"kind": "fiber", "base": [1e300, 0]}, tols=[], seed=0)
+    @example(spec={"kind": "fiber", "p": 600, "q": 601}, tols=[], seed=0)
+    @example(spec={"kind": "fiber", "p": 10**30}, tols=[], seed=0)
+    def test_topology_exits_zero_one_or_two(self, tmp_path_factory, spec,
+                                            tols, seed):
+        assert_verify_exits_zero_one_or_two(tmp_path_factory, spec,
+                                            "topology", tols, seed)
 
 
 class TestSamplerBound:

@@ -7,7 +7,7 @@ definition's own body; a method is known by its name alone, so any
 attribute of that name counts.  Definitions that only tests, the
 acceptance gate or planned suites use are listed in ``KEEP`` (methods as
 ``Class.method``) with the reason; what a kept definition calls
-(``pullback``, ``stereo_metric``, ...) counts as used.
+(``pullback``, ``fd_laplacian_order4``, ...) counts as used.
 
 Every defaulted parameter of a library function or method is also passed,
 by keyword or by position, by some call in ``src/z2forms``, or listed in
@@ -28,8 +28,7 @@ KEEP = {
     # morphism suites
     "pullback_form": "the planned morphism suite",
     "ComposedGerm": "the planned morphism suite",
-    "laplace_beltrami_residual": "criterion 7",
-    "lb_cross_oracle": "criterion 7",
+    "lb_cross_oracle": "criterion 7; it calls laplace_beltrami_residual",
     "sample_lines_on_sphere": "criterion 5 and the planned tangent-cone suite",
     "hausdorff_distance": "criterion 5 and the planned tangent-cone suite",
     # independent oracles that tests check other code against
