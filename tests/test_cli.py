@@ -217,6 +217,19 @@ class TestVerify:
                         r"finite$", capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "fiber", "p": 4, "q": 23},
+        {"kind": "fiber", "p": 11, "q": 12, "base": [100, 0]},
+        {"kind": "fiber", "p": 1, "q": 24, "base": [100, 0]},
+        {"kind": "fiber", "p": 1, "q": 1, "base": [0.001, 0]},
+    ], ids=["4-23", "11-12-base-100", "1-24-base-100", "1-1-base-1e-3"])
+    def test_topology_passes_on_exact_linking(self, tmp_path, capsys, spec):
+        # the exact linking number is p * q on these fibers; a float Gauss
+        # sum at 1024 vertices misses it by 0.11 to 0.24
+        spec = write_spec(tmp_path, "f.json", spec)
+        assert main(["verify", "--spec", spec, "--suite", "topology"]) == 0
+        assert capsys.readouterr().out.count("[PASS]") == 3
+
     @pytest.mark.parametrize("p", [[-1] + [0] * 63 + [1], [1] * 65],
                              ids=["z64-minus-1", "all-ones-degree-64"])
     def test_planar_window_follows_root_spacing(self, tmp_path, capsys, p):
@@ -264,10 +277,14 @@ class TestVerifyArgs:
         assert "ratio_lo, ratio_hi, points" in err
 
     def test_suite_without_tolerances_rejects_any(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, "zw.json", {"kind": "node"})
-        assert main(["verify", "--spec", spec, "--suite", "monodromy",
-                     "--tol", "slope_tol=0.1"]) == 2
-        assert "accepts: none" in capsys.readouterr().err
+        for kind, suite, name in (("node", "monodromy", "slope_tol"),
+                                  ("fiber", "topology", "linking_tol")):
+            spec = write_spec(tmp_path, f"{kind}.json", {"kind": kind})
+            assert main(["verify", "--spec", spec, "--suite", suite,
+                         "--tol", f"{name}=0.1"]) == 2
+            err = capsys.readouterr().err
+            assert f"schema error: $.tol.{name}:" in err
+            assert "accepts: none" in err
 
     def test_negative_seed_is_schema_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "a.json", {"kind": "axial"})
@@ -409,6 +426,12 @@ class TestFormSchema:
         ({"kind": "bivariate", "terms": [[1, 0, [0, 2e6]]]}, "$.terms[0][2]"),
         ({"kind": "node", "a": 0.5, "k": 400}, "$.k"),
         ({"kind": "ramified", "k": 10**8}, "$.k"),
+        ({"kind": "fiber", "p": 25, "q": 2}, "$.p"),
+        ({"kind": "fiber", "p": 1, "q": 58, "base": [100, 0]}, "$.q"),
+        ({"kind": "fiber", "p": 1, "q": 400}, "$.q"),
+        ({"kind": "fiber", "p": 2, "q": 3, "bsae": [5, 1]}, "$.bsae"),
+        ({"kind": "sun", "degres": [0, 1, 2]}, "$.degres"),
+        ({"kind": "node", "q": 1}, "$.q"),
     ], ids=["axial-k-text", "ramified-k-text", "axial-k-fraction",
             "fiber-base-text", "fiber-q-zero", "node-a-nan", "planar-coeff-nan",
             "bivariate-exponent-fraction", "bivariate-empty",
@@ -417,7 +440,9 @@ class TestFormSchema:
             "bivariate-terms", "lines-count", "planar-degree",
             "node-b-huge", "planar-coeff-huge", "ramified-a-huge",
             "node-a-huge", "lines-coeff-huge", "bivariate-coeff-huge",
-            "node-k-400", "ramified-k-1e8"])
+            "node-k-400", "ramified-k-1e8", "fiber-p-25", "fiber-q-58",
+            "fiber-q-400", "fiber-unknown-key", "sun-unknown-key",
+            "node-unknown-key"])
     def test_bad_spec_is_schema_error(self, tmp_path, capsys, spec, path):
         spec = write_spec(tmp_path, "s.json", spec)
         assert main(["verify", "--spec", spec, "--suite", "monodromy"]) == 2

@@ -33,8 +33,8 @@ KEEP = {
     "hausdorff_distance": "criterion 5 and the planned tangent-cone suite",
     # independent oracles that tests check other code against
     "seifert_value": "oracle for the fiber parameterization",
-    "linking_on_sphere": "criterion 6's float Gauss oracle; the topology "
-                         "suite projects once for both of its oracles",
+    "linking_on_sphere": "criterion 6's float Gauss oracle, beside the "
+                         "topology suite's exact polygon linking",
     "fd_divergence": "oracle for the co-closedness of the forms",
     "fd_curl_components": "oracle for the closedness of the forms",
     # public entry points of the one array walk in branch.py, which the
