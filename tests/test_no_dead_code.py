@@ -37,6 +37,8 @@ KEEP = {
                          "topology suite's exact polygon linking",
     "fd_divergence": "oracle for the co-closedness of the forms",
     "fd_curl_components": "oracle for the closedness of the forms",
+    "source_meridian": "the sun source H at any meridian points, oracle "
+                       "for the grid's shared-geometry rhs",
     # public entry points of the one array walk in branch.py, which the
     # suites reach through monodromy_and_winding and continue_straight
     "continue_branch": "continuation along a given path (gauge tests)",

@@ -114,6 +114,36 @@ class TestSource:
 # grid and solve
 
 
+def coo_matrix(g: DoubleCoverGrid):
+    """The grid's five-point matrix assembled from int64 COO triplets of
+    the four face directions and converted to CSR: the reference for the
+    row-by-row CSR assembly."""
+    import scipy.sparse as sp
+
+    n, h, axis = g.n, g.h, g.axis
+    idx, active = g.index, g.active
+    rows, cols, vals, faces = [], [], [], []
+    ii, jj = np.nonzero(active)
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        ni, nj = np.clip(ii + di, 0, n - 1), np.clip(jj + dj, 0, n - 1)
+        xm = 0.5 * (axis[ii] + axis[ni])
+        ym = 0.5 * (axis[jj] + axis[nj])
+        w = np.maximum(1.0 + xm * xm - ym * ym, 0.0) / h**2
+        w[1.0 + axis[ni]**2 - axis[nj]**2 <= 0.0] = 0.0
+        faces.append(w)
+        nb_active = active[ni, nj] & ((ni != ii) | (nj != jj))
+        rows.append(idx[ii, jj][nb_active])
+        cols.append(idx[ni[nb_active], nj[nb_active]])
+        vals.append(w[nb_active])
+    m = int(active.sum())
+    rows.append(np.arange(m))
+    cols.append(np.arange(m))
+    vals.append(-((faces[0] + faces[1]) + (faces[2] + faces[3])))
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, m)).tocsr()
+
+
 class TestGrid:
     def test_active_region(self):
         g = DoubleCoverGrid(n=96)
@@ -187,6 +217,91 @@ class TestGrid:
                 assert np.linalg.norm(got - want) <= \
                     1e-12 * np.linalg.norm(want)
             assert g._lu.nnz <= 0.22 * ref.nnz
+
+    @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
+    def test_matrix_equals_coo_assembly(self, n):
+        """The CSR assembled row by row equals, to the bit, the matrix
+        assembled from COO triplets of the four face directions."""
+        g = DoubleCoverGrid(n=n)
+        got, want = g._matrix_csr, coo_matrix(g)
+        assert got.has_sorted_indices
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data.view(np.int64),
+                              want.data.view(np.int64))
+
+    @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
+    def test_batched_solve_equals_single_solves(self, n):
+        """A K-column solve gives each column's single solve to the bit,
+        for pure and mixed parity and a zero column, as (n, n, K)."""
+        g = DoubleCoverGrid(n=n)
+        polys = [ZonalPoly.single(k) for k in range(5)] + [
+            ZonalPoly(((0, 0.7), (4, -1.3))), ZonalPoly(((1, 1.0), (2, 2.0)))]
+        rhs = np.column_stack([g.rhs_from_source(p, Cutoff())
+                               for p in polys] + [np.zeros(g.s.size)])
+        got = g.solve(rhs)
+        assert got.shape == (n, n, rhs.shape[1])
+        for k in range(rhs.shape[1]):
+            single = g.solve(rhs[:, k])
+            assert single.shape == (n, n)
+            assert np.array_equal(got[..., k].view(np.int64),
+                                  single.view(np.int64))
+
+    @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
+    def test_mixed_parity_source_uses_both_blocks(self, n):
+        """A pure-parity source is solved in its block alone, and degrees
+        1 + 2 in both; the mixed solve is the sum of the pure ones."""
+        g = DoubleCoverGrid(n=n)
+        calls = []
+
+        class Counted:
+            def __init__(self, lu, eps):
+                self.lu, self.eps = lu, eps
+
+            def solve(self, b):
+                calls.append(self.eps)
+                return self.lu.solve(b)
+
+        g.__dict__["_lu"] = tuple(Counted(lu, eps)
+                                  for lu, eps in zip(g._lu, (1, -1)))
+        odd, even, mixed = ((1, 1.0),), ((2, 1.0),), ((1, 1.0), (2, 1.0))
+        v = {}
+        for terms, blocks in ((odd, [-1]), (even, [1]), (mixed, [-1, 1])):
+            calls.clear()
+            v[terms] = g.solve(g.rhs_from_source(ZonalPoly(terms), Cutoff()))
+            assert sorted(calls) == blocks
+        want = v[odd] + v[even]
+        assert np.abs(v[mixed] - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
+    def test_shared_geometry_rhs_equals_source_meridian(self, n):
+        """The rhs from the cached shell geometry equals, to the bit, the
+        chart factor times source_meridian on all active nodes, for each
+        degree and a mixed source, under two cutoffs on one grid (zeros
+        compare by value: the factor gives -0.0 where xi < 0)."""
+        g = DoubleCoverGrid(n=n)
+        for chi in (Cutoff(), Cutoff(r1=2.5, r2=6.0, kind="cubic"), Cutoff()):
+            for p in [ZonalPoly.single(k) for k in range(6)] + [
+                    ZonalPoly(((0, 0.7), (4, -1.3)))]:
+                want = (np.sign(g.xi) * 4.0 * (g.xi**2 + g.eta**2) * g.s
+                        * source_meridian(p, chi, g.s, g.x3))
+                got = g.rhs_from_source(p, chi)
+                assert np.array_equal(got, want)
+                nz = want != 0.0
+                assert nz.any()
+                assert np.array_equal(got[nz].view(np.int64),
+                                      want[nz].view(np.int64))
+        assert len(g._shells) == 2
+
+    @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
+    def test_lu_nnz_is_both_blocks_fill(self, n):
+        """``_lu`` holds one factor per parity block, each of its block's
+        size, and its ``nnz`` is their summed fill."""
+        g = DoubleCoverGrid(n=n)
+        assert len(g._lu) == 2
+        assert [lu.shape[0] for lu in g._lu] == \
+            [block[0].size for block in g._blocks]
+        assert g._lu.nnz == sum(lu.nnz for lu in g._lu) > 0
 
     @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
     def test_interpolator_matches_regular_grid_interpolator(self, n):
