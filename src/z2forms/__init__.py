@@ -10,7 +10,7 @@ from .forms import (AxialForm, PlanarForm, ReHPowerForm, sample_sigma,
 from .paths import Polyline, circle
 from .report import Check, VerificationReport
 from .suites import normalize_descriptor, run_suite
-from .sun import Cutoff, DoubleCoverGrid, SunPipeline, ZonalPoly, zonal
+from .sun import DoubleCoverGrid, SunPipeline, ZonalPoly, zonal
 
 __all__ = [
     "BranchState", "HalfPower", "continue_branch", "continue_straight",
@@ -21,7 +21,7 @@ __all__ = [
     "vanishing_order",
     "Polyline", "circle",
     "Check", "VerificationReport", "normalize_descriptor", "run_suite",
-    "Cutoff", "DoubleCoverGrid", "SunPipeline", "ZonalPoly", "zonal",
+    "DoubleCoverGrid", "SunPipeline", "ZonalPoly", "zonal",
 ]
 
 __version__ = "0.1.0"

@@ -23,9 +23,8 @@ from .morphisms import (core_fiber, covering_degree, fiber, fiber_windings,
                         polygon_linking, project_curves)
 from .paths import Polyline, circle
 from .report import Check, VerificationReport, jsonable
-from .sun import (CUTOFF_PROFILES, MAX_GRID, MAX_ZONAL_DEGREE, Cutoff,
-                  DoubleCoverGrid, SunPipeline, manufactured_error,
-                  min_ring_grid)
+from .sun import (CUTOFF_R2, MAX_GRID, MAX_ZONAL_DEGREE, DoubleCoverGrid,
+                  SunPipeline, manufactured_error, min_ring_grid)
 
 #: descriptor kinds that carry a defining function (see ``from_dict``)
 GERM_KINDS = ("lines", "node", "ramified", "bivariate", "planar")
@@ -113,21 +112,14 @@ def _normalize_sun(spec: dict, path: str) -> dict:
         if k in degrees[:i]:
             raise SchemaError(f"{path}.degrees[{i}]",
                               f"zonal degree {k} repeated")
-    cutoff = spec.get("cutoff", "quintic")
-    if cutoff not in CUTOFF_PROFILES:
-        raise SchemaError(f"{path}.cutoff", f"unknown cutoff {cutoff!r}")
-    out = {"kind": "sun", "degrees": degrees, "cutoff": cutoff,
+    out = {"kind": "sun", "degrees": degrees,
            "grid": _finite(spec.get("grid", 512), f"{path}.grid", integer=True,
-                           lo=64, hi=MAX_GRID)}
-    for key, default in (("truncation", 20.0), ("r1", 3.0), ("r2", 5.0)):
-        out[key] = _finite(spec.get(key, default), f"{path}.{key}")
-    if not out["r1"] > 1.0:
-        raise SchemaError(f"{path}.r1", "need r1 > 1 (the circle has rho = 1)")
-    if not out["r2"] > out["r1"]:
-        raise SchemaError(f"{path}.r2", f"need r2 > r1 = {out['r1']}")
-    if not out["truncation"] > out["r2"]:
-        raise SchemaError(f"{path}.truncation",
-                          f"need truncation > r2 = {out['r2']}")
+                           lo=64, hi=MAX_GRID),
+           "truncation": _finite(spec.get("truncation", 20.0),
+                                 f"{path}.truncation")}
+    if not out["truncation"] > CUTOFF_R2:
+        raise SchemaError(f"{path}.truncation", f"need truncation > "
+                          f"{CUTOFF_R2}, the cutoff's outer radius")
     return out
 
 
@@ -142,11 +134,8 @@ def _form_from(descriptor: dict):
 
 
 def _sun_pipeline(descriptor: dict) -> SunPipeline:
-    return SunPipeline(
-        grid=DoubleCoverGrid(n=descriptor["grid"],
-                             truncation=descriptor["truncation"]),
-        cutoff=Cutoff(r1=descriptor["r1"], r2=descriptor["r2"],
-                      kind=descriptor["cutoff"]))
+    return SunPipeline(DoubleCoverGrid(n=descriptor["grid"],
+                                       truncation=descriptor["truncation"]))
 
 
 # --------------------------------------------------------------------------

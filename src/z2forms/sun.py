@@ -21,7 +21,11 @@ sqrt(r)-decaying branch of solutions.
 Pipeline: a cutoff chi and an axisymmetric harmonic polynomial p define
 the two-sheeted function U = +-chi p; its Laplacian H = Delta U is the
 compactly supported source; V solves Delta V = H with Dirichlet data at a
-truncation radius; u = U - V.  A Z2 harmonic function changes sign between
+truncation radius; u = U - V.  The cutoff is fixed: chi is the C^2 quintic
+from 0 at rho = 3 to 1 at rho = 5.  It does not enter u, which is the
+sheet-odd harmonic function with data +-p at the truncation, so a sun spec
+takes three keys only: ``degrees`` (of p), ``grid`` (n) and
+``truncation``.  A Z2 harmonic function changes sign between
 the sheets, so U, H and V are all odd under the sheet swap zeta -> -zeta,
 and the solver works on sheet-odd fields only.  They split again by
 parity under eta -> -eta (x3 -> -x3) into two blocks, each on a quarter
@@ -129,59 +133,43 @@ class ZonalPoly:
 # cutoff
 
 
-#: cutoff kind -> ascending coefficients in t of its profile, 0 at t = 0
-#: and 1 at t = 1, with the derivatives up to its smoothness 0 at both
-CUTOFF_PROFILES = {
-    "quintic": (0.0, 0.0, 0.0, 10.0, -15.0, 6.0),   # C^2
-    "cubic": (0.0, 0.0, 3.0, -2.0),                 # C^1
-}
+#: radii of the cutoff: chi is 0 inside rho <= CUTOFF_R1 and 1 outside
+#: rho >= CUTOFF_R2; u = U - V does not depend on them, only the
+#: discretization error does
+CUTOFF_R1, CUTOFF_R2 = 3.0, 5.0
+
+#: ascending coefficients in t = (rho - r1) / (r2 - r1) of chi between the
+#: radii: the C^2 quintic, 0 at t = 0 and 1 at t = 1 with its first two
+#: derivatives 0 at both
+_QUINTIC = (0.0, 0.0, 0.0, 10.0, -15.0, 6.0)
 
 
-@dataclass(frozen=True)
-class Cutoff:
-    """Radial cutoff: 0 inside rho <= r1, 1 outside rho >= r2, and its
-    profile in t = (rho - r1) / (r2 - r1) between.
-
-    ``quintic`` is the C^2 default; ``cubic`` (C^1) exists to check that
-    the null-direction phenomenon does not depend on the cutoff choice.
-    """
-
-    r1: float = 3.0
-    r2: float = 5.0
-    kind: str = "quintic"
-
-    def __post_init__(self):
-        if not (self.r2 > self.r1 > 1.0):
-            raise ValueError("need r2 > r1 > 1 (the circle has rho = 1)")
-        if self.kind not in CUTOFF_PROFILES:
-            raise ValueError(f"unknown cutoff kind {self.kind!r}")
-
-    def chi(self, rho, order: int = 0):
-        """chi(rho), or its ``order``-th derivative in rho, elementwise;
-        derivatives are 0 outside the shell r1 < rho < r2."""
-        width = self.r2 - self.r1
-        t = (np.asarray(rho, dtype=float) - self.r1) / width
-        coef = P.polyder(CUTOFF_PROFILES[self.kind], order)
-        out = P.polyval(np.clip(t, 0.0, 1.0), coef) / width**order
-        if order:
-            out = np.where((t > 0.0) & (t < 1.0), out, 0.0)
-        return out[()]
+def chi(rho, order: int):
+    """The cutoff chi(rho), or its ``order``-th derivative in rho,
+    elementwise; derivatives are 0 outside the shell r1 < rho < r2."""
+    width = CUTOFF_R2 - CUTOFF_R1
+    t = (np.asarray(rho, dtype=float) - CUTOFF_R1) / width
+    coef = P.polyder(_QUINTIC, order)
+    out = P.polyval(np.clip(t, 0.0, 1.0), coef) / width**order
+    if order:
+        out = np.where((t > 0.0) & (t < 1.0), out, 0.0)
+    return out[()]
 
 
-def _shell(chi: Cutoff, s, x3):
+def _shell(s, x3):
     """The mask of the shell r1 < rho < r2 among meridian points (s, x3),
     and H there as a function of the ZonalPoly; rho, cos phi, chi' and
     chi'' on the shell are computed once, then each degree is one term."""
     rho = np.hypot(s, x3)
-    shell = (rho > chi.r1) & (rho < chi.r2)
+    shell = (rho > CUTOFF_R1) & (rho < CUTOFF_R2)
     rho = rho[shell]  # > r1 > 1, so cos phi needs no guard
-    cosphi, d1, d2 = x3[shell] / rho, chi.chi(rho, 1), chi.chi(rho, 2)
+    cosphi, d1, d2 = x3[shell] / rho, chi(rho, 1), chi(rho, 2)
     return shell, lambda p: sum(
         pk * (d2 + (2.0 + 2.0 * k) * d1 / rho)
         for (k, _), pk in zip(p.terms, p.term_values(rho, cosphi)))
 
 
-def source_meridian(p: ZonalPoly, chi: Cutoff, s, x3):
+def source_meridian(p: ZonalPoly, s, x3):
     """H = p * Delta(chi) + 2 grad(chi) . grad(p) without the sheet sign.
 
     For a radial cutoff and homogeneous harmonic terms, Euler's identity
@@ -190,7 +178,7 @@ def source_meridian(p: ZonalPoly, chi: Cutoff, s, x3):
     Supported in the shell r1 < rho < r2; elementwise.
     """
     s, x3 = np.asarray(s, dtype=float), np.asarray(x3, dtype=float)
-    shell, source = _shell(chi, s, x3)
+    shell, source = _shell(s, x3)
     out = np.zeros(shell.shape)
     out[shell] = source(p)
     return out[()]
@@ -257,8 +245,15 @@ class DoubleCoverGrid:
         self.x3 = 2.0 * self.xi * self.eta
         # active index of each active node's sheet mirror (n-1-i, n-1-j)
         self.swap = idx[::-1, ::-1][self.active]
-        # cutoff -> (shell mask, source on the shell, chart factor there)
-        self._shells = {}
+
+    @cached_property
+    def _shell_source(self):
+        """(shell mask, source on the shell, signed chart factor there) on
+        the active nodes."""
+        shell, source = _shell(self.s, self.x3)
+        xi, eta = self.xi[shell], self.eta[shell]
+        return shell, source, (
+            np.sign(xi) * 4.0 * (xi**2 + eta**2) * self.s[shell])
 
     @cached_property
     def _blocks(self):
@@ -353,15 +348,10 @@ class DoubleCoverGrid:
         return sp.csr_matrix((vals[keep], cols[keep], indptr),
                              shape=(ii.size, ii.size))
 
-    def rhs_from_source(self, p: ZonalPoly, chi: Cutoff) -> np.ndarray:
+    def rhs_from_source(self, p: ZonalPoly) -> np.ndarray:
         """4 |zeta|^2 s H on the active nodes (flattened); the shell and its
-        signed chart factor are computed once per cutoff."""
-        if chi not in self._shells:
-            shell, source = _shell(chi, self.s, self.x3)
-            xi, eta = self.xi[shell], self.eta[shell]
-            self._shells[chi] = shell, source, (
-                np.sign(xi) * 4.0 * (xi**2 + eta**2) * self.s[shell])
-        shell, source, factor = self._shells[chi]
+        signed chart factor are computed once per grid."""
+        shell, source, factor = self._shell_source
         out = np.zeros(self.s.size)
         out[shell] = factor * source(p)
         return out
@@ -504,13 +494,15 @@ def null_combination(a1_matrix: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SunPipeline:
-    """End-to-end run: sources, shared factorized solve, A1 table, null mode."""
+    """End-to-end run: sources, shared factorized solve, A1 table, null mode.
+
+    A sun spec's ``grid`` and ``truncation`` make the grid, and its
+    ``degrees`` go to ``run``."""
 
     grid: DoubleCoverGrid = field(default_factory=DoubleCoverGrid)
-    cutoff: Cutoff = field(default_factory=Cutoff)
 
     def solve_for(self, p: ZonalPoly) -> np.ndarray:
-        return self.grid.solve(self.grid.rhs_from_source(p, self.cutoff))
+        return self.grid.solve(self.grid.rhs_from_source(p))
 
     def near_circle_fn(self, v_grid: np.ndarray):
         """u = U - V as a function of (r, theta); U vanishes near the circle.
@@ -540,12 +532,16 @@ class SunPipeline:
 
     def run(self, degrees) -> dict:
         """A1 table, null combination, decay, and the linearity error of the
-        mixed source 0.7 p_first - 1.3 p_last, solved as its own column."""
+        mixed source 0.7 p_first - 1.3 p_last, solved as its own column.
+
+        The null combination is sampled twice: on ``ring_radii()`` for its
+        ungated fit, and on rings from the window's inner radius to 0.05
+        for its decay slope."""
         polys = [ZonalPoly.single(k) for k in degrees]
         polys.append(ZonalPoly(((degrees[0], 0.7), (degrees[-1], -1.3))))
         rhs = np.empty((len(polys), self.grid.s.size))
         for row, p in zip(rhs, polys):
-            row[:] = self.grid.rhs_from_source(p, self.cutoff)
+            row[:] = self.grid.rhs_from_source(p)
         v = self.grid.solve(rhs.T)
         fits = [self.a1_of(v[..., i]) for i in range(len(degrees))]
         matrix = np.column_stack([a1 for a1, _ in fits])
@@ -579,7 +575,7 @@ class SunPipeline:
         zeta = sheet * np.sqrt((s - 1.0) + 1j * x3)  # principal: Re zeta >= 0
         v = self.grid.interpolator(v_grid)((zeta.real, zeta.imag))
         sign = np.where(zeta.real >= 0.0, 1.0, -1.0)
-        u_big = sign * self.cutoff.chi(np.hypot(s, x3)) * p.value(s, x3)
+        u_big = sign * chi(np.hypot(s, x3), 0) * p.value(s, x3)
         return (u_big - v)[()]
 
 

@@ -19,7 +19,7 @@ from z2forms.fd import (fd_curl_components, fd_divergence, fd_jacobian,
 from z2forms.forms import SIGMA_RESIDUAL, _w_roots
 from z2forms.morphisms import (hopf_chart, laplace_beltrami_residual,
                                stereo_embed)
-from z2forms.sun import (Cutoff, DoubleCoverGrid, SunPipeline, ZonalPoly,
+from z2forms.sun import (DoubleCoverGrid, SunPipeline, ZonalPoly, chi,
                          legendre_values, source_meridian, zonal)
 
 RTOL = 1e-14
@@ -361,15 +361,14 @@ def test_zonal_evaluations():
 
 
 def test_cutoff_and_source():
-    chi = Cutoff()
     p = ZonalPoly(((0, 0.7), (4, -1.3)))
     merid = np.column_stack([np.linspace(0.5, 4.5, N), np.linspace(-3, 3, N)])
     rho = np.hypot(merid[:, 0], merid[:, 1])
     for order in (0, 1, 2):
-        assert_batch_matches(lambda r: chi.chi(r, order), rho)
-    assert_batch_matches(lambda m: source_meridian(p, chi, m[..., 0],
-                                                   m[..., 1]), merid)
-    assert isinstance(source_meridian(p, chi, 3.5, 0.5), np.float64)
+        assert_batch_matches(lambda r: chi(r, order), rho)
+    assert_batch_matches(lambda m: source_meridian(p, m[..., 0], m[..., 1]),
+                         merid)
+    assert isinstance(source_meridian(p, 3.5, 0.5), np.float64)
 
 
 def test_evaluate_3d():

@@ -51,8 +51,8 @@ ECHOES = {
     "fiber": ({"kind": "fiber", "p": 2, "q": 3},
               {"kind": "fiber", "p": 2, "q": 3, "base": [0.7, 0.2]}),
     "sun": ({"kind": "sun", "grid": 160},
-            {"kind": "sun", "degrees": [0, 1, 2, 3, 4], "cutoff": "quintic",
-             "grid": 160, "truncation": 20.0, "r1": 3.0, "r2": 5.0}),
+            {"kind": "sun", "degrees": [0, 1, 2, 3, 4], "grid": 160,
+             "truncation": 20.0}),
 }
 
 
@@ -300,17 +300,12 @@ class TestSunSchema:
         ({"grid": "big"}, "$.grid"),
         ({"grid": 96.5}, "$.grid"),
         ({"truncation": float("nan")}, "$.truncation"),
-        ({"r1": "3"}, "$.r1"),
-        ({"r2": float("inf")}, "$.r2"),
         ({"degrees": [0, "two", 2]}, "$.degrees[1]"),
         ({"degrees": [0, 1, float("nan")]}, "$.degrees[2]"),
-        ({"r1": 6}, "$.r2"),
-        ({"r1": 0.5}, "$.r1"),
         ({"truncation": 5.0}, "$.truncation"),
         ({"degrees": [0, 1, 13]}, "$.degrees[2]"),
-    ], ids=["grid-text", "grid-fraction", "truncation-nan", "r1-text",
-            "r2-inf", "degree-text", "degree-nan", "r1-above-r2",
-            "r1-inside-circle", "truncation-inside-cutoff", "degree-too-large"])
+    ], ids=["grid-text", "grid-fraction", "truncation-nan", "degree-text",
+            "degree-nan", "truncation-inside-cutoff", "degree-too-large"])
     def test_bad_sun_spec_is_schema_error(self, tmp_path, capsys, patch, path):
         spec = write_spec(tmp_path, "s.json",
                           {"kind": "sun", "grid": 96, **patch})
@@ -431,6 +426,9 @@ class TestFormSchema:
         ({"kind": "fiber", "p": 1, "q": 400}, "$.q"),
         ({"kind": "fiber", "p": 2, "q": 3, "bsae": [5, 1]}, "$.bsae"),
         ({"kind": "sun", "degres": [0, 1, 2]}, "$.degres"),
+        ({"kind": "sun", "cutoff": "quintic"}, "$.cutoff"),
+        ({"kind": "sun", "r1": 3.0}, "$.r1"),
+        ({"kind": "sun", "r2": 5.0}, "$.r2"),
         ({"kind": "node", "q": 1}, "$.q"),
     ], ids=["axial-k-text", "ramified-k-text", "axial-k-fraction",
             "fiber-base-text", "fiber-q-zero", "node-a-nan", "planar-coeff-nan",
@@ -442,7 +440,7 @@ class TestFormSchema:
             "node-a-huge", "lines-coeff-huge", "bivariate-coeff-huge",
             "node-k-400", "ramified-k-1e8", "fiber-p-25", "fiber-q-58",
             "fiber-q-400", "fiber-unknown-key", "sun-unknown-key",
-            "node-unknown-key"])
+            "sun-cutoff", "sun-r1", "sun-r2", "node-unknown-key"])
     def test_bad_spec_is_schema_error(self, tmp_path, capsys, spec, path):
         spec = write_spec(tmp_path, "s.json", spec)
         assert main(["verify", "--spec", spec, "--suite", "monodromy"]) == 2

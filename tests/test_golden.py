@@ -87,27 +87,36 @@ def differences(new, old, path: str = "", key: str = ""):
         yield path, new, old
 
 
+def described(i: int, job, report: dict) -> list[str]:
+    """One line per difference of ``report`` from job ``i``'s recorded one."""
+    tag = f"job {i} {job['suite']} {json.dumps(job['spec'])} " \
+          f"seed {job['seed']}"
+    return [f"{tag}: {path}: now {a!r}, golden {b!r}"
+            for path, a, b in differences(report, job["report"])]
+
+
 def test_reports_match_the_corpus():
     jobs = load()
     assert len(jobs) == 338
     diffs = []
     for i, job in enumerate(jobs):
-        tag = f"job {i} {job['suite']} {json.dumps(job['spec'])} " \
-              f"seed {job['seed']}"
-        diffs += [f"{tag}: {path}: now {a!r}, golden {b!r}"
-                  for path, a, b in differences(run(job), job["report"])]
+        diffs += described(i, job, run(job))
     assert not diffs, f"{len(diffs)} differences from {CORPUS.name}:\n" \
         + "\n".join(diffs)
 
 
 def rewrite(jobs) -> None:
-    """Rerun ``jobs`` and write them, with their reports, as the corpus."""
+    """Rerun ``jobs``, print each difference from the recorded reports, and
+    write the jobs with their new reports as the corpus."""
+    lines = []
+    for i, job in enumerate(jobs):
+        report = run(job)
+        for diff in described(i, job, report):
+            print(diff)
+        line = {key: job[key] for key in ("spec", "suite", "seed")}
+        lines.append(json.dumps({**line, "report": report}, sort_keys=True))
     CORPUS.parent.mkdir(exist_ok=True)
-    with CORPUS.open("w") as fh:
-        for job in jobs:
-            line = {key: job[key] for key in ("spec", "suite", "seed")}
-            fh.write(json.dumps({**line, "report": run(job)},
-                                sort_keys=True) + "\n")
+    CORPUS.write_text("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

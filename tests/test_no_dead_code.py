@@ -37,8 +37,8 @@ KEEP = {
                          "topology suite's exact polygon linking",
     "fd_divergence": "oracle for the co-closedness of the forms",
     "fd_curl_components": "oracle for the closedness of the forms",
-    "source_meridian": "the sun source H at any meridian points, oracle "
-                       "for the grid's shared-geometry rhs",
+    "source_meridian": "the sun source H at any meridian points, the "
+                       "reference for rhs_from_source's cached shell",
     # public entry points of the one array walk in branch.py, which the
     # suites reach through monodromy_and_winding and continue_straight
     "continue_branch": "continuation along a given path (gauge tests)",
@@ -203,7 +203,7 @@ def test_keep_defaults_names_only_unpassed_parameters():
 
 #: most settable values the library may have: parameters with a default
 #: (nested functions included, lambdas not) plus dataclass fields
-MAX_SETTABLE = 55
+MAX_SETTABLE = 50
 
 
 def _is_dataclass(node) -> bool:

@@ -9,10 +9,11 @@ from z2forms.errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
                             NoNullDirection)
 from z2forms.fd import fd_laplacian, rms
 from z2forms.suites import _manufactured_pair, normalize_descriptor, run_suite
-from z2forms.sun import (MAX_FIT_REL_RESIDUAL, N_THETA, Cutoff,
-                         DoubleCoverGrid, SunPipeline, ZonalPoly, extract_a1,
-                         manufactured_error, min_ring_grid, null_combination,
-                         ring_rms_slope, source_meridian, zonal)
+from z2forms.sun import (CUTOFF_R1, CUTOFF_R2, MAX_FIT_REL_RESIDUAL, N_THETA,
+                         DoubleCoverGrid, SunPipeline, ZonalPoly, chi,
+                         extract_a1, manufactured_error, min_ring_grid,
+                         null_combination, ring_rms_slope, source_meridian,
+                         zonal)
 
 RNG = np.random.default_rng(2718)
 N_TEST = 192
@@ -61,51 +62,41 @@ class TestZonal:
 
 
 class TestCutoff:
-    @pytest.mark.parametrize("kind", ["quintic", "cubic"])
-    def test_endpoints(self, kind):
-        chi = Cutoff(kind=kind)
-        assert chi.chi(chi.r1) == 0.0
-        assert chi.chi(chi.r2) == 1.0
-        assert chi.chi(2.0) == 0.0 and chi.chi(7.0) == 1.0
-        assert chi.chi(2.9, 1) == 0.0 and chi.chi(5.1, 1) == 0.0
+    def test_endpoints(self):
+        assert chi(CUTOFF_R1, 0) == 0.0
+        assert chi(CUTOFF_R2, 0) == 1.0
+        assert chi(2.0, 0) == 0.0 and chi(7.0, 0) == 1.0
+        assert chi(2.9, 1) == 0.0 and chi(5.1, 1) == 0.0
 
-    @pytest.mark.parametrize("kind", ["quintic", "cubic"])
-    def test_derivatives_match_fd(self, kind):
-        chi = Cutoff(kind=kind)
+    def test_derivatives_match_fd(self):
         for rho in np.linspace(3.1, 4.9, 7):
             h = 1e-6
-            d1 = (chi.chi(rho + h) - chi.chi(rho - h)) / (2 * h)
-            d2 = (chi.chi(rho + h, 1) - chi.chi(rho - h, 1)) / (2 * h)
-            assert chi.chi(rho, 1) == pytest.approx(d1, abs=1e-7)
-            assert chi.chi(rho, 2) == pytest.approx(d2, abs=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Cutoff(r1=5.0, r2=3.0)
-        with pytest.raises(ValueError):
-            Cutoff(kind="septic")
+            d1 = (chi(rho + h, 0) - chi(rho - h, 0)) / (2 * h)
+            d2 = (chi(rho + h, 1) - chi(rho - h, 1)) / (2 * h)
+            assert chi(rho, 1) == pytest.approx(d1, abs=1e-7)
+            assert chi(rho, 2) == pytest.approx(d2, abs=1e-6)
 
 
 class TestSource:
     def test_supported_in_shell(self):
-        p, chi = ZonalPoly.single(2), Cutoff()
-        assert source_meridian(p, chi, 2.0, 0.0) == 0.0
-        assert source_meridian(p, chi, 6.0, 0.0) == 0.0
-        assert source_meridian(p, chi, 4.0, 0.0) != 0.0
+        p = ZonalPoly.single(2)
+        assert source_meridian(p, 2.0, 0.0) == 0.0
+        assert source_meridian(p, 6.0, 0.0) == 0.0
+        assert source_meridian(p, 4.0, 0.0) != 0.0
 
     @pytest.mark.parametrize("k", range(4))
     def test_equals_laplacian_of_cut_harmonic(self, k):
         """Oracle: H must equal the 3-D Laplacian of chi(rho) * p(x)."""
-        p, chi = ZonalPoly.single(k), Cutoff()
+        p = ZonalPoly.single(k)
 
         def f(x):
-            return chi.chi(np.linalg.norm(x, axis=-1)) * p.value_3d(x)
+            return chi(np.linalg.norm(x, axis=-1), 0) * p.value_3d(x)
 
         for _ in range(6):
             x = RNG.uniform(-1, 1, size=3)
             x *= RNG.uniform(3.2, 4.8) / np.linalg.norm(x)
             want = fd_laplacian(f, x, 1e-3)
-            got = source_meridian(p, chi, float(np.hypot(x[0], x[1])),
+            got = source_meridian(p, float(np.hypot(x[0], x[1])),
                                   float(x[2]))
             assert got == pytest.approx(want, rel=1e-4, abs=1e-6)
 
@@ -211,7 +202,7 @@ class TestGrid:
             g = DoubleCoverGrid(n=n)
             ref = spla.splu(g._matrix_csr.tocsc())
             for p in (ZonalPoly(((0, 1.0), (3, -0.5))), ZonalPoly.single(3)):
-                rhs = g.rhs_from_source(p, Cutoff())
+                rhs = g.rhs_from_source(p)
                 want = ref.solve(rhs)
                 got = g.solve(rhs)[g.active]
                 assert np.linalg.norm(got - want) <= \
@@ -237,7 +228,7 @@ class TestGrid:
         g = DoubleCoverGrid(n=n)
         polys = [ZonalPoly.single(k) for k in range(5)] + [
             ZonalPoly(((0, 0.7), (4, -1.3))), ZonalPoly(((1, 1.0), (2, 2.0)))]
-        rhs = np.column_stack([g.rhs_from_source(p, Cutoff())
+        rhs = np.column_stack([g.rhs_from_source(p)
                                for p in polys] + [np.zeros(g.s.size)])
         got = g.solve(rhs)
         assert got.shape == (n, n, rhs.shape[1])
@@ -268,7 +259,7 @@ class TestGrid:
         v = {}
         for terms, blocks in ((odd, [-1]), (even, [1]), (mixed, [-1, 1])):
             calls.clear()
-            v[terms] = g.solve(g.rhs_from_source(ZonalPoly(terms), Cutoff()))
+            v[terms] = g.solve(g.rhs_from_source(ZonalPoly(terms)))
             assert sorted(calls) == blocks
         want = v[odd] + v[even]
         assert np.abs(v[mixed] - want).max() <= 1e-12 * np.abs(want).max()
@@ -277,21 +268,19 @@ class TestGrid:
     def test_shared_geometry_rhs_equals_source_meridian(self, n):
         """The rhs from the cached shell geometry equals, to the bit, the
         chart factor times source_meridian on all active nodes, for each
-        degree and a mixed source, under two cutoffs on one grid (zeros
-        compare by value: the factor gives -0.0 where xi < 0)."""
+        degree and a mixed source (zeros compare by value: the factor gives
+        -0.0 where xi < 0)."""
         g = DoubleCoverGrid(n=n)
-        for chi in (Cutoff(), Cutoff(r1=2.5, r2=6.0, kind="cubic"), Cutoff()):
-            for p in [ZonalPoly.single(k) for k in range(6)] + [
-                    ZonalPoly(((0, 0.7), (4, -1.3)))]:
-                want = (np.sign(g.xi) * 4.0 * (g.xi**2 + g.eta**2) * g.s
-                        * source_meridian(p, chi, g.s, g.x3))
-                got = g.rhs_from_source(p, chi)
-                assert np.array_equal(got, want)
-                nz = want != 0.0
-                assert nz.any()
-                assert np.array_equal(got[nz].view(np.int64),
-                                      want[nz].view(np.int64))
-        assert len(g._shells) == 2
+        for p in [ZonalPoly.single(k) for k in range(6)] + [
+                ZonalPoly(((0, 0.7), (4, -1.3)))]:
+            want = (np.sign(g.xi) * 4.0 * (g.xi**2 + g.eta**2) * g.s
+                    * source_meridian(p, g.s, g.x3))
+            got = g.rhs_from_source(p)
+            assert np.array_equal(got, want)
+            nz = want != 0.0
+            assert nz.any()
+            assert np.array_equal(got[nz].view(np.int64),
+                                  want[nz].view(np.int64))
 
     @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
     def test_lu_nnz_is_both_blocks_fill(self, n):
@@ -469,13 +458,6 @@ class TestPipeline:
 
     def test_null_combination_kills_leading_term(self, pipeline):
         out = pipeline.run(range(5))
-        assert out["reduction"] >= 10.0
-        assert out["decay_slope"] >= 1.4
-
-    def test_cubic_cutoff_same_phenomenon(self):
-        pipe = SunPipeline(grid=DoubleCoverGrid(n=N_TEST),
-                           cutoff=Cutoff(kind="cubic"))
-        out = pipe.run(range(5))
         assert out["reduction"] >= 10.0
         assert out["decay_slope"] >= 1.4
 
