@@ -117,8 +117,9 @@ def _export_fiber(descriptor: dict, out: Path, seed: int, resolution) -> None:
 def _export_field(descriptor: dict, out: Path, seed: int, resolution) -> None:
     pipe = _sun_pipeline(descriptor)
     poly = ZonalPoly(tuple((k, 1.0) for k in descriptor["degrees"]))
-    v = pipe.solve_for(poly)
     grid = pipe.grid
+    v = np.zeros((grid.n, grid.n))
+    v[grid.active] = pipe.solve_for(poly)
     lines = [",".join(repr(float(x)) for x in row) for row in v]
     _write(out, "field.csv", "\n".join(lines) + "\n")
     sidecar = {

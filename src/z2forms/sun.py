@@ -204,6 +204,7 @@ class DoubleCoverGrid:
     Dirichlet zero.  The grid keeps the ``active`` mask, the active-node
     ``index`` and the active nodes' ``xi``, ``eta``, ``s`` and ``x3``, in
     row-major order; no full n x n float array outlives the constructor.
+    A field is a vector (m,) or (m, K) on the m active nodes, 0 elsewhere.
 
     The grid solves for sheet-odd fields only, V(-zeta) = -V(zeta): every
     source a Z2 harmonic function gives is odd.  The operator commutes with
@@ -358,7 +359,7 @@ class DoubleCoverGrid:
 
     def solve(self, rhs_active: np.ndarray) -> np.ndarray:
         """Solve div(s grad V) = rhs for sheet-odd columns rhs (m,) or
-        (m, K); returns V on the full grid, (n, n) or (n, n, K), 0 outside.
+        (m, K); returns V on the active nodes, shaped like rhs.
 
         A column not exactly odd under the sheet swap raises ValueError:
         this grid has no sheet-even solve.  A column's R-parity parts (one
@@ -369,11 +370,12 @@ class DoubleCoverGrid:
         quarter-chart reduction as well."""
         rhs = np.asarray(rhs_active, dtype=float)
         cols = np.ascontiguousarray(rhs.reshape(len(rhs), -1).T)
-        full = np.zeros((len(cols), self.n, self.n))
-        for col, grid in zip(cols, full):
+        # np.zeros pages fill only as columns are written, after the LU; each
+        # column is contiguous behind the returned (m, K) view
+        out = np.zeros(cols.shape)
+        for col, v in zip(cols, out):
             if not np.array_equal(col[self.swap], -col):
                 raise ValueError("rhs is not odd under zeta -> -zeta")
-            v = np.zeros(col.size)
             for (reps, mirrors, eps, unknown, char), lu in zip(self._blocks,
                                                               self._lu):
                 part = 0.5 * (col[reps] + eps * col[mirrors])
@@ -383,17 +385,16 @@ class DoubleCoverGrid:
             scale = max(np.linalg.norm(col), 1e-300)
             if res > 1e-8 * scale:
                 raise SolverDiverged(f"relative residual {res / scale:.2e}")
-            grid[self.active] = v
-        # each column's grid stays contiguous behind the (n, n, K) view
-        return np.moveaxis(full, 0, -1).reshape(full.shape[1:] + rhs.shape[1:])
+        return out.T.reshape(rhs.shape)
 
     def interpolator(self, values: np.ndarray):
-        """Bilinear interpolant of chart values (n, n).
+        """Bilinear interpolant of a field (m,) on the active nodes.
 
         The returned callable takes a tuple (xi, eta) of coordinate arrays,
-        which broadcast, and gives 0 outside the chart square.
+        which broadcast.  An inactive node (index -1) reads an appended 0,
+        and every point outside the chart square reads 0.
         """
-        axis, values = self.axis, np.asarray(values, dtype=float)
+        axis, idx, values = self.axis, self.index, np.append(values, 0.0)
 
         def cell(x):
             i = np.clip(np.searchsorted(axis, x, side="right") - 1,
@@ -404,10 +405,10 @@ class DoubleCoverGrid:
             x, y = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                          for c in points))
             (i, tx), (j, ty) = cell(x), cell(y)
-            out = (values[i, j] * (1.0 - tx) * (1.0 - ty)
-                   + values[i, j + 1] * (1.0 - tx) * ty
-                   + values[i + 1, j] * tx * (1.0 - ty)
-                   + values[i + 1, j + 1] * tx * ty)
+            out = (values[idx[i, j]] * (1.0 - tx) * (1.0 - ty)
+                   + values[idx[i, j + 1]] * (1.0 - tx) * ty
+                   + values[idx[i + 1, j]] * tx * (1.0 - ty)
+                   + values[idx[i + 1, j + 1]] * tx * ty)
             outside = ((x < axis[0]) | (x > axis[-1])
                        | (y < axis[0]) | (y > axis[-1]))
             return np.where(outside, 0.0, out)
@@ -504,13 +505,13 @@ class SunPipeline:
     def solve_for(self, p: ZonalPoly) -> np.ndarray:
         return self.grid.solve(self.grid.rhs_from_source(p))
 
-    def near_circle_fn(self, v_grid: np.ndarray):
-        """u = U - V as a function of (r, theta); U vanishes near the circle.
+    def near_circle_fn(self, v: np.ndarray):
+        """u = U - V as a function of (r, theta), V (m,) on the active nodes.
 
-        The returned ``u_fn(r, theta)`` broadcasts over arrays and makes one
-        interpolator call per call.
+        U vanishes near the circle.  The returned ``u_fn(r, theta)``
+        broadcasts over arrays and makes one interpolator call per call.
         """
-        interp = self.grid.interpolator(v_grid)
+        interp = self.grid.interpolator(v)
 
         def u_fn(r, theta):
             zr = np.sqrt(r)
@@ -522,10 +523,10 @@ class SunPipeline:
         lo, hi = self.grid.ring_window()
         return np.geomspace(lo, hi, N_RINGS)
 
-    def a1_of(self, v_grid: np.ndarray) -> tuple[np.ndarray, float]:
+    def a1_of(self, v: np.ndarray) -> tuple[np.ndarray, float]:
         """(A1+, A1-) of u = U - V and the fit's relative residual; a
         residual above MAX_FIT_REL_RESIDUAL raises FitIllConditioned."""
-        a1, rel = extract_a1(self.near_circle_fn(v_grid), self.ring_radii())
+        a1, rel = extract_a1(self.near_circle_fn(v), self.ring_radii())
         if rel > MAX_FIT_REL_RESIDUAL:
             raise FitIllConditioned(f"relative fit residual {rel:.3f}")
         return a1, rel
@@ -547,13 +548,13 @@ class SunPipeline:
         matrix = np.column_stack([a1 for a1, _ in fits])
         c = null_combination(matrix)
         # the null combination kills the sqrt(r) term, so its fit residual
-        # is dominated by the next order and its fit is not gated
+        # is dominated by the next order; the mixed column's A1 may nearly
+        # cancel, and its linear fit restates the table: neither is gated
         u_fn = self.near_circle_fn(sum(ck * v[..., i] for i, ck in enumerate(c)))
-        combo_a1, _ = extract_a1(u_fn, self.ring_radii())
-        lo, _ = self.grid.ring_window()
-        slope = ring_rms_slope(u_fn, np.geomspace(lo, 0.05, N_RINGS))
-        combo = float(np.linalg.norm(combo_a1))
-        mixed, _ = self.a1_of(v[..., -1])
+        radii = self.ring_radii()
+        combo = float(np.linalg.norm(extract_a1(u_fn, radii)[0]))
+        slope = ring_rms_slope(u_fn, np.geomspace(radii[0], 0.05, N_RINGS))
+        mixed, _ = extract_a1(self.near_circle_fn(v[..., -1]), radii)
         want = 0.7 * matrix[:, 0] - 1.3 * matrix[:, -1]
         return {
             "a1_matrix": matrix,
@@ -567,16 +568,15 @@ class SunPipeline:
                                / max(np.linalg.norm(want), 1e-300)),
         }
 
-    def evaluate_3d(self, point, v_grid: np.ndarray, p: ZonalPoly,
+    def evaluate_3d(self, point, v: np.ndarray, p: ZonalPoly,
                     sheet: int = +1):
-        """Rebuild u = U - V at points (..., 3) on the requested sheet, with
-        one interpolator for all of them."""
+        """Rebuild u = U - V at points (..., 3) on the requested sheet, for
+        V (m,) on the active nodes (0 elsewhere), with one interpolator."""
         s, x3 = _meridian(point)
         zeta = sheet * np.sqrt((s - 1.0) + 1j * x3)  # principal: Re zeta >= 0
-        v = self.grid.interpolator(v_grid)((zeta.real, zeta.imag))
         sign = np.where(zeta.real >= 0.0, 1.0, -1.0)
         u_big = sign * chi(np.hypot(s, x3), 0) * p.value(s, x3)
-        return (u_big - v)[()]
+        return (u_big - self.grid.interpolator(v)((zeta.real, zeta.imag)))[()]
 
 
 # --------------------------------------------------------------------------
@@ -617,5 +617,4 @@ def manufactured_error(grid: DoubleCoverGrid) -> np.ndarray:
     """
     e_pos, lap_pos = _bump(grid.xi, grid.eta)
     e_neg, lap_neg = _bump(-grid.xi, -grid.eta)
-    v = grid.solve(lap_pos - lap_neg)
-    return np.abs(v[grid.active] - (e_pos - e_neg))
+    return np.abs(grid.solve(lap_pos - lap_neg) - (e_pos - e_neg))

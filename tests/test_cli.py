@@ -19,8 +19,8 @@ import z2forms
 from z2forms.cli import MAX_RESOLUTION, build_parser, main
 from z2forms.defining import MAX_GERM_DEGREE, from_dict
 from z2forms.suites import (MAX_POINTS, SUITES, _form_from, _points_off_locus,
-                            normalize_descriptor)
-from z2forms.sun import MAX_GRID
+                            _sun_pipeline, normalize_descriptor)
+from z2forms.sun import MAX_GRID, ZonalPoly
 
 
 def write_spec(tmp_path, name, spec):
@@ -377,6 +377,18 @@ class TestSunSchema:
             err = capsys.readouterr().err
             assert f"schema error: {path}:" in err and "repeated" in err
 
+    def test_default_spec_passes_where_the_mixed_fit_cancels(self, tmp_path,
+                                                             capsys):
+        """At grids 255 and 350 the mixed linearity source's A1 nearly
+        cancels, so its fit residual is large; the fit is not gated, and
+        the default spec passes."""
+        spec = write_spec(tmp_path, "s.json", {"kind": "sun"})
+        for grid in ("255", "350"):
+            assert main(["verify", "--spec", spec, "--suite", "sun",
+                         "--grid", grid]) == 0
+            out = capsys.readouterr().out
+            assert out.count("[PASS]") == 4 and "[FAIL]" not in out
+
     @pytest.mark.parametrize("grid", ["-5", "0", "10"])
     def test_bad_grid_flag_is_schema_error(self, tmp_path, capsys, grid):
         spec = write_spec(tmp_path, "s.json", {"kind": "sun"})
@@ -730,6 +742,14 @@ class TestExport:
         assert len(rows[0].split(",")) == 96
         assert sidecar["descriptor"]["kind"] == "sun"
         assert sidecar["half_width"] == pytest.approx(np.sqrt(21.0))
+        # the solution on the active nodes, exactly 0.0 at every other node
+        field = np.array([[float(x) for x in r.split(",")] for r in rows])
+        pipe = _sun_pipeline(sidecar["descriptor"])
+        active = pipe.grid.active
+        assert np.array_equal(field[active],
+                              pipe.solve_for(ZonalPoly.single(1)))
+        assert np.array_equal(field[~active].view(np.int64),
+                              np.zeros(int((~active).sum()), dtype=np.int64))
 
     @pytest.mark.parametrize("resolution", ["1", "-3", "0",
                                             str(MAX_RESOLUTION + 1)])

@@ -4,8 +4,9 @@ report with the one recorded in ``golden/reports.jsonl``.
 Each line of the corpus is one job, ``{"spec", "suite", "seed", "report"}``:
 the spec as a user would write it (a sun spec carries its grid), and the
 report as ``VerificationReport.to_json`` wrote it.  The corpus holds the
-``checks`` and ``topology`` job plans of the benchmark at its seed 0, plus
-the sun suite at grids 160 and 272.
+``checks``, ``topology`` and ``sun-sweep`` job plans of the benchmark at
+its seed 0 (sun grids 275, 384, 497 and 610), plus the sun suite at grids
+160 and 272.
 
 Strings, booleans, integers and pass/fail compare exactly, floats to the
 relative tolerance ``REL_TOL``, and the round-off values named in
@@ -97,7 +98,7 @@ def described(i: int, job, report: dict) -> list[str]:
 
 def test_reports_match_the_corpus():
     jobs = load()
-    assert len(jobs) == 338
+    assert len(jobs) == 342
     diffs = []
     for i, job in enumerate(jobs):
         diffs += described(i, job, run(job))

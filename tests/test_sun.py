@@ -204,7 +204,7 @@ class TestGrid:
             for p in (ZonalPoly(((0, 1.0), (3, -0.5))), ZonalPoly.single(3)):
                 rhs = g.rhs_from_source(p)
                 want = ref.solve(rhs)
-                got = g.solve(rhs)[g.active]
+                got = g.solve(rhs)
                 assert np.linalg.norm(got - want) <= \
                     1e-12 * np.linalg.norm(want)
             assert g._lu.nnz <= 0.22 * ref.nnz
@@ -224,17 +224,18 @@ class TestGrid:
     @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
     def test_batched_solve_equals_single_solves(self, n):
         """A K-column solve gives each column's single solve to the bit,
-        for pure and mixed parity and a zero column, as (n, n, K)."""
+        for pure and mixed parity and a zero column, as (m, K) on the
+        active nodes, and a single solve gives (m,)."""
         g = DoubleCoverGrid(n=n)
         polys = [ZonalPoly.single(k) for k in range(5)] + [
             ZonalPoly(((0, 0.7), (4, -1.3))), ZonalPoly(((1, 1.0), (2, 2.0)))]
         rhs = np.column_stack([g.rhs_from_source(p)
                                for p in polys] + [np.zeros(g.s.size)])
         got = g.solve(rhs)
-        assert got.shape == (n, n, rhs.shape[1])
+        assert got.shape == rhs.shape == (g.s.size, len(polys) + 1)
         for k in range(rhs.shape[1]):
             single = g.solve(rhs[:, k])
-            assert single.shape == (n, n)
+            assert single.shape == (g.s.size,)
             assert np.array_equal(got[..., k].view(np.int64),
                                   single.view(np.int64))
 
@@ -294,16 +295,19 @@ class TestGrid:
 
     @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
     def test_interpolator_matches_regular_grid_interpolator(self, n):
-        """The numpy bilinear interpolant equals scipy's linear
-        RegularGridInterpolator on interior points, on grid lines and nodes
-        and on the edges of the chart square, and is 0 outside it."""
+        """The numpy bilinear interpolant of active-node values equals
+        scipy's linear RegularGridInterpolator of their zero-filled chart
+        grid on interior points, on grid lines and nodes and on the edges
+        of the chart square, and is 0 outside it."""
         from scipy.interpolate import RegularGridInterpolator
 
         g = DoubleCoverGrid(n=n)
         a = g.axis
         rng = np.random.default_rng(n)
-        values = rng.normal(size=(n, n))
-        ref = RegularGridInterpolator((a, a), values, method="linear",
+        values = rng.normal(size=g.s.size)
+        chart = np.zeros((n, n))
+        chart[g.active] = values
+        ref = RegularGridInterpolator((a, a), chart, method="linear",
                                       bounds_error=False, fill_value=0.0)
         free = rng.uniform(a[0], a[-1], size=400)
         nodes = rng.choice(a, size=400)
@@ -428,10 +432,10 @@ class TestPipeline:
 
     def test_wrong_leading_power_fails_the_fit_gate(self, pipeline):
         """A grid field with no sqrt(r) term, u = r^{5/2} cos(theta/2)
-        (v = -xi |zeta|^4), fits sqrt(r) badly, and a1_of refuses it."""
+        (v = -xi |zeta|^4 on the active nodes), fits sqrt(r) badly, and
+        a1_of refuses it."""
         g = pipeline.grid
-        xi, eta = np.meshgrid(g.axis, g.axis, indexing="ij")
-        v = np.where(g.active, -xi * (xi**2 + eta**2) ** 2, 0.0)
+        v = -g.xi * (g.xi**2 + g.eta**2) ** 2
         _, rel = extract_a1(pipeline.near_circle_fn(v), pipeline.ring_radii())
         assert rel > MAX_FIT_REL_RESIDUAL
         with pytest.raises(FitIllConditioned):
