@@ -133,9 +133,21 @@ def _form_from(descriptor: dict):
     return ReHPowerForm(h, k)
 
 
+#: the last sun job grid, {(grid, truncation): DoubleCoverGrid}: a job at
+#: the same key reuses the grid with its matrix, blocks, factor and shell
+#: source, and every job still solves, checks and fits its own columns
+_job_grid: dict = {}
+
+
 def _sun_pipeline(descriptor: dict) -> SunPipeline:
-    return SunPipeline(DoubleCoverGrid(n=descriptor["grid"],
-                                       truncation=descriptor["truncation"]))
+    """The pipeline on the job grid of a sun descriptor, from the slot when
+    the last sun job had the same grid and truncation."""
+    key = (descriptor["grid"], descriptor["truncation"])
+    if key not in _job_grid:
+        # drop the old grid first, so two factors are never alive at once
+        _job_grid.clear()
+        _job_grid[key] = DoubleCoverGrid(n=key[0], truncation=key[1])
+    return SunPipeline(_job_grid[key])
 
 
 # --------------------------------------------------------------------------
@@ -400,7 +412,9 @@ def _manufactured_pair() -> tuple[float, float]:
     """RMS manufactured-solution errors at n = 160 and n = 320.
 
     They read no descriptor, seed or tolerance, so a process that runs
-    several sun jobs builds and factors these two grids once.
+    several sun jobs builds and factors these two grids once, and keeps
+    neither: only their errors outlive the call.  The job grid is reused
+    through ``_sun_pipeline``'s slot instead, which holds one grid.
     """
     return (rms(manufactured_error(DoubleCoverGrid(n=160))),
             rms(manufactured_error(DoubleCoverGrid(n=320))))

@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line surface."""
+import hashlib
 import io
 import json
 import os
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 import z2forms
 from z2forms.cli import MAX_RESOLUTION, build_parser, main
 from z2forms.defining import MAX_GERM_DEGREE, from_dict
-from z2forms.suites import (MAX_POINTS, SUITES, _form_from, _points_off_locus,
-                            _sun_pipeline, normalize_descriptor)
+from z2forms.suites import (MAX_POINTS, SUITES, _form_from, _job_grid,
+                            _points_off_locus, _sun_pipeline,
+                            normalize_descriptor)
 from z2forms.sun import MAX_GRID, ZonalPoly
 
 
@@ -750,6 +752,36 @@ class TestExport:
                               pipe.solve_for(ZonalPoly.single(1)))
         assert np.array_equal(field[~active].view(np.int64),
                               np.zeros(int((~active).sum()), dtype=np.int64))
+
+    def test_field_after_verify_in_one_process(self, tmp_path, capsys,
+                                               monkeypatch):
+        """A verify job leaves its grid in the job-grid slot; an export at
+        the same n but another truncation builds its own grid and writes
+        the recorded field.csv, and a second export reuses that grid, with
+        no factorization, and writes it again."""
+        import scipy.sparse.linalg as spla
+
+        _job_grid.clear()
+        verify = write_spec(tmp_path, "v.json", {"kind": "sun", "grid": 96,
+                                                 "truncation": 10})
+        assert main(["verify", "--spec", verify, "--suite", "sun"]) == 0
+        spec = write_spec(tmp_path, "s.json", {"kind": "sun", "grid": 96,
+                                               "degrees": [1]})
+        calls, splu = [], spla.splu
+        monkeypatch.setattr(spla, "splu",
+                            lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+        digests = []
+        for run in range(2):
+            calls.clear()
+            out = tmp_path / f"art{run}"
+            assert main(["export", "--spec", spec, "--what", "field",
+                         "--out", str(out)]) == 0
+            digests.append((len(calls), hashlib.sha256(
+                (out / "field.csv").read_bytes()).hexdigest()))
+        field = ("c27267677803ea1818a734127a6e5badf6819c73ef048eccab0899a6"
+                 "408f241e")
+        assert digests == [(2, field), (0, field)]
+        assert list(_job_grid) == [(96, 20.0)]
 
     @pytest.mark.parametrize("resolution", ["1", "-3", "0",
                                             str(MAX_RESOLUTION + 1)])

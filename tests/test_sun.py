@@ -1,14 +1,16 @@
 """Tests for the circle-branched harmonic function construction."""
 import json
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from z2forms.errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
-                            NoNullDirection)
+                            NoNullDirection, SolverDiverged)
 from z2forms.fd import fd_laplacian, rms
-from z2forms.suites import _manufactured_pair, normalize_descriptor, run_suite
+from z2forms.suites import (_job_grid, _manufactured_pair,
+                            normalize_descriptor, run_suite)
 from z2forms.sun import (CUTOFF_R1, CUTOFF_R2, MAX_FIT_REL_RESIDUAL, N_THETA,
                          DoubleCoverGrid, SunPipeline, ZonalPoly, chi,
                          extract_a1, manufactured_error, min_ring_grid,
@@ -187,6 +189,25 @@ class TestGrid:
         r = RNG.normal(size=int(g.active.sum()))
         with pytest.raises(ValueError):
             g.solve(r + r[g.swap])
+
+    def test_batch_with_an_even_column_is_rejected_before_the_lu(self):
+        g = DoubleCoverGrid(n=96)
+        r = RNG.normal(size=int(g.active.sum()))
+        with pytest.raises(ValueError):
+            g.solve(np.column_stack([r - r[g.swap], r + r[g.swap]]))
+        assert "_lu" not in g.__dict__
+
+    def test_residual_gate_is_per_column(self):
+        """With the parity blocks' factors swapped (equal sizes at even n),
+        a batch of a good zero column and a wrong degree-1 column fails on
+        the wrong one's relative residual."""
+        g = DoubleCoverGrid(n=96)
+        g.__dict__["_lu"] = g._lu[::-1]
+        rhs = np.column_stack([np.zeros(g.s.size),
+                               g.rhs_from_source(ZonalPoly.single(1))])
+        with pytest.raises(SolverDiverged):
+            g.solve(rhs)
+        assert np.array_equal(g.solve(rhs[:, 0]), np.zeros(g.s.size))
 
     def test_matrix_exactly_symmetric(self):
         a = DoubleCoverGrid(n=N_TEST)._matrix_csr
@@ -497,13 +518,32 @@ class TestPipeline:
 # the sun suite
 
 
-def sun_check(grid: int, name: str) -> dict:
-    """One check of a sun suite run at truncation 10 (ring window from
-    grid 90 on), as its report serializes it."""
+def sun_report(grid: int, truncation: float = 10.0) -> str:
+    """The JSON report of a sun suite run (at truncation 10 the ring window
+    starts at grid 90)."""
     descriptor = normalize_descriptor({"kind": "sun", "grid": grid,
-                                       "truncation": 10.0})
-    report = run_suite("sun", descriptor)
-    return next(c.to_dict() for c in report.checks if c.name == name)
+                                       "truncation": truncation})
+    return run_suite("sun", descriptor).to_json()
+
+
+def sun_check(grid: int, name: str) -> dict:
+    """One check of a sun suite run at truncation 10, as its report
+    serializes it."""
+    return next(c for c in json.loads(sun_report(grid))["checks"]
+                if c["name"] == name)
+
+
+def watch_splu(monkeypatch, record) -> list:
+    """A list that gets ``record()`` at each spla.splu call from here on."""
+    calls, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw:
+                        calls.append(record()) or splu(*a, **kw))
+    return calls
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    return watch_splu(monkeypatch, lambda: None)
 
 
 class TestSunSuite:
@@ -519,6 +559,7 @@ class TestSunSuite:
 
         monkeypatch.setattr(DoubleCoverGrid, "__post_init__", record)
         _manufactured_pair.cache_clear()
+        _job_grid.clear()
         first = sun_check(96, "sun.manufactured_order")
         assert {160, 320} <= set(built)
         built.clear()
@@ -539,3 +580,39 @@ class TestSunSuite:
         assert ((residuals > 0.0) & (residuals < 0.2)).all()
         assert first["lu_nnz"] == \
             DoubleCoverGrid(n=96, truncation=10.0)._lu.nnz > 0
+
+
+class TestJobGridSlot:
+    """One process keeps the last sun job grid, keyed by grid and
+    truncation, and factors it once."""
+
+    def test_second_job_factors_nothing(self, splu_calls):
+        """A second job at the same grid and truncation makes no splu call
+        and writes the report of a job from an emptied slot, byte for
+        byte."""
+        _job_grid.clear()
+        fresh = sun_report(96)
+        assert splu_calls  # the job grid's blocks, at least
+        splu_calls.clear()
+        assert sun_report(96) == fresh
+        assert splu_calls == []
+        assert list(_job_grid) == [(96, 10.0)]
+
+    def test_truncation_alone_makes_a_new_grid(self, splu_calls):
+        sun_report(96)
+        old = _job_grid[(96, 10.0)]
+        splu_calls.clear()
+        sun_report(96, truncation=9.0)
+        assert len(splu_calls) == 2  # one factor per parity block
+        assert list(_job_grid) == [(96, 9.0)]
+        assert _job_grid[(96, 9.0)] is not old
+
+    def test_old_grid_is_freed_before_the_new_factor(self, monkeypatch):
+        """The slot drops its grid before it builds the next, so the old
+        grid and its factors are gone when the new grid factors."""
+        sun_report(96)
+        old = weakref.ref(_job_grid[(96, 10.0)])
+        alive = watch_splu(monkeypatch, lambda: old() is not None)
+        sun_report(100)
+        assert alive == [False, False]  # one factor per parity block
+        assert list(_job_grid) == [(100, 10.0)]
