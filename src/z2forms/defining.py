@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import SchemaError
 from .report import jsonable
@@ -313,16 +314,10 @@ class UnivariatePolynomial(DefiningFunction):
         object.__setattr__(self, "p", p)
 
     def value(self, z):
-        out = 0.0 + 0.0j
-        for c in reversed(self.p):
-            out = out * z + c
-        return out
+        return P.polyval(z, self.p)
 
     def partials(self, z):
-        out = 0.0 + 0.0j
-        for k in range(len(self.p) - 1, 0, -1):
-            out = out * z + k * self.p[k]
-        return (out,)
+        return (P.polyval(z, P.polyder(self.p)),)
 
     def roots(self) -> np.ndarray:
         return np.roots(list(reversed(self.p)))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -56,6 +56,13 @@ MAX_HALF_POWER = 24
 #: 256-vertex polygons linked 755 times, not 756
 MAX_FIBER_INDEX = 24
 
+#: range of |base| of a fiber spec: the topology suite passed every coprime
+#: p, q <= MAX_FIBER_INDEX at seeds 0-2 and base angles 0, 2.1 and -1.3 at
+#: |base| 1e-3 and 1e3 (3231 jobs each); at 1e-4 every (1, q) raised
+#: CurvesTooClose, at 3e3 (1, 1), (2, 1), (4, 1), (8, 1) and (16, 1) did,
+#: and (24, 1) at base 1e5 linked -8 times
+MIN_FIBER_BASE, MAX_FIBER_BASE = 1e-3, 1e3
+
 #: distance from p * q within which the exact polygon linking number of a
 #: fiber pair counts as that integer; its round-off measured below 2e-13
 #: for every fiber within MAX_FIBER_INDEX (p * q up to 552)
@@ -87,9 +94,10 @@ def normalize_descriptor(spec: dict, path: str = "$") -> dict:
         if not (isinstance(base, (list, tuple)) and len(base) == 2):
             raise SchemaError(f"{path}.base", "expected [re, im]")
         base = [_finite(v, f"{path}.base[{i}]") for i, v in enumerate(base)]
-        if base == [0, 0]:
-            raise SchemaError(f"{path}.base", "base 0 is the chart value of "
-                              "the singular fiber {z1 = 0}")
+        if not MIN_FIBER_BASE <= math.hypot(*base) <= MAX_FIBER_BASE:
+            raise SchemaError(f"{path}.base", f"need {MIN_FIBER_BASE:g} <= "
+                              f"|base| <= {MAX_FIBER_BASE:g}, the range the "
+                              "topology suite was checked on")
         out = {"kind": "fiber", "p": p, "q": q, "base": base}
     elif kind == "sun":
         out = _normalize_sun(spec, path)
@@ -133,21 +141,18 @@ def _form_from(descriptor: dict):
     return ReHPowerForm(h, k)
 
 
-#: the last sun job grid, {(grid, truncation): DoubleCoverGrid}: a job at
-#: the same key reuses the grid with its matrix, blocks, factor and shell
-#: source, and every job still solves, checks and fits its own columns
-_job_grid: dict = {}
+@lru_cache(maxsize=1)
+def _job_grid(n: int, truncation: float) -> DoubleCoverGrid:
+    """The last sun job grid: a job at the same grid and truncation reuses
+    it with its matrix, blocks, factor and shell source, and every job
+    still solves, checks and fits its own columns.  The constructor factors
+    nothing (``_lu`` is lazy), so the evicted grid is freed before the new
+    grid factors: two factors are never alive at once."""
+    return DoubleCoverGrid(n=n, truncation=truncation)
 
 
 def _sun_pipeline(descriptor: dict) -> SunPipeline:
-    """The pipeline on the job grid of a sun descriptor, from the slot when
-    the last sun job had the same grid and truncation."""
-    key = (descriptor["grid"], descriptor["truncation"])
-    if key not in _job_grid:
-        # drop the old grid first, so two factors are never alive at once
-        _job_grid.clear()
-        _job_grid[key] = DoubleCoverGrid(n=key[0], truncation=key[1])
-    return SunPipeline(_job_grid[key])
+    return SunPipeline(_job_grid(descriptor["grid"], descriptor["truncation"]))
 
 
 # --------------------------------------------------------------------------
@@ -373,7 +378,7 @@ def run_vanishing_order(descriptor: dict, seed: int, tol: dict) -> list[Check]:
 def run_topology(descriptor: dict, seed: int, tol: dict) -> list[Check]:
     p, q = descriptor["p"], descriptor["q"]
     base = complex(*descriptor["base"])
-    other = -2.0 * base  # base 0, a singular fiber, is a schema error
+    other = -2.0 * base  # |base| is bounded away from 0, a singular fiber
     checks = []
 
     # exact linking of every 4th vertex; the windings read all 1024
@@ -414,7 +419,7 @@ def _manufactured_pair() -> tuple[float, float]:
     They read no descriptor, seed or tolerance, so a process that runs
     several sun jobs builds and factors these two grids once, and keeps
     neither: only their errors outlive the call.  The job grid is reused
-    through ``_sun_pipeline``'s slot instead, which holds one grid.
+    through ``_job_grid`` instead, which holds one grid.
     """
     return (rms(manufactured_error(DoubleCoverGrid(n=160))),
             rms(manufactured_error(DoubleCoverGrid(n=320))))

@@ -46,10 +46,10 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-# scipy.sparse is imported inside DoubleCoverGrid._matrix_csr and ._lu
-# only: importing scipy.sparse.linalg costs about 32 MB of RSS and 0.4 s
-# (2-core host), and no suite but sun (and no export but `field`) reaches
-# those two methods.  The interpolator is numpy, because
+# scipy.sparse is imported inside DoubleCoverGrid._matrix_csr, ._blocks
+# and ._lu only: importing scipy.sparse.linalg costs about 32 MB of RSS and
+# 0.4 s (2-core host), and no suite but sun (and no export but `field`)
+# reaches those methods.  The interpolator is numpy, because
 # scipy.interpolate would cost another 20 MB and 0.3 s in every sun job.
 
 from .errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
@@ -252,18 +252,25 @@ class DoubleCoverGrid:
     @cached_property
     def _shell_source(self):
         """(shell mask, source on the shell, signed chart factor there) on
-        the active nodes."""
+        the active nodes; raises GridTooCoarse where no node lies in the
+        shell, since every source would then read 0."""
         shell, source = _shell(self.s, self.x3)
+        if not shell.any():
+            raise GridTooCoarse(f"no node of the n = {self.n} grid lies in "
+                                f"the source shell {CUTOFF_R1:g} < rho < "
+                                f"{CUTOFF_R2:g}")
         xi, eta = self.xi[shell], self.eta[shell]
         return shell, source, (
             np.sign(xi) * 4.0 * (xi**2 + eta**2) * self.s[shell])
 
     @cached_property
     def _blocks(self):
-        """(reps, mirrors, eps, unknown, char) per parity block, eps = +1
-        first: the active index of each unknown's representative and its
-        R-mirror, and each active node's unknown (-1: it carries 0) and
-        character."""
+        """(reps, mirrors, eps, F) per parity block, eps = +1 first: the
+        active index of each unknown's representative and its R-mirror, and
+        the map F (m, unknowns) from the unknowns to the field: row q holds
+        q's int8 character at q's unknown, or nothing where q carries 0."""
+        import scipy.sparse as sp
+
         n, idx = self.n, self.index
         ii, jj = np.nonzero(self.active)
         flip_i, flip_j = ii > n - 1 - ii, jj > n - 1 - jj  # xi > 0, eta > 0
@@ -276,15 +283,17 @@ class DoubleCoverGrid:
         # S^flip_i R^(flip_i != flip_j); fixed nodes' orbits carry 0
         for eps, fixed in ((1, ii == n - 1 - ii), (-1, jj == n - 1 - jj)):
             keep = ~fixed[own]
-            reps = own[keep]
-            blocks.append((reps, idx[ii[reps], n - 1 - jj[reps]], eps,
-                           np.where(keep, np.cumsum(keep) - 1, -1)[orbit]
-                           .astype(np.int32),
-                           np.where(flip_i != flip_j, eps * sheet, sheet)))
+            reps, live = own[keep], keep[orbit]
+            spread = sp.csr_matrix((
+                np.where(flip_i != flip_j, eps * sheet, sheet)[live],
+                (np.flatnonzero(live), (np.cumsum(keep) - 1)[orbit[live]])),
+                shape=(rep.size, reps.size))
+            blocks.append((reps, idx[ii[reps], n - 1 - jj[reps]], eps, spread))
         return blocks
 
     @cached_property
     def _lu(self):
+        """The LU factor of each parity block's B = A[reps] F."""
         # In a parity block, row q of A F x (F spreads the block's unknowns
         # x to the field) is the representative's row times the character
         # taking the representative to q, so the rows at the representatives
@@ -299,22 +308,14 @@ class DoubleCoverGrid:
         # than COLAMD.  The ordering depends on the choice of
         # representatives: at n = 1024 the L + U fill is 10.1M with the
         # lowest index of each orbit and 14.4M with the highest.
-        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        factors = []
-        for reps, _, _, unknown, char in self._blocks:
-            # F from the arrays, one entry per row; the product sums entries
-            # meeting on one unknown in A's column order
-            live = unknown >= 0
-            fold = sp.csr_matrix((char[live], unknown[live],
-                                  np.r_[0, np.cumsum(live)]),
-                                 shape=(unknown.size, reps.size))
-            factors.append(spla.splu(
-                (self._matrix_csr[reps] @ fold).tocsc(),
-                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True}))
-        return _BlockLU(factors)
+        # the product sums entries meeting on one unknown in A's column order
+        return _BlockLU(spla.splu((self._matrix_csr[reps] @ spread).tocsc(),
+                                  permc_spec="MMD_AT_PLUS_A",
+                                  diag_pivot_thresh=0.0,
+                                  options={"SymmetricMode": True})
+                        for reps, _, _, spread in self._blocks)
 
     @cached_property
     def _matrix_csr(self):
@@ -368,10 +369,11 @@ class DoubleCoverGrid:
         solve.  A column's R-parity parts (one is exactly 0 at pure parity)
         are solved if nonzero, one per factor call, since a multi-column
         call takes other BLAS kernels and would tie a column's last bits to
-        its batch.  The residual check runs on the full five-point system,
-        one sparse product for the batch, and gates each column on its own
-        relative residual, so it certifies the quarter-chart reduction as
-        well."""
+        its batch.  Each part's solution reaches the field as F x, through
+        its block's map F, whose rows hold one entry each.  The residual
+        check runs on the full five-point system, one sparse product for
+        the batch, and gates each column on its own relative residual, so
+        it certifies the quarter-chart reduction as well."""
         rhs = np.asarray(rhs_active, dtype=float)
         cols = np.ascontiguousarray(rhs.reshape(len(rhs), -1).T)
         if not all(np.array_equal(col[self.swap], -col) for col in cols):
@@ -379,11 +381,10 @@ class DoubleCoverGrid:
         # np.zeros pages fill only as columns are written, after the LU
         out = np.zeros(cols.shape)
         for k, col in enumerate(cols):
-            for (reps, mirrors, eps, unknown, char), lu in zip(self._blocks,
-                                                              self._lu):
+            for (reps, mirrors, eps, spread), lu in zip(self._blocks, self._lu):
                 part = 0.5 * (col[reps] + eps * col[mirrors])
-                if part.any():  # unknown -1, a node carrying 0, reads the 0
-                    out[k] += char * np.append(lu.solve(part), 0.0)[unknown]
+                if part.any():
+                    out[k] += spread @ lu.solve(part)
         # the residual product reads (m, K) rows; the (K, m) array is freed
         # before it runs
         out = np.ascontiguousarray(out.T)
@@ -559,7 +560,7 @@ class SunPipeline:
         # the null combination kills the sqrt(r) term, so its fit residual
         # is dominated by the next order; the mixed column's A1 may nearly
         # cancel, and its linear fit restates the table: neither is gated
-        u_fn = self.near_circle_fn(sum(ck * v[..., i] for i, ck in enumerate(c)))
+        u_fn = self.near_circle_fn(v[:, :-1] @ c)
         radii = self.ring_radii()
         combo = float(np.linalg.norm(extract_a1(u_fn, radii)[0]))
         slope = ring_rms_slope(u_fn, np.geomspace(radii[0], 0.05, N_RINGS))

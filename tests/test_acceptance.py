@@ -209,8 +209,8 @@ def test_criterion_8_sun_pipeline():
 
 def test_criterion_9_determinism():
     # the sun pair's first run builds and factors its grid, and the second
-    # reuses it from the job-grid slot
-    _job_grid.clear()
+    # reuses it from the job-grid cache
+    _job_grid.cache_clear()
     reports = []
     for spec, suite in (({"kind": "node", "a": 0, "b": 0, "c": 0},
                          "monodromy"),

@@ -67,8 +67,11 @@ class TestConstruct:
         echoed = json.loads(capsys.readouterr().out)
         assert echoed == echo
         spec2 = write_spec(tmp_path, "s2.json", echoed)
-        assert main(["construct", "--spec", spec2]) == 0
-        assert json.loads(capsys.readouterr().out) == echoed
+        out = tmp_path / "art"
+        assert main(["construct", "--spec", spec2, "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert json.loads(text) == echoed
+        assert (out / "descriptor.json").read_text() == text
 
     def test_planar_descriptor(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "p.json", {"kind": "planar",
@@ -306,8 +309,11 @@ class TestSunSchema:
         ({"degrees": [0, 1, float("nan")]}, "$.degrees[2]"),
         ({"truncation": 5.0}, "$.truncation"),
         ({"degrees": [0, 1, 13]}, "$.degrees[2]"),
+        ({"degrees": []}, "$.degrees"),
+        ({"degrees": 3}, "$.degrees"),
     ], ids=["grid-text", "grid-fraction", "truncation-nan", "degree-text",
-            "degree-nan", "truncation-inside-cutoff", "degree-too-large"])
+            "degree-nan", "truncation-inside-cutoff", "degree-too-large",
+            "degrees-empty", "degrees-not-a-list"])
     def test_bad_sun_spec_is_schema_error(self, tmp_path, capsys, patch, path):
         spec = write_spec(tmp_path, "s.json",
                           {"kind": "sun", "grid": 96, **patch})
@@ -408,6 +414,13 @@ class TestFormSchema:
         ({"kind": "ramified", "k": "x"}, "$.k"),
         ({"kind": "axial", "k": 1.5}, "$.k"),
         ({"kind": "fiber", "p": 2, "q": 3, "base": ["a", 1]}, "$.base[0]"),
+        ({"kind": "fiber", "p": 2, "q": 3, "base": [1, 0, 0]}, "$.base"),
+        # valid before |base| was bounded: the topology suite read linking
+        # -8 and 1.9e-13 for 24, and raised CurvesTooClose on (1, 1)
+        ({"kind": "fiber", "p": 24, "q": 1, "base": [1e5, 0]}, "$.base"),
+        ({"kind": "fiber", "p": 24, "q": 1, "base": [1e6, 0]}, "$.base"),
+        ({"kind": "fiber", "p": 1, "q": 1, "base": [3e3, 0]}, "$.base"),
+        ({"kind": "fiber", "p": 1, "q": 1, "base": [1e-4, 0]}, "$.base"),
         ({"kind": "fiber", "p": 2, "q": 0}, "$.q"),
         ({"kind": "node", "a": float("nan")}, "$.a"),
         ({"kind": "planar", "p": [float("nan"), 1]}, "$.p[0]"),
@@ -445,7 +458,9 @@ class TestFormSchema:
         ({"kind": "sun", "r2": 5.0}, "$.r2"),
         ({"kind": "node", "q": 1}, "$.q"),
     ], ids=["axial-k-text", "ramified-k-text", "axial-k-fraction",
-            "fiber-base-text", "fiber-q-zero", "node-a-nan", "planar-coeff-nan",
+            "fiber-base-text", "fiber-base-triple", "fiber-24-1-base-1e5",
+            "fiber-24-1-base-1e6", "fiber-1-1-base-3e3", "fiber-1-1-base-1e-4",
+            "fiber-q-zero", "node-a-nan", "planar-coeff-nan",
             "bivariate-exponent-fraction", "bivariate-empty",
             "bivariate-zero", "bivariate-cancelling", "lines-empty",
             "planar-zero", "bivariate-z-degree", "bivariate-w-degree",
@@ -753,15 +768,27 @@ class TestExport:
         assert np.array_equal(field[~active].view(np.int64),
                               np.zeros(int((~active).sum()), dtype=np.int64))
 
+    def test_field_without_a_source_node_is_an_error(self, tmp_path,
+                                                     capsys):
+        # at this truncation no node of the grid lies in the source shell,
+        # so the field would be 0 everywhere
+        spec = write_spec(tmp_path, "s.json", {"kind": "sun", "grid": 64,
+                                               "truncation": 1e300})
+        out = tmp_path / "art"
+        assert main(["export", "--spec", spec, "--what", "field",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: no node")
+        assert not (out / "field.csv").exists()
+
     def test_field_after_verify_in_one_process(self, tmp_path, capsys,
                                                monkeypatch):
-        """A verify job leaves its grid in the job-grid slot; an export at
+        """A verify job leaves its grid in the job-grid cache; an export at
         the same n but another truncation builds its own grid and writes
         the recorded field.csv, and a second export reuses that grid, with
         no factorization, and writes it again."""
         import scipy.sparse.linalg as spla
 
-        _job_grid.clear()
+        _job_grid.cache_clear()
         verify = write_spec(tmp_path, "v.json", {"kind": "sun", "grid": 96,
                                                  "truncation": 10})
         assert main(["verify", "--spec", verify, "--suite", "sun"]) == 0
@@ -781,7 +808,8 @@ class TestExport:
         field = ("c27267677803ea1818a734127a6e5badf6819c73ef048eccab0899a6"
                  "408f241e")
         assert digests == [(2, field), (0, field)]
-        assert list(_job_grid) == [(96, 20.0)]
+        # the verify and the first export miss, the second export hits
+        assert _job_grid.cache_info() == (1, 2, 1, 1)
 
     @pytest.mark.parametrize("resolution", ["1", "-3", "0",
                                             str(MAX_RESOLUTION + 1)])

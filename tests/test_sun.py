@@ -559,7 +559,7 @@ class TestSunSuite:
 
         monkeypatch.setattr(DoubleCoverGrid, "__post_init__", record)
         _manufactured_pair.cache_clear()
-        _job_grid.clear()
+        _job_grid.cache_clear()
         first = sun_check(96, "sun.manufactured_order")
         assert {160, 320} <= set(built)
         built.clear()
@@ -588,31 +588,34 @@ class TestJobGridSlot:
 
     def test_second_job_factors_nothing(self, splu_calls):
         """A second job at the same grid and truncation makes no splu call
-        and writes the report of a job from an emptied slot, byte for
+        and writes the report of a job from an emptied cache, byte for
         byte."""
-        _job_grid.clear()
+        _job_grid.cache_clear()
         fresh = sun_report(96)
         assert splu_calls  # the job grid's blocks, at least
         splu_calls.clear()
         assert sun_report(96) == fresh
         assert splu_calls == []
-        assert list(_job_grid) == [(96, 10.0)]
+        assert _job_grid.cache_info() == (1, 1, 1, 1)  # hits, misses, sizes
 
     def test_truncation_alone_makes_a_new_grid(self, splu_calls):
+        _job_grid.cache_clear()
         sun_report(96)
-        old = _job_grid[(96, 10.0)]
+        old = _job_grid(96, 10.0)
         splu_calls.clear()
         sun_report(96, truncation=9.0)
         assert len(splu_calls) == 2  # one factor per parity block
-        assert list(_job_grid) == [(96, 9.0)]
-        assert _job_grid[(96, 9.0)] is not old
+        assert _job_grid(96, 9.0) is not old
+        assert _job_grid.cache_info() == (2, 2, 1, 1)
 
     def test_old_grid_is_freed_before_the_new_factor(self, monkeypatch):
-        """The slot drops its grid before it builds the next, so the old
-        grid and its factors are gone when the new grid factors."""
+        """The cache drops its grid when the next is built, and building
+        factors nothing, so the old grid and its factors are gone when the
+        new grid factors."""
+        _job_grid.cache_clear()
         sun_report(96)
-        old = weakref.ref(_job_grid[(96, 10.0)])
+        old = weakref.ref(_job_grid(96, 10.0))
         alive = watch_splu(monkeypatch, lambda: old() is not None)
         sun_report(100)
         assert alive == [False, False]  # one factor per parity block
-        assert list(_job_grid) == [(100, 10.0)]
+        assert _job_grid.cache_info() == (1, 2, 1, 1)
