@@ -251,13 +251,13 @@ def _meridian_loops(kind: str, h):
     """
     loops = []
 
-    def w_loop(z0, center, radius, label):
-        return (circle([z0.real, z0.imag, center.real, center.imag], radius,
-                       n=64, plane=(2, 3)), label)
+    def w_loop(z0, center, radius):
+        return circle([z0.real, z0.imag, center.real, center.imag], radius,
+                      n=64, plane=(2, 3))
 
-    def z_loop(w0, center, radius, label):
-        return (circle([center.real, center.imag, w0.real, w0.imag], radius,
-                       n=64, plane=(0, 1)), label)
+    def z_loop(w0, center, radius):
+        return circle([center.real, center.imag, w0.real, w0.imag], radius,
+                      n=64, plane=(0, 1))
 
     if kind == "planar":
         roots = h.roots()
@@ -271,9 +271,9 @@ def _meridian_loops(kind: str, h):
     roots = _w_roots(np.asarray(h.w_poly_coeffs(z0))[:, None])[0]
     roots = roots[~np.isnan(roots)]
     for center, mult in _cluster_roots(roots):
-        loop, label = w_loop(z0, center, _clearance(center, roots),
-                             f"w-meridian at z={z0:.3g}, w={center:.3g}")
-        loops.append((loop, label, (-1) ** mult))
+        loops.append((w_loop(z0, center, _clearance(center, roots)),
+                      f"w-meridian at z={z0:.3g}, w={center:.3g}",
+                      (-1) ** mult))
     if kind == "lines":
         # lines with b = 0 are all {z = 0}, invisible to the w-poly: one
         # meridian, clear of the other lines {z = -b w / a} at w = 1
@@ -281,20 +281,24 @@ def _meridian_loops(kind: str, h):
         if mult:
             center = 0.0 + 0.0j
             others = [-b / a for a, b in h.lines if a != 0 and b != 0]
-            loop, label = z_loop(1.0 + 0.0j, center, _clearance(center, others),
-                                 f"z-meridian at w=1, z={center:.3g}")
-            loops.append((loop, label, (-1) ** mult))
+            loops.append((z_loop(1.0 + 0.0j, center,
+                                 _clearance(center, others)),
+                          f"z-meridian at w=1, z={center:.3g}", (-1) ** mult))
     if kind == "node" and h.a == 0:
         # a = 0 factors as (z - b)(w - c); add the {z = b} meridian
-        loop, label = z_loop(h.c + 1.0, h.b, 0.3,
-                             f"z-meridian around z={h.b:.3g}")
-        loops.append((loop, label, -1))
+        loops.append((z_loop(h.c + 1.0, h.b, 0.3),
+                      f"z-meridian around z={h.b:.3g}", -1))
     return loops
 
 
+def _nearest_other(center, roots) -> float:
+    """Distance to the nearest root more than 1e-6 from ``center``, or inf."""
+    return min((abs(center - r) for r in roots if abs(center - r) > 1e-6),
+               default=math.inf)
+
+
 def _clearance(center, roots):
-    others = [abs(center - r) for r in roots if abs(center - r) > 1e-6]
-    return min(0.3, 0.45 * min(others)) if others else 0.3
+    return min(0.3, 0.45 * _nearest_other(center, roots))
 
 
 def run_monodromy(descriptor: dict, seed: int, tol: dict) -> list[Check]:
@@ -337,8 +341,7 @@ def run_vanishing_order(descriptor: dict, seed: int, tol: dict) -> list[Check]:
         for root in simple[:3]:
             # the fit window ends a tenth of the way to the nearest other
             # root, where |omega| stops looking like |z - root|^(1/2)
-            gap = min((abs(root - c) for c, _ in clusters if c != root),
-                      default=math.inf)
+            gap = _nearest_other(root, [c for c, _ in clusters])
             r_hi = min(0.1, gap / 10)
             slope = vanishing_order(form.magnitude, [root.real, root.imag],
                                     [1, 0], r_lo=r_hi / 100, r_hi=r_hi)

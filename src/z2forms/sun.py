@@ -58,10 +58,10 @@ from .errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
 MAX_ZONAL_DEGREE = 12
 
 #: largest chart grid a spec may ask for: a full n = 2048 sun job took
-#: 6-8 s at a 1.2 GB peak RSS on a 2-core host (the factorization 4-5.5 s,
-#: to 1.0 GB), and cost grows faster than n^2.  The sun suite keeps the
-#: last job grid with its factors for the next job at that grid: at
-#: n = 2048 the process holds 0.8 GB of RSS between jobs
+#: 7.5-7.9 s at a 0.99 GB peak RSS on a 2-core host (glibc mmap threshold
+#: fixed at 128 KiB), and cost grows faster than n^2.  The sun suite keeps
+#: the last job grid with its factors for the next job at that grid: at
+#: n = 2048 the process holds 0.73 GB of RSS between jobs
 MAX_GRID = 2048
 
 #: largest inner radius (3 h)^2 of a ring fit window [r_lo, 0.1]
@@ -203,9 +203,9 @@ class DoubleCoverGrid:
     L = sqrt(truncation + 1), which contains the preimage of the physical
     ball rho <= truncation.  Active nodes are those with s > 0 (inside the
     rotation-axis hyperbola) and rho < truncation; all other nodes carry
-    Dirichlet zero.  The grid keeps the ``active`` mask, the active-node
-    ``index`` and the active nodes' ``xi``, ``eta``, ``s`` and ``x3``, in
-    row-major order; no full n x n float array outlives the constructor.
+    Dirichlet zero.  The grid keeps its ``axis``, the ``active`` mask and
+    the int32 ``index`` of the active nodes in row-major order (-1
+    elsewhere); ``nodes()`` derives their (xi, eta) where they are read.
     A field is a vector (m,) or (m, K) on the m active nodes, 0 elsewhere.
 
     The grid solves for sheet-odd fields only, V(-zeta) = -V(zeta): every
@@ -213,9 +213,10 @@ class DoubleCoverGrid:
     the group {1, S, R, SR} of the sheet swap S: (i, j) -> (n-1-i, n-1-j)
     and the reflection R: (i, j) -> (i, n-1-j), which is eta -> -eta, that
     is x3 -> -x3; both are exact on the nodes because the axis is exactly
-    odd.  So a sheet-odd field splits into two parity blocks, eps = +1 and
-    eps = -1 under R, that solve independently, and a degree-k source lies
-    in the block eps = (-1)^k exactly.
+    odd.  S maps the active set onto itself and reverses row-major order,
+    so the swap of a field v is v[::-1].  A sheet-odd field splits into two
+    parity blocks, eps = +1 and eps = -1 under R, that solve independently,
+    and a degree-k source lies in the block eps = (-1)^k exactly.
 
     Each orbit {q, Sq, Rq, SRq} has one unknown per parity, at its lowest
     active index in row-major order: the node with xi <= 0 and eta <= 0, a
@@ -239,29 +240,28 @@ class DoubleCoverGrid:
         s = 1.0 + xi**2 - eta**2
         self.active = (s > 0.0) & (np.hypot(s, 2.0 * xi * eta)
                                    < self.truncation)
-        idx = -np.ones((self.n, self.n), dtype=np.int64)
-        idx[self.active] = np.arange(int(self.active.sum()))
-        self.index = idx
+        self.index = np.full((self.n, self.n), -1, dtype=np.int32)
+        self.index[self.active] = np.arange(self.active.sum(), dtype=np.int32)
+
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xi, eta) of the active nodes, in the order of ``index``."""
         ii, jj = np.nonzero(self.active)
-        self.xi, self.eta = self.axis[ii], self.axis[jj]
-        self.s = 1.0 + self.xi**2 - self.eta**2
-        self.x3 = 2.0 * self.xi * self.eta
-        # active index of each active node's sheet mirror (n-1-i, n-1-j)
-        self.swap = idx[::-1, ::-1][self.active]
+        return self.axis[ii], self.axis[jj]
 
     @cached_property
     def _shell_source(self):
         """(shell mask, source on the shell, signed chart factor there) on
         the active nodes; raises GridTooCoarse where no node lies in the
         shell, since every source would then read 0."""
-        shell, source = _shell(self.s, self.x3)
+        xi, eta = self.nodes()
+        s = 1.0 + xi**2 - eta**2
+        shell, source = _shell(s, 2.0 * xi * eta)
         if not shell.any():
             raise GridTooCoarse(f"no node of the n = {self.n} grid lies in "
                                 f"the source shell {CUTOFF_R1:g} < rho < "
                                 f"{CUTOFF_R2:g}")
-        xi, eta = self.xi[shell], self.eta[shell]
-        return shell, source, (
-            np.sign(xi) * 4.0 * (xi**2 + eta**2) * self.s[shell])
+        xi, eta, s = xi[shell], eta[shell], s[shell]
+        return shell, source, np.sign(xi) * 4.0 * (xi**2 + eta**2) * s
 
     @cached_property
     def _blocks(self):
@@ -356,7 +356,7 @@ class DoubleCoverGrid:
         """4 |zeta|^2 s H on the active nodes (flattened); the shell and its
         signed chart factor are computed once per grid."""
         shell, source, factor = self._shell_source
-        out = np.zeros(self.s.size)
+        out = np.zeros(shell.shape)
         out[shell] = factor * source(p)
         return out
 
@@ -376,7 +376,7 @@ class DoubleCoverGrid:
         it certifies the quarter-chart reduction as well."""
         rhs = np.asarray(rhs_active, dtype=float)
         cols = np.ascontiguousarray(rhs.reshape(len(rhs), -1).T)
-        if not all(np.array_equal(col[self.swap], -col) for col in cols):
+        if not all(np.array_equal(col[::-1], -col) for col in cols):
             raise ValueError("rhs is not odd under zeta -> -zeta")
         # np.zeros pages fill only as columns are written, after the LU
         out = np.zeros(cols.shape)
@@ -550,9 +550,7 @@ class SunPipeline:
         for its decay slope."""
         polys = [ZonalPoly.single(k) for k in degrees]
         polys.append(ZonalPoly(((degrees[0], 0.7), (degrees[-1], -1.3))))
-        rhs = np.empty((len(polys), self.grid.s.size))
-        for row, p in zip(rhs, polys):
-            row[:] = self.grid.rhs_from_source(p)
+        rhs = np.array([self.grid.rhs_from_source(p) for p in polys])
         v = self.grid.solve(rhs.T)
         fits = [self.a1_of(v[..., i]) for i in range(len(degrees))]
         matrix = np.column_stack([a1 for a1, _ in fits])
@@ -623,8 +621,7 @@ def manufactured_error(grid: DoubleCoverGrid) -> np.ndarray:
     """|V - V*| at each active node for a closed-form sheet-odd V*.
 
     V* is the odd pair E(zeta) - E(-zeta) of the bump, the class of fields
-    the grid solves for.
+    the grid solves for; E(-zeta) at the nodes is E reversed.
     """
-    e_pos, lap_pos = _bump(grid.xi, grid.eta)
-    e_neg, lap_neg = _bump(-grid.xi, -grid.eta)
-    return np.abs(grid.solve(lap_pos - lap_neg) - (e_pos - e_neg))
+    e, lap = _bump(*grid.nodes())
+    return np.abs(grid.solve(lap - lap[::-1]) - (e - e[::-1]))

@@ -24,6 +24,29 @@ def z_loop(w=1.0, radius=1.0, n=64):
     return circle([0, 0, w, 0], radius, n=n, plane=(0, 1))
 
 
+class TestGuards:
+    """Each guard on a path or branch input raises on the input it names."""
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: Polyline(np.zeros((1, 2))), "at least 2 points"),
+        (lambda: Polyline(np.zeros((2, 5))), "must live in"),
+        (lambda: Polyline([[0.0, 0.0], [np.nan, 1.0]]), "finite"),
+        (lambda: Polyline([[0.0, 1.0], [0.0, 1.0]]), "distinct"),
+        (lambda: Polyline([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], closed=True),
+         "repeat its first point"),
+        (lambda: HalfPower(-1), "nonnegative"),
+        (lambda: BranchState(at=[1.0, 0.0, 1.0, 0.0], h_value=1.0, sign=2),
+         "sign"),
+        (lambda: continue_branch(ZW, z_loop(),
+                                 principal_state(ZW, [0.0, 1.0, 1.0, 0.0])),
+         "first path point"),
+    ], ids=["one-point", "r5", "nan", "repeated-point", "closed-repeat",
+            "negative-k", "sign-2", "start-off-path"])
+    def test_bad_input_raises(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+
 class TestBranchState:
     def test_fields_and_signed_root(self):
         st_ = principal_state(ZW, [0.3, 0.7, -1.1, 0.2])

@@ -38,6 +38,10 @@ class TestEvalF:
         with pytest.raises(PathHitsBranchLocus):
             state(ZW_FORM, 0, 0, 1, 0)
 
+    def test_re_h_power_form_needs_two_variables(self):
+        with pytest.raises(ValueError, match="bivariate"):
+            ReHPowerForm(UnivariatePolynomial((0.0, 1.0)))
+
 
 class TestEvalOmega:
     def test_at_ones(self):
@@ -330,6 +334,18 @@ class TestSampleSigma:
         h = Node(a=1.0, b=0.0, c=0.0)
         with pytest.raises(EmptyIntersection):
             sample_sigma(h, [[0.01, 0.02]] * 4, 10)
+
+    @pytest.mark.parametrize("h, window", [
+        (UnivariatePolynomial((0.0, 1.0)), [[1, 2], [1, 2]]),
+        (THREE_LINES, [[0.5, 1.0]] * 4),
+    ], ids=["univariate", "lines"])
+    def test_empty_window_of_exact_sigma(self, h, window):
+        """The root set of a univariate h and the lines of a product of
+        lines, as the generic sampler, raise when none of Sigma is in the
+        window: h(z) = z has its root at 0, and no line has Re z, Im z,
+        Re w and Im w all positive."""
+        with pytest.raises(EmptyIntersection):
+            sample_sigma(h, window, 64)
 
     def test_nodal_family_degeneration(self):
         # h = (z - b)(w - c) - a; a = 0 degenerates to {z = b} u {w = c}

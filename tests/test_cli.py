@@ -189,18 +189,22 @@ class TestVerify:
                                                "terms": [[0, 0, 1]]})
         assert main(["verify", "--spec", spec, "--suite", suite]) == 2
 
-    @pytest.mark.parametrize("spec, suite", [
+    @pytest.mark.parametrize("spec, suite, message", [
         ({"kind": "lines", "lines": [[1, [0.01 * k, 1]] for k in range(64)]},
-         "vanishing-order"),
-        ({"kind": "bivariate", "terms": [[1, 0, 1]]}, "monodromy"),
-    ], ids=["lines-no-smooth-point", "z-no-meridian"])
+         "vanishing-order", "no smooth branching-set points"),
+        ({"kind": "bivariate", "terms": [[1, 0, 1]]}, "monodromy",
+         "no meridian loops"),
+        ({"kind": "planar", "p": [0, 0, 1]}, "vanishing-order",
+         "no simple roots to probe"),
+    ], ids=["lines-no-smooth-point", "z-no-meridian", "planar-double-root"])
     def test_nothing_to_probe_is_not_a_schema_error(self, tmp_path, capsys,
-                                                    spec, suite):
+                                                    spec, suite, message):
         # a valid spec on which the suite finds nothing to measure is a
         # plain error, not a schema error
         spec = write_spec(tmp_path, "s.json", spec)
         assert main(["verify", "--spec", spec, "--suite", suite]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     # h^k overflows on these valid specs (coefficients at MAX_COEFFICIENT,
     # k = 24), and numpy warns about it
@@ -448,6 +452,8 @@ class TestFormSchema:
         ({"kind": "bivariate", "terms": [[1, 0, [0, 2e6]]]}, "$.terms[0][2]"),
         ({"kind": "node", "a": 0.5, "k": 400}, "$.k"),
         ({"kind": "ramified", "k": 10**8}, "$.k"),
+        # a JSON integer too large for a float
+        ({"kind": "ramified", "k": 10**400}, "$.k"),
         ({"kind": "fiber", "p": 25, "q": 2}, "$.p"),
         ({"kind": "fiber", "p": 1, "q": 58, "base": [100, 0]}, "$.q"),
         ({"kind": "fiber", "p": 1, "q": 400}, "$.q"),
@@ -467,7 +473,7 @@ class TestFormSchema:
             "bivariate-terms", "lines-count", "planar-degree",
             "node-b-huge", "planar-coeff-huge", "ramified-a-huge",
             "node-a-huge", "lines-coeff-huge", "bivariate-coeff-huge",
-            "node-k-400", "ramified-k-1e8", "fiber-p-25", "fiber-q-58",
+            "node-k-400", "ramified-k-1e8", "ramified-k-1e400", "fiber-p-25", "fiber-q-58",
             "fiber-q-400", "fiber-unknown-key", "sun-unknown-key",
             "sun-cutoff", "sun-r1", "sun-r2", "node-unknown-key"])
     def test_bad_spec_is_schema_error(self, tmp_path, capsys, spec, path):

@@ -5,8 +5,8 @@ import pytest
 
 from z2forms import Polyline, UnivariatePolynomial, circle
 from z2forms.branch import winding_number
-from z2forms.errors import (CurvesTooClose, ImageAtInfinity, NotInTube,
-                            SingularFiber)
+from z2forms.errors import (ChartBoundary, CurvesTooClose, ImageAtInfinity,
+                            NotInTube, NotOnSphere, SingularFiber)
 from z2forms.fd import fd_jacobian
 from z2forms.forms import PlanarForm
 from z2forms.morphisms import (BLOCK_VALUES, ComposedGerm, _circle_coords,
@@ -14,7 +14,8 @@ from z2forms.morphisms import (BLOCK_VALUES, ComposedGerm, _circle_coords,
                                fiber, fiber_windings, gauss_linking,
                                hopf_chart, hopf_jacobian,
                                laplace_beltrami_residual,
-                               lb_cross_oracle, linking_on_sphere,
+                               lb_cross_oracle, lb_homogeneous_extension,
+                               linking_on_sphere,
                                polygon_linking, project_curves, pullback,
                                pullback_form, seifert_value, stereo_embed,
                                stereographic_pole, stereographic_project)
@@ -68,6 +69,29 @@ class TestPullback:
         for chart in (hopf_chart, hopf_jacobian):
             with pytest.raises(ImageAtInfinity):
                 chart(np.array([1.0, 0, 0, 0]))
+
+
+class TestGuards:
+    """Each guard of the morphism layer raises on the input it names."""
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: seifert_value(2, 3, [1.0, 0.0, 0.0, 0.0]), ImageAtInfinity),
+        (lambda: fiber(1, 1, 1e-300), SingularFiber),
+        (lambda: stereographic_project(np.array([[0.0, 0.0, 0.0, 1.0]]),
+                                       np.array([0.0, 0.0, 0.0, 1.0])),
+         CurvesTooClose),
+        (lambda: polygon_linking(circle([0, 0, 0], 1.0),
+                                 Polyline(np.eye(3))), ValueError),
+        (lambda: lb_cross_oracle(lambda x: x[..., 0], [0.0, 0.0, 0.0, 1.0]),
+         ChartBoundary),
+        (lambda: lb_homogeneous_extension(lambda x: x[..., 0],
+                                          [2.0, 0.0, 0.0, 0.0], 0.02),
+         NotOnSphere),
+    ], ids=["seifert-z2-zero", "fiber-meets-core", "curve-at-pole",
+            "open-curve", "chart-pole", "off-sphere"])
+    def test_bad_input_raises(self, make, error):
+        with pytest.raises(error):
+            make()
 
 
 class TestFibers:

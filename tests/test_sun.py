@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from z2forms import sun
 from z2forms.errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
                             NoNullDirection, SolverDiverged)
 from z2forms.fd import fd_laplacian, rms
@@ -154,15 +155,37 @@ class TestGrid:
 
     @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
     def test_active_node_arrays_follow_index(self, n):
-        """The active-node arrays hold each active node's chart values in
-        the order of ``index``."""
+        """``nodes()`` gives each active node's chart coordinates in the
+        order of ``index``."""
         g = DoubleCoverGrid(n=n)
         ii, jj = np.nonzero(g.active)
         assert np.array_equal(g.index[ii, jj], np.arange(ii.size))
-        assert np.array_equal(g.xi, g.axis[ii])
-        assert np.array_equal(g.eta, g.axis[jj])
-        assert np.array_equal(g.s, 1.0 + g.axis[ii]**2 - g.axis[jj]**2)
-        assert np.array_equal(g.x3, 2.0 * g.axis[ii] * g.axis[jj])
+        xi, eta = g.nodes()
+        assert np.array_equal(xi, g.axis[ii])
+        assert np.array_equal(eta, g.axis[jj])
+
+    @pytest.mark.parametrize("n", [96, 97, N_TEST, N_TEST + 1])
+    def test_sheet_swap_reverses_the_active_index(self, n):
+        """The sheet swap (i, j) -> (n-1-i, n-1-j) takes active node q to
+        m-1-q, so the swap of a field is its reversal; at odd n the node
+        zeta = 0 is its own mirror."""
+        g = DoubleCoverGrid(n=n)
+        m = np.count_nonzero(g.active)
+        assert np.array_equal(g.index[::-1, ::-1][g.active],
+                              np.arange(m)[::-1])
+
+    def test_grid_keeps_only_chart_arrays(self):
+        """Besides its lazily built products, the grid holds arrays of
+        shape (n,) or (n, n) only, none per active node, and an int32
+        index."""
+        g = DoubleCoverGrid(n=N_TEST + 1)
+        g.solve(g.rhs_from_source(ZonalPoly.single(1)))
+        lazy = {"_shell_source", "_blocks", "_matrix_csr", "_lu"}
+        assert lazy <= set(vars(g))
+        shapes = [a.shape for key, a in vars(g).items()
+                  if isinstance(a, np.ndarray) and key not in lazy]
+        assert shapes and set(shapes) <= {(g.n,), (g.n, g.n)}
+        assert g.index.dtype == np.int32
 
     @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
     def test_matrix_commutes_with_swap(self, n):
@@ -170,8 +193,9 @@ class TestGrid:
         reflection R (eta -> -eta), and both are involutions."""
         g = DoubleCoverGrid(n=n)
         a = g._matrix_csr
+        swap = np.arange(a.shape[0])[::-1]
         refl = g.index[:, ::-1][g.active]
-        for mirror in (g.swap, refl):
+        for mirror in (swap, refl):
             assert (a[mirror][:, mirror] != a).nnz == 0
             assert np.array_equal(mirror[mirror], np.arange(a.shape[0]))
 
@@ -179,7 +203,7 @@ class TestGrid:
         g = DoubleCoverGrid(n=96)
         r1 = RNG.normal(size=int(g.active.sum()))
         r2 = RNG.normal(size=int(g.active.sum()))
-        r1, r2 = r1 - r1[g.swap], r2 - r2[g.swap]  # sheet-odd sources
+        r1, r2 = r1 - r1[::-1], r2 - r2[::-1]  # sheet-odd sources
         v = g.solve(2.0 * r1 - 3.0 * r2)
         want = 2.0 * g.solve(r1) - 3.0 * g.solve(r2)
         assert np.max(np.abs(v - want)) < 1e-9 * np.max(np.abs(want))
@@ -188,13 +212,13 @@ class TestGrid:
         g = DoubleCoverGrid(n=96)
         r = RNG.normal(size=int(g.active.sum()))
         with pytest.raises(ValueError):
-            g.solve(r + r[g.swap])
+            g.solve(r + r[::-1])
 
     def test_batch_with_an_even_column_is_rejected_before_the_lu(self):
         g = DoubleCoverGrid(n=96)
         r = RNG.normal(size=int(g.active.sum()))
         with pytest.raises(ValueError):
-            g.solve(np.column_stack([r - r[g.swap], r + r[g.swap]]))
+            g.solve(np.column_stack([r - r[::-1], r + r[::-1]]))
         assert "_lu" not in g.__dict__
 
     def test_residual_gate_is_per_column(self):
@@ -203,11 +227,12 @@ class TestGrid:
         the wrong one's relative residual."""
         g = DoubleCoverGrid(n=96)
         g.__dict__["_lu"] = g._lu[::-1]
-        rhs = np.column_stack([np.zeros(g.s.size),
+        m = g.nodes()[0].size
+        rhs = np.column_stack([np.zeros(m),
                                g.rhs_from_source(ZonalPoly.single(1))])
         with pytest.raises(SolverDiverged):
             g.solve(rhs)
-        assert np.array_equal(g.solve(rhs[:, 0]), np.zeros(g.s.size))
+        assert np.array_equal(g.solve(rhs[:, 0]), np.zeros(m))
 
     def test_matrix_exactly_symmetric(self):
         a = DoubleCoverGrid(n=N_TEST)._matrix_csr
@@ -250,13 +275,14 @@ class TestGrid:
         g = DoubleCoverGrid(n=n)
         polys = [ZonalPoly.single(k) for k in range(5)] + [
             ZonalPoly(((0, 0.7), (4, -1.3))), ZonalPoly(((1, 1.0), (2, 2.0)))]
+        m = g.nodes()[0].size
         rhs = np.column_stack([g.rhs_from_source(p)
-                               for p in polys] + [np.zeros(g.s.size)])
+                               for p in polys] + [np.zeros(m)])
         got = g.solve(rhs)
-        assert got.shape == rhs.shape == (g.s.size, len(polys) + 1)
+        assert got.shape == rhs.shape == (m, len(polys) + 1)
         for k in range(rhs.shape[1]):
             single = g.solve(rhs[:, k])
-            assert single.shape == (g.s.size,)
+            assert single.shape == (m,)
             assert np.array_equal(got[..., k].view(np.int64),
                                   single.view(np.int64))
 
@@ -293,10 +319,12 @@ class TestGrid:
         degree and a mixed source (zeros compare by value: the factor gives
         -0.0 where xi < 0)."""
         g = DoubleCoverGrid(n=n)
+        xi, eta = g.nodes()
+        s = 1.0 + xi**2 - eta**2
         for p in [ZonalPoly.single(k) for k in range(6)] + [
                 ZonalPoly(((0, 0.7), (4, -1.3)))]:
-            want = (np.sign(g.xi) * 4.0 * (g.xi**2 + g.eta**2) * g.s
-                    * source_meridian(p, g.s, g.x3))
+            want = (np.sign(xi) * 4.0 * (xi**2 + eta**2) * s
+                    * source_meridian(p, s, 2.0 * xi * eta))
             got = g.rhs_from_source(p)
             assert np.array_equal(got, want)
             nz = want != 0.0
@@ -325,7 +353,7 @@ class TestGrid:
         g = DoubleCoverGrid(n=n)
         a = g.axis
         rng = np.random.default_rng(n)
-        values = rng.normal(size=g.s.size)
+        values = rng.normal(size=g.nodes()[0].size)
         chart = np.zeros((n, n))
         chart[g.active] = values
         ref = RegularGridInterpolator((a, a), chart, method="linear",
@@ -372,6 +400,22 @@ class TestGrid:
     def test_manufactured_small_error(self):
         assert manufactured_error(DoubleCoverGrid(n=320)).max() < 5e-3
 
+    def test_manufactured_error_reverses_one_bump(self, monkeypatch):
+        """E(-zeta) at the nodes is E reversed: manufactured_error calls
+        _bump once and gives, to the bit, the error from a second call at
+        (-xi, -eta)."""
+        g = DoubleCoverGrid(n=N_TEST + 1)
+        xi, eta = g.nodes()
+        (e_pos, lap_pos), (e_neg, lap_neg) = (sun._bump(xi, eta),
+                                              sun._bump(-xi, -eta))
+        want = np.abs(g.solve(lap_pos - lap_neg) - (e_pos - e_neg))
+        calls, bump = [], sun._bump
+        monkeypatch.setattr(sun, "_bump",
+                            lambda *a: calls.append(a) or bump(*a))
+        got = manufactured_error(g)
+        assert len(calls) == 1
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 # --------------------------------------------------------------------------
 # extraction
@@ -411,6 +455,8 @@ class TestExtraction:
         assert np.linalg.norm(c) == pytest.approx(1.0)
         with pytest.raises(NoNullDirection):
             null_combination(np.eye(2))
+        with pytest.raises(ValueError, match="2 x K"):
+            null_combination(np.ones((3, 4)))
 
 
 # --------------------------------------------------------------------------
@@ -455,8 +501,8 @@ class TestPipeline:
         """A grid field with no sqrt(r) term, u = r^{5/2} cos(theta/2)
         (v = -xi |zeta|^4 on the active nodes), fits sqrt(r) badly, and
         a1_of refuses it."""
-        g = pipeline.grid
-        v = -g.xi * (g.xi**2 + g.eta**2) ** 2
+        xi, eta = pipeline.grid.nodes()
+        v = -xi * (xi**2 + eta**2) ** 2
         _, rel = extract_a1(pipeline.near_circle_fn(v), pipeline.ring_radii())
         assert rel > MAX_FIT_REL_RESIDUAL
         with pytest.raises(FitIllConditioned):
