@@ -352,76 +352,117 @@ class DoubleCoverGrid:
         return sp.csr_matrix((vals[keep], cols[keep], indptr),
                              shape=(ii.size, ii.size))
 
-    def rhs_from_source(self, p: ZonalPoly) -> np.ndarray:
-        """4 |zeta|^2 s H on the active nodes (flattened); the shell and its
-        signed chart factor are computed once per grid."""
+    def rhs_from_source(self, p) -> np.ndarray:
+        """4 |zeta|^2 s H on the active nodes: (m,) for a ZonalPoly, and
+        (m, K) for a sequence of K, one column each, all written into one
+        array.  The shell and its signed chart factor are computed once per
+        grid."""
         shell, source, factor = self._shell_source
-        out = np.zeros(shell.shape)
-        out[shell] = factor * source(p)
-        return out
+        polys = [p] if isinstance(p, ZonalPoly) else list(p)
+        out = np.zeros((len(polys), shell.size))
+        for row, q in zip(out, polys):
+            row[shell] = factor * source(q)
+        return out[0] if isinstance(p, ZonalPoly) else out.T
 
     def solve(self, rhs_active: np.ndarray) -> np.ndarray:
         """Solve div(s grad V) = rhs for sheet-odd columns rhs (m,) or
         (m, K); returns V on the active nodes, shaped like rhs.
 
-        A batch with a column not exactly odd under the sheet swap raises
-        ValueError before any factor is built: this grid has no sheet-even
-        solve.  A column's R-parity parts (one is exactly 0 at pure parity)
-        are solved if nonzero, one per factor call, since a multi-column
-        call takes other BLAS kernels and would tie a column's last bits to
-        its batch.  Each part's solution reaches the field as F x, through
-        its block's map F, whose rows hold one entry each.  The residual
-        check runs on the full five-point system, one sparse product for
-        the batch, and gates each column on its own relative residual, so
-        it certifies the quarter-chart reduction as well."""
+        A batch with a column that is not finite, or not exactly odd under
+        the sheet swap, raises ValueError before any factor is built: this
+        grid has no sheet-even solve.  ``_fields`` solves the columns.  The
+        residual check runs on the full five-point system, one sparse
+        product for the batch, and gates each column on its own relative
+        residual, so it certifies the quarter-chart reduction as well; a
+        NaN residual fails it."""
         rhs = np.asarray(rhs_active, dtype=float)
-        cols = np.ascontiguousarray(rhs.reshape(len(rhs), -1).T)
-        if not all(np.array_equal(col[::-1], -col) for col in cols):
-            raise ValueError("rhs is not odd under zeta -> -zeta")
-        # np.zeros pages fill only as columns are written, after the LU
-        out = np.zeros(cols.shape)
-        for k, col in enumerate(cols):
-            for (reps, mirrors, eps, spread), lu in zip(self._blocks, self._lu):
-                part = 0.5 * (col[reps] + eps * col[mirrors])
-                if part.any():
-                    out[k] += spread @ lu.solve(part)
-        # the residual product reads (m, K) rows; the (K, m) array is freed
-        # before it runs
-        out = np.ascontiguousarray(out.T)
+        cols = rhs.reshape(len(rhs), -1)
+        _check_sheet_odd(cols)
+        out = self._fields(cols)
         res = self._matrix_csr @ out
-        res -= cols.T
+        res -= cols
         res = np.sqrt(np.einsum("ij,ij->j", res, res))
-        scale = np.maximum(np.sqrt(np.einsum("ij,ij->i", cols, cols)), 1e-300)
+        scale = np.maximum(np.sqrt(np.einsum("ij,ij->j", cols, cols)), 1e-300)
         for r, sc in zip(res, scale):
-            if r > 1e-8 * sc:
+            if not r <= 1e-8 * sc:
                 raise SolverDiverged(f"relative residual {r / sc:.2e}")
         return out.reshape(rhs.shape)
 
+    def _fields(self, cols: np.ndarray) -> np.ndarray:
+        """The fields (m, K) of sheet-odd columns cols (m, K).
+
+        A column's R-parity parts (one is exactly 0 at pure parity) are
+        solved if nonzero, one per factor call, since a multi-column call
+        takes other BLAS kernels and would tie a column's last bits to its
+        batch.  The field comes from each part's solution by the group
+        action (``_spread``), which writes F x to the bit: a block's map F
+        only builds its B.  Every column builds its parts in the same two
+        buffers, so the fields are the one full-grid array written here;
+        the buffers are freed on return, before the residual product."""
+        # the first solve factors here, before it allocates anything else
+        blocks = [(reps, mirrors.astype(np.intp), eps, lu) for
+                  (reps, mirrors, eps, _), lu in zip(self._blocks, self._lu)]
+        size = max(reps.size for reps, *_ in blocks)
+        parts, mirrored, node = np.empty(size), np.empty(size), None
+        # np.zeros pages fill only as columns are written
+        out = np.zeros(cols.shape)
+        for col, field in zip(cols.T, out.T):
+            spread = False
+            for reps, mirrors, eps, lu in blocks:
+                # part = 0.5 * (col[reps] + eps * col[mirrors]), in place
+                part, mirror = parts[:reps.size], mirrored[:reps.size]
+                np.take(col, reps, out=part, mode="clip")
+                np.take(col, mirrors, out=mirror, mode="clip")
+                (np.add if eps > 0 else np.subtract)(part, mirror, out=part)
+                part *= 0.5
+                if not part.any():
+                    continue
+                if not spread:
+                    _spread(field, reps, mirrors, eps, lu.solve(part))
+                    spread = True
+                    continue
+                # the second block of a mixed column adds its own field
+                if node is None:
+                    node = np.empty(len(cols))
+                node.fill(0.0)
+                _spread(node, reps, mirrors, eps, lu.solve(part))
+                field += node
+        return out
+
     def interpolator(self, values: np.ndarray):
-        """Bilinear interpolant of a field (m,) on the active nodes.
+        """Bilinear interpolant of a field (m,) or (m, K) on the active
+        nodes.
 
         The returned callable takes a tuple (xi, eta) of coordinate arrays,
-        which broadcast.  An inactive node (index -1) reads an appended 0,
-        and every point outside the chart square reads 0.
+        which broadcast, and gives their shape, or their shape + (K,): the
+        K columns share one stencil.  An inactive node (index -1) reads 0,
+        and every point outside the chart square reads 0.  The samples of
+        (m, K) are stored column by column, so each column is contiguous.
         """
-        axis, idx, values = self.axis, self.index, np.append(values, 0.0)
+        axis, idx = self.axis, self.index
+        by_column = np.asarray(values).T
 
         def cell(x):
             i = np.clip(np.searchsorted(axis, x, side="right") - 1,
                         0, self.n - 2)
             return i, (x - axis[i]) / (axis[i + 1] - axis[i])
 
+        def corner(i, j):
+            k = idx[i, j]
+            return np.where(k >= 0, by_column[..., k], 0.0)
+
         def interp(points):
             x, y = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                          for c in points))
             (i, tx), (j, ty) = cell(x), cell(y)
-            out = (values[idx[i, j]] * (1.0 - tx) * (1.0 - ty)
-                   + values[idx[i, j + 1]] * (1.0 - tx) * ty
-                   + values[idx[i + 1, j]] * tx * (1.0 - ty)
-                   + values[idx[i + 1, j + 1]] * tx * ty)
+            out = (corner(i, j) * (1.0 - tx) * (1.0 - ty)
+                   + corner(i, j + 1) * (1.0 - tx) * ty
+                   + corner(i + 1, j) * tx * (1.0 - ty)
+                   + corner(i + 1, j + 1) * tx * ty)
             outside = ((x < axis[0]) | (x > axis[-1])
                        | (y < axis[0]) | (y > axis[-1]))
-            return np.where(outside, 0.0, out)
+            out = np.where(outside, 0.0, out)
+            return out if by_column.ndim == 1 else np.moveaxis(out, 0, -1)
 
         return interp
 
@@ -432,6 +473,34 @@ class DoubleCoverGrid:
         if r_lo >= RING_R_LO_MAX:
             raise GridTooCoarse(f"grid step {self.h:.3f} too coarse for rings")
         return r_lo, 0.1
+
+
+def _check_sheet_odd(cols: np.ndarray):
+    """Raise ValueError unless every column of cols (m, K) is finite and
+    exactly odd under the sheet swap, its reversal; the columns share one
+    buffer of each kind, freed on return."""
+    negated, same = np.empty(len(cols)), np.empty(len(cols), dtype=bool)
+    for col in cols.T:
+        if not np.isfinite(col, out=same).all():
+            raise ValueError("rhs is not finite")
+        if not np.equal(np.negative(col[::-1], out=negated), col,
+                        out=same).all():
+            raise ValueError("rhs is not odd under zeta -> -zeta")
+
+
+def _spread(field: np.ndarray, reps, mirrors, eps: int, x: np.ndarray):
+    """Write F x, a parity block's solution x on the nodes of its orbits,
+    into field, overwriting x: the representatives carry x, their
+    R-mirrors eps x, and the sheet swaps of both (the reversal of the
+    field) the negatives.  Where an orbit has fewer than four nodes, the
+    writes to a node agree.  F x sums from +0.0, so its zeros are +0.0:
+    x += 0.0 and 0.0 - x keep them so."""
+    swap = field[::-1]
+    plus, minus = (field, swap) if eps > 0 else (swap, field)
+    x += 0.0
+    field[reps] = plus[mirrors] = x
+    np.subtract(0.0, x, out=x)
+    swap[reps] = minus[mirrors] = x
 
 
 def min_ring_grid(truncation: float) -> int:
@@ -446,46 +515,60 @@ def min_ring_grid(truncation: float) -> int:
 
 
 def _rings(u_fn, radii: np.ndarray):
-    """theta on [0, 4 pi) and u_fn on every ring, from one call with the
-    radii as a column against the theta row."""
+    """theta on [0, 4 pi), the samples of u_fn on every ring as one
+    (rings, theta) array per column, and whether u_fn gave one column: a
+    single call with the radii as a column against the theta row gives
+    (rings, theta), or (rings, theta, K) for K columns."""
     theta = 4.0 * np.pi * np.arange(N_THETA) / N_THETA
-    return theta, u_fn(radii[:, None], theta)
+    u = u_fn(radii[:, None], theta)
+    single = u.ndim == 2
+    return theta, (u[None] if single else np.moveaxis(u, -1, 0)), single
 
 
-def extract_a1(u_fn, radii) -> tuple[np.ndarray, float]:
+def extract_a1(u_fn, radii):
     """(A1+, A1-), the coefficients of cos(theta/2) sqrt(r) and
     sin(theta/2) sqrt(r), and the fit's relative residual.
 
     ``u_fn(r, theta)`` samples the section near the circle and broadcasts
     over arrays; theta runs over [0, 4 pi) on the double cover.  Per ring,
     a(r) = (1/2pi) integral u cos(theta/2) dtheta (sin likewise); then A1
-    comes from least squares of a(r) against sqrt(r).
+    comes from least squares of a(r) against sqrt(r).  Samples (..., K)
+    give a (2, K) table and K residuals, each column fitted as alone.
     """
     radii = np.asarray(radii, dtype=float)
-    theta, u = _rings(u_fn, radii)
-    proj_c = 2.0 * np.mean(u * np.cos(theta / 2.0), axis=1)
-    proj_s = 2.0 * np.mean(u * np.sin(theta / 2.0), axis=1)
+    theta, columns, single = _rings(u_fn, radii)
+    cos, sin = np.cos(theta / 2.0), np.sin(theta / 2.0)
     sq = np.sqrt(radii)
     denom = float(sq @ sq)
-    a_plus = float(proj_c @ sq) / denom
-    a_minus = float(proj_s @ sq) / denom
-    resid = np.hypot(np.linalg.norm(proj_c - a_plus * sq),
-                     np.linalg.norm(proj_s - a_minus * sq))
-    scale = np.hypot(np.linalg.norm(proj_c), np.linalg.norm(proj_s))
-    rel = resid / scale if scale > 1e-13 else 0.0
-    return np.array([a_plus, a_minus]), float(rel)
+    a1, rels = np.empty((2, len(columns))), []
+    for k, u in enumerate(columns):
+        proj_c = 2.0 * np.mean(u * cos, axis=1)
+        proj_s = 2.0 * np.mean(u * sin, axis=1)
+        a_plus = float(proj_c @ sq) / denom
+        a_minus = float(proj_s @ sq) / denom
+        a1[:, k] = a_plus, a_minus
+        resid = np.hypot(np.linalg.norm(proj_c - a_plus * sq),
+                         np.linalg.norm(proj_s - a_minus * sq))
+        scale = np.hypot(np.linalg.norm(proj_c), np.linalg.norm(proj_s))
+        rels.append(float(resid / scale) if scale > 1e-13 else 0.0)
+    return (a1[:, 0], rels[0]) if single else (a1, rels)
 
 
-def ring_rms_slope(u_fn, radii) -> float:
+def ring_rms_slope(u_fn, radii):
     """Log-log slope of the ring RMS of u; >= 1.4 certifies r^{3/2} decay.
 
-    ``u_fn(r, theta)`` broadcasts over arrays, as in :func:`extract_a1`.
+    ``u_fn(r, theta)`` broadcasts over arrays, as in :func:`extract_a1`;
+    samples (..., K) give K slopes.
     """
     radii = np.asarray(radii, dtype=float)
-    _, u = _rings(u_fn, radii)
-    vals = np.sqrt(np.mean(u ** 2, axis=1))
-    slope, _ = np.polyfit(np.log(radii), np.log(np.maximum(vals, 1e-300)), 1)
-    return float(slope)
+    _, columns, single = _rings(u_fn, radii)
+    slopes = []
+    for u in columns:
+        vals = np.sqrt(np.mean(u ** 2, axis=1))
+        slope, _ = np.polyfit(np.log(radii),
+                              np.log(np.maximum(vals, 1e-300)), 1)
+        slopes.append(float(slope))
+    return slopes[0] if single else slopes
 
 
 def null_combination(a1_matrix: np.ndarray) -> np.ndarray:
@@ -516,10 +599,12 @@ class SunPipeline:
         return self.grid.solve(self.grid.rhs_from_source(p))
 
     def near_circle_fn(self, v: np.ndarray):
-        """u = U - V as a function of (r, theta), V (m,) on the active nodes.
+        """u = U - V as a function of (r, theta), V (m,) or (m, K) on the
+        active nodes.
 
         U vanishes near the circle.  The returned ``u_fn(r, theta)``
-        broadcasts over arrays and makes one interpolator call per call.
+        broadcasts over arrays, gives (..., K) for V (m, K), and makes one
+        interpolator call per call.
         """
         interp = self.grid.interpolator(v)
 
@@ -533,27 +618,28 @@ class SunPipeline:
         lo, hi = self.grid.ring_window()
         return np.geomspace(lo, hi, N_RINGS)
 
-    def a1_of(self, v: np.ndarray) -> tuple[np.ndarray, float]:
-        """(A1+, A1-) of u = U - V and the fit's relative residual; a
-        residual above MAX_FIT_REL_RESIDUAL raises FitIllConditioned."""
+    def a1_of(self, v: np.ndarray):
+        """(A1+, A1-) of u = U - V and the fit's relative residual, for V
+        (m,), or a (2, K) table and K residuals for the columns of V (m, K);
+        a residual above MAX_FIT_REL_RESIDUAL raises FitIllConditioned."""
         a1, rel = extract_a1(self.near_circle_fn(v), self.ring_radii())
-        if rel > MAX_FIT_REL_RESIDUAL:
-            raise FitIllConditioned(f"relative fit residual {rel:.3f}")
+        for r in np.atleast_1d(rel):
+            if r > MAX_FIT_REL_RESIDUAL:
+                raise FitIllConditioned(f"relative fit residual {r:.3f}")
         return a1, rel
 
     def run(self, degrees) -> dict:
         """A1 table, null combination, decay, and the linearity error of the
         mixed source 0.7 p_first - 1.3 p_last, solved as its own column.
 
-        The null combination is sampled twice: on ``ring_radii()`` for its
-        ungated fit, and on rings from the window's inner radius to 0.05
-        for its decay slope."""
+        The degrees' columns are fitted on one stencil.  The null
+        combination is taken at the nodes and sampled twice: on
+        ``ring_radii()`` for its ungated fit, and on rings from the window's
+        inner radius to 0.05 for its decay slope."""
         polys = [ZonalPoly.single(k) for k in degrees]
         polys.append(ZonalPoly(((degrees[0], 0.7), (degrees[-1], -1.3))))
-        rhs = np.array([self.grid.rhs_from_source(p) for p in polys])
-        v = self.grid.solve(rhs.T)
-        fits = [self.a1_of(v[..., i]) for i in range(len(degrees))]
-        matrix = np.column_stack([a1 for a1, _ in fits])
+        v = self.grid.solve(self.grid.rhs_from_source(polys))
+        matrix, fit_rel = self.a1_of(v[:, :-1])
         c = null_combination(matrix)
         # the null combination kills the sqrt(r) term, so its fit residual
         # is dominated by the next order; the mixed column's A1 may nearly
@@ -562,7 +648,7 @@ class SunPipeline:
         radii = self.ring_radii()
         combo = float(np.linalg.norm(extract_a1(u_fn, radii)[0]))
         slope = ring_rms_slope(u_fn, np.geomspace(radii[0], 0.05, N_RINGS))
-        mixed, _ = extract_a1(self.near_circle_fn(v[..., -1]), radii)
+        mixed, _ = extract_a1(self.near_circle_fn(v[:, -1]), radii)
         want = 0.7 * matrix[:, 0] - 1.3 * matrix[:, -1]
         return {
             "a1_matrix": matrix,
@@ -570,7 +656,7 @@ class SunPipeline:
             "reduction": float(np.linalg.norm(matrix, axis=0).max()
                                / max(combo, 1e-300)),
             "decay_slope": slope,
-            "fit_rel_residual": [rel for _, rel in fits],
+            "fit_rel_residual": fit_rel,
             "lu_nnz": self.grid._lu.nnz,
             "linearity": float(np.linalg.norm(mixed - want)
                                / max(np.linalg.norm(want), 1e-300)),

@@ -1,5 +1,6 @@
 """Tests for the circle-branched harmonic function construction."""
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -221,6 +222,65 @@ class TestGrid:
             g.solve(np.column_stack([r - r[::-1], r + r[::-1]]))
         assert "_lu" not in g.__dict__
 
+    def test_solve_rejects_a_non_finite_rhs(self):
+        """An inf pair (+inf at q, -inf at its swap) is sheet-odd, and a NaN
+        pair is not; both are refused as not finite before the LU."""
+        g = DoubleCoverGrid(n=96)
+        r = RNG.normal(size=int(g.active.sum()))
+        r -= r[::-1]
+        for bad in (np.inf, np.nan):
+            col = r.copy()
+            col[5], col[-6] = bad, -bad
+            with pytest.raises(ValueError, match="not finite"):
+                g.solve(np.column_stack([r, col]))
+        assert "_lu" not in g.__dict__
+
+    def test_nan_residual_fails_the_gate(self):
+        """A factor that returns NaN gives a NaN residual, which the gate
+        refuses instead of returning a NaN field."""
+        g = DoubleCoverGrid(n=96)
+
+        class NaNSolve:
+            def solve(self, b):
+                return np.full(b.shape, np.nan)
+
+        g.__dict__["_lu"] = (NaNSolve(), NaNSolve())
+        with pytest.raises(SolverDiverged):
+            g.solve(g.rhs_from_source(ZonalPoly.single(1)))
+
+    @pytest.mark.parametrize("n", [96, 97, N_TEST, N_TEST + 1])
+    def test_group_action_scatter_equals_block_map(self, n):
+        """Each parity block's group-action scatter writes F x to the bit,
+        into a contiguous field and into a column of a batch, with the
+        zeros of F x (+0.0 also where x holds -0.0) and the 0 of the nodes
+        that carry none."""
+        g = DoubleCoverGrid(n=n)
+        m = g.nodes()[0].size
+        for reps, mirrors, eps, spread in g._blocks:
+            x = RNG.normal(size=reps.size)
+            x[::7], x[3::7] = 0.0, -0.0
+            want = (spread @ x).view(np.int64)
+            field, batch = np.zeros(m), np.zeros((m, 3))
+            sun._spread(field, reps, mirrors, eps, x.copy())
+            sun._spread(batch[:, 1], reps, mirrors.astype(np.intp), eps,
+                        x.copy())
+            assert np.array_equal(field.view(np.int64), want)
+            assert np.array_equal(batch[:, 1].view(np.int64), want)
+            assert not batch[:, [0, 2]].any()
+
+    @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
+    def test_rhs_of_polys_is_one_column_each(self, n):
+        """rhs_from_source of K polys gives (m, K), each column the single
+        poly's rhs to the bit."""
+        g = DoubleCoverGrid(n=n)
+        polys = [ZonalPoly.single(k) for k in range(3)] + [
+            ZonalPoly(((0, 0.7), (2, -1.3)))]
+        got = g.rhs_from_source(polys)
+        assert got.shape == (g.nodes()[0].size, len(polys))
+        for k, p in enumerate(polys):
+            assert np.array_equal(got[:, k].view(np.int64),
+                                  g.rhs_from_source(p).view(np.int64))
+
     def test_residual_gate_is_per_column(self):
         """With the parity blocks' factors swapped (equal sizes at even n),
         a batch of a good zero column and a wrong degree-1 column fails on
@@ -381,6 +441,25 @@ class TestGrid:
             g.interpolator(values)((outside[:, 0], outside[:, 1])),
             np.zeros(len(outside)))
 
+    @pytest.mark.parametrize("n", [N_TEST, N_TEST + 1])
+    def test_interpolator_columns_equal_single_calls(self, n):
+        """The interpolant of (m, K) values gives (..., K), each column the
+        interpolant of that column alone to the bit, for a row-major and a
+        column-major batch, inside and outside the chart square."""
+        g = DoubleCoverGrid(n=n)
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=(g.nodes()[0].size, 3))
+        bound = 1.2 * g.half_width
+        points = (rng.uniform(-bound, bound, size=(20, 1)),
+                  rng.uniform(-bound, bound, size=30))
+        for batch in (values, np.asfortranarray(values)):
+            got = g.interpolator(batch)(points)
+            assert got.shape == (20, 30, 3)
+            for k in range(3):
+                single = g.interpolator(values[:, k].copy())(points)
+                assert np.array_equal(got[..., k].view(np.int64),
+                                      single.view(np.int64))
+
     def test_ring_window_guard(self):
         with pytest.raises(GridTooCoarse):
             DoubleCoverGrid(n=24).ring_window()
@@ -447,6 +526,25 @@ class TestExtraction:
         radii = np.geomspace(1e-3, 0.05, 10)
         s = ring_rms_slope(lambda r, t: np.cos(t / 2) * r**1.5, radii)
         assert s == pytest.approx(1.5, abs=1e-6)
+
+    def test_columns_fit_as_alone(self):
+        """Samples (..., K) give the (2, K) table, the K residuals and the
+        K slopes of the columns fitted one at a time, to the bit."""
+        radii = np.geomspace(1e-3, 0.1, 12)
+        fields = [lambda r, t: np.cos(t / 2) * np.sqrt(r) + r**1.5,
+                  lambda r, t: np.sin(t / 2) * np.sqrt(r),
+                  lambda r, t: np.cos(3 * t / 2) * r**1.5]
+
+        def u(r, t):
+            return np.stack([f(r, t) for f in fields], axis=-1)
+
+        a1, rels = extract_a1(u, radii)
+        slopes = ring_rms_slope(u, radii)
+        assert a1.shape == (2, 3) and len(rels) == len(slopes) == 3
+        for k, f in enumerate(fields):
+            want, rel = extract_a1(f, radii)
+            assert np.array_equal(a1[:, k], want) and rels[k] == rel
+            assert slopes[k] == ring_rms_slope(f, radii)
 
     def test_null_combination(self):
         a = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]])
@@ -531,6 +629,22 @@ class TestPipeline:
         out = pipeline.run(range(5))
         assert out["reduction"] >= 10.0
         assert out["decay_slope"] >= 1.4
+
+    def test_warm_run_holds_three_batches_at_most(self, pipeline):
+        """A warm run's traced peak stays below 3.5 batches of K columns
+        (m, K) float64: the rhs, the fields and the residual product, and
+        a few (m,) buffers.  A copy of the batch, or K column copies held
+        at once, breaks it."""
+        degrees = range(5)
+        pipeline.run(degrees)
+        m = pipeline.grid.nodes()[0].size
+        tracemalloc.start()
+        try:
+            pipeline.run(degrees)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * m * (len(degrees) + 1) * 8
 
     def test_evaluate_3d_axisymmetric(self, pipeline):
         p = ZonalPoly.single(2)
