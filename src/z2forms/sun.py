@@ -678,27 +678,23 @@ class SunPipeline:
 
 
 def _bump(xi, eta):
-    """E and div(s grad E) at chart points, for the C-infinity compactly
-    supported bump E = exp(1 - 1/(1 - t^2)), t = |zeta - 1.2| / 0.8 < 1.
+    """E and div(s grad E) at chart points, for the C^3 compactly supported
+    bump E = (1 - t^2)^4, t = |zeta - 1.2| / 0.8 < 1, and E = 0 beyond.
 
-    div(s grad E) = s Delta E + grad s . grad E, with E' and E'' in t.
+    div(s grad E) = s Delta E + grad s . grad E, with E'/t and E'' in t:
+    Delta E = (E'' + E'/t) / 0.8^2 and grad E = (E'/t) (zeta - 1.2) / 0.8^2,
+    both polynomial in t^2, so the centre needs no case of its own.
     """
     radius = 0.8
     dx, dy = xi - 1.2, eta
-    d = np.hypot(dx, dy)
-    t = d / radius
-    inside = t < 1.0 - 1e-9
-    one = np.where(inside, 1.0 - t * t, 1.0)
-    e = np.where(inside, np.exp(1.0 - 1.0 / one), 0.0)
-    g = -2.0 * t / one**2                      # d/dt of (1 - 1/(1-t^2))
-    dg = -2.0 / one**2 - 8.0 * t * t / one**3
-    de, d2e = e * g, e * (g * g + dg)
+    t2 = (dx * dx + dy * dy) / radius**2
+    one = np.maximum(1.0 - t2, 0.0)
+    e = one**4
+    de_t = -8.0 * one**3                      # E'(t) / t
+    d2e = one**2 * (56.0 * t2 - 8.0)          # E''(t)
     r2 = radius**2
-    dsafe = np.where(d < 1e-12, 1.0, d)
-    lap = np.where(d < 1e-12, 2.0 * d2e / r2,
-                   d2e / r2 + de / (radius * dsafe))
-    gx = np.where(d < 1e-12, 0.0, de / (radius * dsafe) * dx)
-    gy = np.where(d < 1e-12, 0.0, de / (radius * dsafe) * dy)
+    lap = (d2e + de_t) / r2
+    gx, gy = de_t * dx / r2, de_t * dy / r2
     svals = 1.0 + xi * xi - eta * eta
     return e, svals * lap + 2.0 * xi * gx - 2.0 * eta * gy
 

@@ -197,7 +197,7 @@ def test_criterion_8_sun_pipeline():
     a40 = trunc_pipe.a1_of(trunc_pipe.solve_for(ZonalPoly.single(2)))[0][0]
     trunc_shift = abs(a40 - a512) / abs(a512)
 
-    ok = (order >= 1.8 and lin <= 1e-4 and res_shift <= 0.02
+    ok = (1.8 <= order <= 2.2 and lin <= 1e-4 and res_shift <= 0.02
           and trunc_shift <= 0.02 and reduction >= 10.0 and slope >= 1.4
           and elapsed <= 300.0)
     gate("sun pipeline: order/linearity/stability/null-direction/runtime",

@@ -11,7 +11,8 @@ from z2forms import sun
 from z2forms.errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
                             NoNullDirection, SolverDiverged)
 from z2forms.fd import fd_laplacian, rms
-from z2forms.suites import (_job_grid, _manufactured_pair,
+from z2forms.suites import (MANUFACTURED_GRIDS, _job_grid,
+                            _manufactured_errors, _observed_order,
                             normalize_descriptor, run_suite)
 from z2forms.sun import (CUTOFF_R1, CUTOFF_R2, MAX_FIT_REL_RESIDUAL, N_THETA,
                          DoubleCoverGrid, SunPipeline, ZonalPoly, chi,
@@ -476,6 +477,18 @@ class TestGrid:
         fine = rms(manufactured_error(DoubleCoverGrid(n=320)))
         assert np.log2(coarse / fine) >= 1.8
 
+    def test_manufactured_errors_fall_at_second_order(self):
+        """The manufactured errors fall from grid to grid, and each pair of
+        neighbouring grids, like the whole span, reads an order in
+        [1.8, 2.2]."""
+        errors = _manufactured_errors()
+        assert all(a > b for a, b in zip(errors, errors[1:]))
+        grids = MANUFACTURED_GRIDS
+        for i in range(len(grids) - 1):
+            order = _observed_order(grids[i:i + 2], errors[i:i + 2])
+            assert 1.8 <= order <= 2.2
+        assert 1.8 <= _observed_order(grids, errors) <= 2.2
+
     def test_manufactured_small_error(self):
         assert manufactured_error(DoubleCoverGrid(n=320)).max() < 5e-3
 
@@ -707,9 +720,9 @@ def splu_calls(monkeypatch):
 
 
 class TestSunSuite:
-    def test_manufactured_pair_computed_once(self, monkeypatch):
-        """The n = 160 / 320 manufactured grids are built by the first sun
-        job of a process only; later jobs report the same check."""
+    def test_manufactured_errors_computed_once(self, monkeypatch):
+        """The manufactured grids are built by the first sun job of a
+        process only; later jobs report the same check."""
         built = []
         post_init = DoubleCoverGrid.__post_init__
 
@@ -718,15 +731,50 @@ class TestSunSuite:
             post_init(self)
 
         monkeypatch.setattr(DoubleCoverGrid, "__post_init__", record)
-        _manufactured_pair.cache_clear()
+        _manufactured_errors.cache_clear()
         _job_grid.cache_clear()
         first = sun_check(96, "sun.manufactured_order")
-        assert {160, 320} <= set(built)
+        assert set(MANUFACTURED_GRIDS) <= set(built)
         built.clear()
         second = sun_check(100, "sun.manufactured_order")
-        assert 100 in built and not {160, 320} & set(built)
+        assert 100 in built and not set(MANUFACTURED_GRIDS) & set(built)
         assert json.dumps(first) == json.dumps(second)
         assert first["passed"]
+
+    def test_exp_bump_fails_the_order_check(self, monkeypatch):
+        """With the C-infinity bump exp(1 - 1/(1 - t^2)) that the check
+        once used, the grids are pre-asymptotic: the errors still fall,
+        but the order reads above the band, and the check fails."""
+
+        def exp_bump(xi, eta):
+            radius = 0.8
+            dx, dy = xi - 1.2, eta
+            d = np.hypot(dx, dy)
+            t = d / radius
+            inside = t < 1.0 - 1e-9
+            one = np.where(inside, 1.0 - t * t, 1.0)
+            e = np.where(inside, np.exp(1.0 - 1.0 / one), 0.0)
+            g = -2.0 * t / one**2
+            dg = -2.0 / one**2 - 8.0 * t * t / one**3
+            de, d2e = e * g, e * (g * g + dg)
+            dsafe = np.where(d < 1e-12, 1.0, d)
+            lap = np.where(d < 1e-12, 2.0 * d2e / radius**2,
+                           d2e / radius**2 + de / (radius * dsafe))
+            gx = np.where(d < 1e-12, 0.0, de / (radius * dsafe) * dx)
+            gy = np.where(d < 1e-12, 0.0, de / (radius * dsafe) * dy)
+            s = 1.0 + xi * xi - eta * eta
+            return e, s * lap + 2.0 * xi * gx - 2.0 * eta * gy
+
+        monkeypatch.setattr(sun, "_bump", exp_bump)
+        _manufactured_errors.cache_clear()
+        try:
+            check = sun_check(96, "sun.manufactured_order")
+        finally:
+            _manufactured_errors.cache_clear()
+        rms_errors = check["details"]["rms"]
+        assert rms_errors == sorted(rms_errors, reverse=True)
+        assert check["details"]["order"] > 2.2
+        assert not check["passed"]
 
     def test_solver_diagnostics_in_details(self):
         """The reduction check carries the job grid's LU fill and each
