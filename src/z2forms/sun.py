@@ -377,7 +377,7 @@ class DoubleCoverGrid:
         NaN residual fails it."""
         rhs = np.asarray(rhs_active, dtype=float)
         cols = rhs.reshape(len(rhs), -1)
-        _check_sheet_odd(cols)
+        _check_rhs(cols)
         out = self._fields(cols)
         res = self._matrix_csr @ out
         res -= cols
@@ -403,9 +403,10 @@ class DoubleCoverGrid:
         blocks = [(reps, mirrors.astype(np.intp), eps, lu) for
                   (reps, mirrors, eps, _), lu in zip(self._blocks, self._lu)]
         size = max(reps.size for reps, *_ in blocks)
-        parts, mirrored, node = np.empty(size), np.empty(size), None
-        # np.zeros pages fill only as columns are written
-        out = np.zeros(cols.shape)
+        parts, mirrored = np.empty(size), np.empty(size)
+        # pages of np.empty and np.zeros fill only where they are written:
+        # node only for a mixed column, out column by column
+        node, out = np.empty(len(cols)), np.zeros(cols.shape)
         for col, field in zip(cols.T, out.T):
             spread = False
             for reps, mirrors, eps, lu in blocks:
@@ -417,16 +418,13 @@ class DoubleCoverGrid:
                 part *= 0.5
                 if not part.any():
                     continue
-                if not spread:
+                if spread:  # a mixed column's second block adds its field
+                    node.fill(0.0)
+                    _spread(node, reps, mirrors, eps, lu.solve(part))
+                    field += node
+                else:
                     _spread(field, reps, mirrors, eps, lu.solve(part))
                     spread = True
-                    continue
-                # the second block of a mixed column adds its own field
-                if node is None:
-                    node = np.empty(len(cols))
-                node.fill(0.0)
-                _spread(node, reps, mirrors, eps, lu.solve(part))
-                field += node
         return out
 
     def interpolator(self, values: np.ndarray):
@@ -475,7 +473,7 @@ class DoubleCoverGrid:
         return r_lo, 0.1
 
 
-def _check_sheet_odd(cols: np.ndarray):
+def _check_rhs(cols: np.ndarray):
     """Raise ValueError unless every column of cols (m, K) is finite and
     exactly odd under the sheet swap, its reversal; the columns share one
     buffer of each kind, freed on return."""
@@ -685,14 +683,13 @@ def _bump(xi, eta):
     Delta E = (E'' + E'/t) / 0.8^2 and grad E = (E'/t) (zeta - 1.2) / 0.8^2,
     both polynomial in t^2, so the centre needs no case of its own.
     """
-    radius = 0.8
+    r2 = 0.8**2
     dx, dy = xi - 1.2, eta
-    t2 = (dx * dx + dy * dy) / radius**2
+    t2 = (dx * dx + dy * dy) / r2
     one = np.maximum(1.0 - t2, 0.0)
     e = one**4
     de_t = -8.0 * one**3                      # E'(t) / t
     d2e = one**2 * (56.0 * t2 - 8.0)          # E''(t)
-    r2 = radius**2
     lap = (d2e + de_t) / r2
     gx, gy = de_t * dx / r2, de_t * dy / r2
     svals = 1.0 + xi * xi - eta * eta
