@@ -370,11 +370,13 @@ class DoubleCoverGrid:
 
         A batch with a column that is not finite, or not exactly odd under
         the sheet swap, raises ValueError before any factor is built: this
-        grid has no sheet-even solve.  ``_fields`` solves the columns.  The
-        residual check runs on the full five-point system, one sparse
-        product for the batch, and gates each column on its own relative
-        residual, so it certifies the quarter-chart reduction as well; a
-        NaN residual fails it."""
+        grid has no sheet-even solve.  ``_fields`` solves each column's
+        parity parts, one factor call each, and writes the field by the
+        group action; a block's map F only builds its B.  The residual
+        check runs on the full five-point system, one sparse product for
+        the batch, and gates each column on its own relative residual, so
+        it certifies the quarter-chart reduction as well; a NaN residual
+        fails it."""
         rhs = np.asarray(rhs_active, dtype=float)
         cols = rhs.reshape(len(rhs), -1)
         _check_rhs(cols)
