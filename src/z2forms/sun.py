@@ -236,17 +236,28 @@ class DoubleCoverGrid:
         axis = np.linspace(-self.half_width, self.half_width, self.n)
         self.axis = 0.5 * (axis - axis[::-1])  # axis[::-1] == -axis exactly
         self.h = self.axis[1] - self.axis[0]
-        xi, eta = self.axis[:, None], self.axis[None, :]
+        # s and |x3| are even in xi and in eta, exactly on the odd axis, so
+        # the quarter xi <= 0, eta <= 0 (rows and columns [0, half)) is
+        # computed and mirrored
+        half = (self.n + 1) // 2
+        xi, eta = self.axis[:half, None], self.axis[None, :half]
         s = 1.0 + xi**2 - eta**2
-        self.active = (s > 0.0) & (np.hypot(s, 2.0 * xi * eta)
-                                   < self.truncation)
+        x3 = 2.0 * xi * eta
+        quarter = s > 0.0
+        quarter &= np.hypot(s, x3, out=x3) < self.truncation
+        self.active = np.empty((self.n, self.n), dtype=bool)
+        self.active[:half, :half] = quarter
+        self.active[:half, -half:] = quarter[:, ::-1]
+        self.active[-half:] = self.active[half - 1::-1]
+        flat = np.flatnonzero(self.active)
         self.index = np.full((self.n, self.n), -1, dtype=np.int32)
-        self.index[self.active] = np.arange(self.active.sum(), dtype=np.int32)
+        self.index.ravel()[flat] = np.arange(flat.size, dtype=np.int32)
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """(xi, eta) of the active nodes, in the order of ``index``."""
-        ii, jj = np.nonzero(self.active)
-        return self.axis[ii], self.axis[jj]
+        shape, active = self.active.shape, self.active
+        return (np.broadcast_to(self.axis[:, None], shape)[active],
+                np.broadcast_to(self.axis, shape)[active])
 
     @cached_property
     def _shell_source(self):
@@ -254,8 +265,13 @@ class DoubleCoverGrid:
         the active nodes; raises GridTooCoarse where no node lies in the
         shell, since every source would then read 0."""
         xi, eta = self.nodes()
-        s = 1.0 + xi**2 - eta**2
-        shell, source = _shell(s, 2.0 * xi * eta)
+        # s = 1 + xi^2 - eta^2 and x3 = 2 xi eta, each written once
+        s, x3 = np.square(xi), np.square(eta)
+        s += 1.0
+        s -= x3
+        np.multiply(2.0, xi, out=x3)
+        x3 *= eta
+        shell, source = _shell(s, x3)
         if not shell.any():
             raise GridTooCoarse(f"no node of the n = {self.n} grid lies in "
                                 f"the source shell {CUTOFF_R1:g} < rho < "
@@ -271,24 +287,35 @@ class DoubleCoverGrid:
         q's int8 character at q's unknown, or nothing where q carries 0."""
         import scipy.sparse as sp
 
-        n, idx = self.n, self.index
-        ii, jj = np.nonzero(self.active)
-        flip_i, flip_j = ii > n - 1 - ii, jj > n - 1 - jj  # xi > 0, eta > 0
-        rep = idx[np.minimum(ii, n - 1 - ii), np.minimum(jj, n - 1 - jj)]
-        own = np.flatnonzero(rep == np.arange(rep.size))
-        orbit = np.searchsorted(own, rep)
-        sheet = np.where(flip_i, -1, 1).astype(np.int8)
+        n, idx, active = self.n, self.index, self.active
+        # the representatives are the active nodes of rows and columns
+        # [0, half), xi <= 0 and eta <= 0; row or column r folds onto
+        # min(r, n-1-r), and sign is -1 past the middle line
+        half, line = (n + 1) // 2, np.arange(n)
+        fold = np.minimum(line, line[::-1])
+        sign = np.where(line > fold, -1, 1).astype(np.int8)
+        flat = np.flatnonzero(active)
         blocks = []
         # a node carries its representative's value times the character of
-        # S^flip_i R^(flip_i != flip_j); fixed nodes' orbits carry 0
-        for eps, fixed in ((1, ii == n - 1 - ii), (-1, jj == n - 1 - jj)):
-            keep = ~fixed[own]
-            reps, live = own[keep], keep[orbit]
-            spread = sp.csr_matrix((
-                np.where(flip_i != flip_j, eps * sheet, sheet)[live],
-                (np.flatnonzero(live), (np.cumsum(keep) - 1)[orbit[live]])),
-                shape=(rep.size, reps.size))
-            blocks.append((reps, idx[ii[reps], n - 1 - jj[reps]], eps, spread))
+        # S^flip_i R^(flip_i != flip_j): for eps = +1 its row's sign, for
+        # eps = -1 its column's; the orbits of the middle row (eps = +1) or
+        # column (eps = -1) at odd n are fixed, and carry 0
+        for eps, chars in ((1, sign[:, None]), (-1, sign[None, :])):
+            live = active[:half, :half].copy()
+            if n % 2:
+                (live[-1] if eps > 0 else live[:, -1])[:] = False
+            size = np.count_nonzero(live)
+            unknown = np.full((half, half), -1, dtype=np.int32)
+            unknown[live] = np.arange(size, dtype=np.int32)
+            cols = np.take(unknown[np.ix_(fold, fold)], flat)
+            has = cols >= 0
+            indptr = np.zeros(flat.size + 1, dtype=np.int32)
+            np.cumsum(has, out=indptr[1:])
+            spread = sp.csr_matrix(
+                (np.take(np.broadcast_to(chars, active.shape), flat)[has],
+                 cols[has], indptr), shape=(flat.size, size))
+            blocks.append((idx[:half, :half][live].astype(np.intp),
+                           idx[:half, ::-1][:, :half][live], eps, spread))
         return blocks
 
     @cached_property
@@ -321,36 +348,36 @@ class DoubleCoverGrid:
     def _matrix_csr(self):
         """Five-point finite-volume matrix of div(s grad .), face-weighted, in
         CSR: row (i, j) holds (i-1, j), (i, j-1), (i, j), (i, j+1), (i+1, j)
-        in this, ascending, column order, the inactive neighbors left out."""
+        in this, ascending, column order, the inactive neighbors left out.
+        The entries are staged as (5, m) values and columns, and each array
+        is freed once it is used: the build peaks at about 14 float64 per
+        active node (n = 192)."""
         import scipy.sparse as sp
 
-        h, axis, idx = self.h, self.axis, self.index
-        ii, jj = np.nonzero(self.active)
-        cols = np.empty((ii.size, 5), dtype=np.int32)
-        vals = np.empty((ii.size, 5))
         # rho >= truncation on the edge of the chart square, so every
-        # active node has its four neighbors on the grid
-        for slot, (di, dj) in zip((0, 1, 3, 4),
-                                  ((-1, 0), (0, -1), (0, 1), (1, 0))):
-            ni, nj = ii + di, jj + dj
-            xm = 0.5 * (axis[ii] + axis[ni])
-            ym = 0.5 * (axis[jj] + axis[nj])
-            w = np.maximum(1.0 + xm * xm - ym * ym, 0.0) / h**2
-            # faces toward the axis region (neighbor with s <= 0) carry no
-            # flux: that is the natural boundary condition of the weighted
-            # form, and imposing Dirichlet there instead is wrong and
-            # grid-alignment dependent
-            w[1.0 + axis[ni]**2 - axis[nj]**2 <= 0.0] = 0.0
-            cols[:, slot], vals[:, slot] = idx[ni, nj], w
-        cols[:, 2] = np.arange(ii.size)
+        # active node q = (i, j) has its four neighbors on the grid, and
+        # base = n i + j - n >= 0 is q's flat chart position less n
+        n = self.n
+        base = np.flatnonzero(self.active)
+        base -= n
+        m = base.size
+        vals = _face_weights(self.axis, self.h, base)
+        index = self.index.ravel()
+        cols = np.empty(vals.shape, dtype=np.int32)
+        for slot, step in enumerate((-n, -1, 0, 1, n)):
+            np.take(index[n + step:], base, out=cols[slot], mode="clip")
+        del base
         # opposite faces are summed in pairs, so the sheet swap, which
         # exchanges them, leaves every diagonal entry bit-for-bit unchanged
-        vals[:, 2] = -((vals[:, 4] + vals[:, 0]) + (vals[:, 3] + vals[:, 1]))
+        np.add(vals[4], vals[0], out=vals[2])
+        vals[2] += vals[3] + vals[1]
+        np.negative(vals[2], out=vals[2])
         keep = cols >= 0
-        indptr = np.zeros(ii.size + 1, dtype=np.int32)
-        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-        return sp.csr_matrix((vals[keep], cols[keep], indptr),
-                             shape=(ii.size, ii.size))
+        indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=0, dtype=np.int32), out=indptr[1:])
+        indices = cols.T[keep.T]
+        del cols
+        return sp.csr_matrix((vals.T[keep.T], indices, indptr), shape=(m, m))
 
     def rhs_from_source(self, p) -> np.ndarray:
         """4 |zeta|^2 s H on the active nodes: (m,) for a ZonalPoly, and
@@ -473,6 +500,37 @@ class DoubleCoverGrid:
         if r_lo >= RING_R_LO_MAX:
             raise GridTooCoarse(f"grid step {self.h:.3f} too coarse for rings")
         return r_lo, 0.1
+
+
+def _face_weights(axis: np.ndarray, h: float, base: np.ndarray) -> np.ndarray:
+    """(5, m) weights s / h^2 at the face midpoints of the nodes at flat
+    chart positions base + n, toward (i-1, j), (i, j-1), -, (i, j+1) and
+    (i+1, j); row 2 is left for the diagonal.
+
+    Faces toward the axis region (an end with s <= 0) carry no flux: that
+    is the natural boundary condition of the weighted form, and imposing
+    Dirichlet there instead is wrong and grid-alignment dependent.  One
+    chart array holds s at the nodes, then each face's weight at its upper
+    or right node: a slot's face lies ``face`` after the node."""
+    n = axis.size
+    sq, mid = axis * axis, 0.5 * (axis[:-1] + axis[1:])
+    chart = np.subtract.outer(1.0 + sq, sq)
+    beyond = chart <= 0.0
+    vals = np.empty((5, base.size))
+    for faces, xm, ym, ends, slots in (
+            (chart[1:], mid[:, None], axis[None, :],
+             (beyond[:-1], beyond[1:]), ((0, 0), (4, n))),
+            (chart[:, 1:], axis[:, None], mid[None, :],
+             (beyond[:, :-1], beyond[:, 1:]), ((1, 0), (3, 1)))):
+        np.subtract(1.0 + xm * xm, ym * ym, out=faces)
+        np.maximum(faces, 0.0, out=faces)
+        faces /= h**2
+        for end in ends:
+            np.copyto(faces, 0.0, where=end)
+        for slot, face in slots:
+            np.take(chart.ravel()[n + face:], base, out=vals[slot],
+                    mode="clip")
+    return vals
 
 
 def _check_rhs(cols: np.ndarray):
