@@ -334,13 +334,17 @@ class DoubleCoverGrid:
         # order are stable, and minimum degree on B + B^T has far less fill
         # than COLAMD.  The ordering depends on the choice of
         # representatives: at n = 1024 the L + U fill is 10.1M with the
-        # lowest index of each orbit and 14.4M with the highest.
+        # lowest index of each orbit and 14.4M with the highest.  Panels of
+        # one column leave the ordering and the fill unchanged, move the
+        # solutions by round-off only, and factor both blocks in about
+        # two-thirds of the default panels' time, at a lower transient peak
+        # (BENCH_sun_cold_path.json).
         import scipy.sparse.linalg as spla
 
         # the product sums entries meeting on one unknown in A's column order
         return _BlockLU(spla.splu((self._matrix_csr[reps] @ spread).tocsc(),
                                   permc_spec="MMD_AT_PLUS_A",
-                                  diag_pivot_thresh=0.0,
+                                  diag_pivot_thresh=0.0, panel_size=1,
                                   options={"SymmetricMode": True})
                         for reps, _, _, spread in self._blocks)
 

@@ -811,8 +811,8 @@ class TestExport:
                          "--out", str(out)]) == 0
             digests.append((len(calls), hashlib.sha256(
                 (out / "field.csv").read_bytes()).hexdigest()))
-        field = ("c27267677803ea1818a734127a6e5badf6819c73ef048eccab0899a6"
-                 "408f241e")
+        field = ("8ea68265a3856f0ee7ae959b52db3834f78e8af4ac659fcbb174b572"
+                 "9dc79d96")
         assert digests == [(2, field), (0, field)]
         # the verify and the first export miss, the second export hits
         assert _job_grid.cache_info() == (1, 2, 1, 1)

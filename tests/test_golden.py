@@ -135,11 +135,11 @@ def test_reports_match_the_corpus():
 
 
 def test_linearity_bound_scales_with_the_table():
-    """The default report at grid 350, where the mixed column's A1 nearly
+    """The default report at grid 255, where the mixed column's A1 nearly
     cancels, reads a linearity error above ROUNDOFF_BOUND and still matches
     itself; the same report with the error set to 1e-6 does not.  Every
     corpus line keeps the floor as its bound."""
-    report = run({"spec": {"kind": "sun", "grid": 350}, "suite": "sun",
+    report = run({"spec": {"kind": "sun", "grid": 255}, "suite": "sun",
                   "seed": 0})
     details = next(c["details"] for c in report["checks"]
                    if c["name"] == "sun.superposition_linearity")

@@ -403,6 +403,23 @@ class TestGrid:
             [block[0].size for block in g._blocks]
         assert g._lu.nnz == sum(lu.nnz for lu in g._lu) > 0
 
+    @pytest.mark.parametrize("n", [96, 97, N_TEST])
+    def test_single_column_panels_keep_the_factor(self, n):
+        """Each block's factor has the fill of a default-panel splu with
+        the same ordering, pivot threshold and symmetric mode, and solves
+        like it to 1e-13."""
+        g = DoubleCoverGrid(n=n)
+        rng = np.random.default_rng(n)
+        for (reps, _, _, spread), lu in zip(g._blocks, g._lu):
+            ref = spla.splu((g._matrix_csr[reps] @ spread).tocsc(),
+                            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+            assert lu.nnz == ref.nnz
+            for b in rng.normal(size=(3, reps.size)):
+                want = ref.solve(b)
+                assert np.linalg.norm(lu.solve(b) - want) <= \
+                    1e-13 * np.linalg.norm(want)
+
     def test_cold_build_peak_is_bounded(self, monkeypatch):
         """Building the matrix, the parity blocks and both blocks' B on a
         fresh n = 192 grid peaks below 17 float64 per active node of traced
