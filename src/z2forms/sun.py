@@ -507,15 +507,17 @@ class DoubleCoverGrid:
 
 
 def _face_weights(axis: np.ndarray, h: float, base: np.ndarray) -> np.ndarray:
-    """(5, m) weights s / h^2 at the face midpoints of the nodes at flat
-    chart positions base + n, toward (i-1, j), (i, j-1), -, (i, j+1) and
-    (i+1, j); row 2 is left for the diagonal.
+    """(5, m) weights s / h^2 at the face midpoints around the active
+    nodes q = (i, j), given base = n i + j - n: row 0 toward (i-1, j), 1
+    toward (i, j-1), 3 toward (i, j+1) and 4 toward (i+1, j); row 2 is left
+    for the diagonal.
 
     Faces toward the axis region (an end with s <= 0) carry no flux: that
     is the natural boundary condition of the weighted form, and imposing
     Dirichlet there instead is wrong and grid-alignment dependent.  One
-    chart array holds s at the nodes, then each face's weight at its upper
-    or right node: a slot's face lies ``face`` after the node."""
+    chart array holds s at the nodes, then the weight of each face between
+    rows i-1 and i at (i, j), then that of each face between columns j-1
+    and j at (i, j): a slot's face sits ``face`` flat positions after q."""
     n = axis.size
     sq, mid = axis * axis, 0.5 * (axis[:-1] + axis[1:])
     chart = np.subtract.outer(1.0 + sq, sq)
