@@ -57,8 +57,8 @@ from .errors import (DegreeTooLarge, FitIllConditioned, GridTooCoarse,
 
 MAX_ZONAL_DEGREE = 12
 
-#: largest chart grid a spec may ask for: a full n = 2048 sun job took
-#: 7.5-7.9 s at a 0.99 GB peak RSS on a 2-core host (glibc mmap threshold
+#: largest chart grid a spec may ask for: a first n = 2048 sun job took
+#: 5.9-6.1 s at a 0.97 GB peak RSS on a 2-core host (glibc mmap threshold
 #: fixed at 128 KiB), and cost grows faster than n^2.  The sun suite keeps
 #: the last job grid with its factors for the next job at that grid: at
 #: n = 2048 the process holds 0.73 GB of RSS between jobs

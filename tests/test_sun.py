@@ -423,7 +423,7 @@ class TestGrid:
     def test_cold_build_peak_is_bounded(self, monkeypatch):
         """Building the matrix, the parity blocks and both blocks' B on a
         fresh n = 192 grid peaks below 17 float64 per active node of traced
-        memory (15.9 measured, 23.1 when each face direction derived its
+        memory (16.1 measured, 23.2 when each face direction derived its
         own per-node arrays); splu is stubbed, so nothing is factored."""
         g = DoubleCoverGrid(n=N_TEST)
         m = g.nodes()[0].size
