@@ -162,14 +162,20 @@ def fiber_windings(fb: Polyline) -> tuple[int, int]:
 BLOCK_VALUES = 8192
 
 
+def _block_rows(n: int, cols: int) -> int:
+    """Rows of one block of ``range(n)`` against ``cols`` partner points:
+    as many (at least one) as fit in ``BLOCK_VALUES`` values."""
+    return min(n, max(1, BLOCK_VALUES // cols))
+
+
 def _row_blocks(n: int, cols: int, count: int):
     """Row blocks of ``range(n)`` against ``cols`` partner points, each of
-    as many rows (at least one) as fit in ``BLOCK_VALUES`` values.
+    ``_block_rows`` rows but the last.
 
     Yields each block's slice with ``count`` scratch arrays of shape
     (block rows, cols), allocated once and reused by every block.
     """
-    step = min(n, max(1, BLOCK_VALUES // cols))
+    step = _block_rows(n, cols)
     scratch = [np.empty((step, cols)) for _ in range(count)]
     for lo in range(0, n, step):
         hi = min(lo + step, n)
@@ -286,52 +292,97 @@ def gauss_linking(c1: Polyline, c2: Polyline) -> float:
     return float(np.sum(sums) / (4.0 * np.pi))
 
 
-def _triangle_solid_angle(u, v, w, nu, nv, nw, out, scratch) -> np.ndarray:
-    """Signed solid angle of the triangles (u, v, w) seen from the origin
-    (Van Oosterom & Strackee, IEEE Trans. Biomed. Eng. 30, 1983), into
-    ``out``.  The corners are coordinate triples with norms ``nu``, ``nv``,
-    ``nw``; ``scratch`` holds six arrays of the shape of ``out``."""
-    tmp, term, den = scratch[3:]
-    det = _dot(u, _cross(v, w, scratch[:3], tmp), out, tmp)
-    np.multiply(nu, nv, out=den)
-    den *= nw
-    for x, y, n in ((u, v, nw), (u, w, nv), (v, w, nu)):
-        _dot(x, y, term, tmp)
-        term *= n
-        den += term
-    np.arctan2(det, den, out=out)
-    out *= 2.0
-    return out
-
-
 def polygon_linking(c1: Polyline, c2: Polyline) -> float:
     """Exact linking number of two disjoint closed polygons in R^3.
 
     For segments a -> a' of ``c1`` and b -> b' of ``c2`` the directions
-    b(t) - a(s) sweep the parallelogram with corners b - a, b - a',
-    b' - a', b' - a; the signed solid angle it subtends is that pair's
-    term of the Gauss integral, in closed form (Banchoff, Indiana Univ.
-    Math. J. 25, 1976; Klenin & Langowski, Biopolymers 54, 2000).  The sum
-    over all pairs is 4 pi times an integer, up to round-off, at any
-    vertex count.  Rows are summed one block of ``c1`` segments at a time.
+    b(t) - a(s) sweep the parallelogram with corners r00 = b - a,
+    r10 = b - a', r11 = b' - a', r01 = b' - a; the signed solid angle it
+    subtends is that pair's term of the Gauss integral, in closed form
+    (Banchoff, Indiana Univ. Math. J. 25, 1976; Klenin & Langowski,
+    Biopolymers 54, 2000).  The sum over all pairs is 4 pi times an
+    integer, up to round-off, at any vertex count.
+
+    The parallelogram is split into the triangles (r00, r10, r11) and
+    (r00, r11, r01), each of solid angle 2 arg(den + i det) (Van Oosterom
+    & Strackee, IEEE Trans. Biomed. Eng. 30, 1983), where
+    den = |u||v||w| + (u.v)|w| + (u.w)|v| + (v.w)|u| for corners u, v, w.
+    With da = a' - a and db = b' - b, r10 = r00 - da and r11 = r00 - da + db,
+    so both triangles have one determinant,
+    det(r00, r10, r11) = det(r00, r11, r01) = r00 . (db x da).  The
+    parallelogram lies in one plane, which misses the origin (or holds it,
+    and then the pair subtends nothing), so its directions lie in an open
+    hemisphere and the pair's solid angle is below 2 pi in size.  The sum
+    of the two triangles' angles is therefore exactly
+    2 arg((den1 + i det)(den2 + i det)): one ``arctan2`` a pair.
+
+    Rows are summed one block of ``c1`` segments at a time.  A block of
+    rows lo..hi - 1 builds the vertex-pair grid D[i, j] = b_j - a_i for
+    i = lo..hi and all m + 1 vertices of the closed ``c2``, and takes the
+    norms and the dot products along the grid's edges once.  Raveled with
+    row length w = m + 1, the four corners of pair (i, j) sit at flat
+    offsets 0, 1, w and w + 1 from D[i, j], so every operation runs on
+    contiguous 1-D arrays; the column j = m is no segment pair and is
+    zeroed before the block's sum.
     """
     a, b = _closed_coords(c1, c2)
-    a0, a1, b0, b1 = a[:, :-1], a[:, 1:], b[:, :-1], b[:, 1:]
+    n, w = a.shape[1] - 1, b.shape[1]
+    m = w - 1
+    da = np.diff(a, axis=1)
+    db = np.zeros((3, w))
+    np.subtract(b[:, 1:], b[:, :-1], out=db[:, :m])
+    # component k of db x da is db[i] da[j] - db[j] da[i], (i, j) cyclic
+    axes = ((1, 2), (2, 0), (0, 1))
+    da_pairs = [np.column_stack([da[j], -da[i]]) for i, j in axes]
+    db_pairs = [db[[i, j]] for i, j in axes]
+    step = _block_rows(n, m)
+    grid = [np.empty((step + 1) * w) for _ in range(7)]
+    pair = [np.empty(step * w) for _ in range(5)]
     sums = []
-    for rows, s in _row_blocks(a0.shape[1], b0.shape[1], 24):
-        s0, s1 = _column(a0, rows), _column(a1, rows)
-        r00, r01 = _minus(b0, s0, s[0:3]), _minus(b1, s0, s[3:6])
-        r10, r11 = _minus(b0, s1, s[6:9]), _minus(b1, s1, s[9:12])
-        angle, other, work = s[16], s[17], s[18:24]
-        n00, n01, n10, n11 = (np.sqrt(_dot(r, r, n, work[0]), out=n)
-                              for r, n in zip((r00, r01, r10, r11), s[12:16]))
-        near = n00.min()
+    for lo in range(0, n, step):
+        rows = min(step, n - lo)
+        size, count = (rows + 1) * w, rows * w - 1
+        d = [np.subtract(y, x[lo:lo + rows + 1, None],
+                         out=g[:size].reshape(rows + 1, w))
+             .reshape(size) for x, y, g in zip(a, b, grid)]
+        norm, edge_j, edge_i, tmp = (g[:size] for g in grid[3:])
+        np.sqrt(_dot(d, d, norm, tmp), out=norm)
+        near = norm.min()
         if near < 1e-3:
             raise CurvesTooClose(f"min vertex distance {near:.2e}")
-        _triangle_solid_angle(r00, r10, r11, n00, n10, n11, angle, work)
-        angle += _triangle_solid_angle(r00, r11, r01, n00, n11, n01, other, work)
+        # D[k] . D[k + 1] and D[k] . D[k + w] for the flat index k
+        _dot([x[:-1] for x in d], [x[1:] for x in d], edge_j[:-1], tmp[:-1])
+        _dot([x[:-w] for x in d], [x[w:] for x in d], edge_i[:-w], tmp[:-w])
+        n00, n01, n10, n11 = (norm[k:k + count] for k in (0, 1, w, w + 1))
+        r00 = [x[:count] for x in d]
+        den1, den2, det, cross, work = (x[:count] for x in pair)
+        # den1 = s n10 + (r00.r10) n11 + (r10.r11) n00 and
+        # den2 = s n01 + (r00.r01) n11 + (r01.r11) n00, s = n00 n11 + r00.r11
+        _dot(r00, [x[w + 1:w + 1 + count] for x in d], den2, work)
+        den2 += np.multiply(n00, n11, out=work)
+        np.multiply(den2, n10, out=den1)
+        den1 += np.multiply(edge_i[:count], n11, out=work)
+        den1 += np.multiply(edge_j[w:w + count], n00, out=work)
+        den2 *= n01
+        den2 += np.multiply(edge_j[:count], n11, out=work)
+        den2 += np.multiply(edge_i[1:count + 1], n00, out=work)
+        # det = r00 . (db x da); each component of db x da over the
+        # (rows, w) grid is one product of a (rows, 2) and a (2, w) matrix
+        det[:] = 0.0
+        full = pair[3][:rows * w].reshape(rows, w)
+        for x, left, right in zip(r00, da_pairs, db_pairs):
+            np.matmul(left[lo:lo + rows], right, out=full)
+            det += np.multiply(x, cross, out=cross)
+        # arg((den1 + i det)(den2 + i det))
+        np.add(den1, den2, out=work)
+        work *= det
+        den1 *= den2
+        det *= det
+        den1 -= det
+        angle = np.arctan2(work, den1, out=den2)
+        angle[m::w] = 0.0
         sums.append(angle.sum())
-    return float(np.sum(sums) / (4.0 * np.pi))
+    return float(np.sum(sums) / (2.0 * np.pi))
 
 
 def linking_on_sphere(f1: Polyline, f2: Polyline) -> float:

@@ -9,6 +9,7 @@ from z2forms.errors import (ChartBoundary, CurvesTooClose, ImageAtInfinity,
                             NotInTube, NotOnSphere, SingularFiber)
 from z2forms.fd import fd_jacobian
 from z2forms.forms import PlanarForm
+from z2forms import morphisms
 from z2forms.morphisms import (BLOCK_VALUES, ComposedGerm, _circle_coords,
                                core_fiber, covering_degree,
                                fiber, fiber_windings, gauss_linking,
@@ -275,6 +276,36 @@ class TestKernelsAgainstReference:
         assert abs(gauss - dense_gauss(c1, c2)) < 1e-12
         assert abs(exact - dense_polygon(c1, c2)) < 1e-12
         assert abs(abs(exact) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("n1,n2", [(40, 30), (301, 100), (7, 5000),
+                                       (256, 256)])
+    def test_block_rows_follow_n_rows(self, n1, n2, monkeypatch):
+        # both kernels take blocks of n_rows(segments of c2) rows of c1
+        # segments, fewer only when c1 has fewer segments
+        seen = []
+
+        def spy(n, cols):
+            seen.append((n, cols, block_rows(n, cols)))
+            return seen[-1][2]
+
+        block_rows = morphisms._block_rows
+        monkeypatch.setattr(morphisms, "_block_rows", spy)
+        c1, c2 = noisy_hopf_link(n1, n2, 0)
+        gauss_linking(c1, c2)
+        polygon_linking(c1, c2)
+        assert seen == [(n1, n2, min(n1, n_rows(n2)))] * 2
+
+    @pytest.mark.parametrize("p,q", [(11, 12), (23, 24)])
+    @pytest.mark.parametrize("modulus", [1e-3, 1e3])
+    def test_exact_linking_of_suite_fibers(self, p, q, modulus):
+        # the topology suite's fiber pair, whose polygons link p * q times
+        base = modulus * np.exp(0.4j)
+        a, b = project_curves([fiber(p, q, base), fiber(p, q, -2.0 * base)])
+        c1 = Polyline(a.points[::4], closed=True)
+        c2 = Polyline(b.points[::4], closed=True)
+        exact = polygon_linking(c1, c2)
+        assert abs(exact - dense_polygon(c1, c2)) < 1e-12
+        assert abs(abs(exact) - p * q) < 1e-12
 
     @pytest.mark.parametrize("kernel,vertex", [(gauss_linking, False),
                                                (polygon_linking, True)])
