@@ -93,10 +93,15 @@ def seifert_value(p: int, q: int, point) -> complex:
 
 
 def _radii_for(p: int, q: int, modulus: float) -> tuple[float, float]:
-    """Solve c1^p = modulus * (1 - c1^2)^(q/2), c1 in (0, 1), by bisection."""
+    """Solve c1^p = modulus * (1 - c1^2)^(q/2), c1 in (0, 1), by bisection.
+
+    Once ``mid`` rounds to ``lo`` or ``hi`` no further step moves it, so
+    the loop stops there with the 200-step loop's result."""
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if mid**p - modulus * (1.0 - mid * mid) ** (q / 2.0) < 0.0:
             lo = mid
         else:

@@ -11,7 +11,7 @@ from z2forms.fd import fd_jacobian
 from z2forms.forms import PlanarForm
 from z2forms import morphisms
 from z2forms.morphisms import (BLOCK_VALUES, ComposedGerm, _circle_coords,
-                               core_fiber, covering_degree,
+                               _radii_for, core_fiber, covering_degree,
                                fiber, fiber_windings, gauss_linking,
                                hopf_chart, hopf_jacobian,
                                laplace_beltrami_residual,
@@ -127,6 +127,24 @@ class TestFibers:
         fb = core_fiber(0, n=128)
         u, s, vt = np.linalg.svd(fb.points)
         assert s[2] < 1e-12
+
+    def test_radii_match_the_full_bisection(self):
+        # stopping once the midpoint rounds to an end changes no digit
+        def full(p, q, modulus):
+            lo, hi = 0.0, 1.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mid**p - modulus * (1.0 - mid * mid) ** (q / 2.0) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            c1 = 0.5 * (lo + hi)
+            return c1, np.sqrt(max(0.0, 1.0 - c1 * c1))
+
+        rng = np.random.default_rng(0)
+        for p, q in rng.integers(1, 25, size=(400, 2)):
+            modulus = 10.0 ** rng.uniform(-12.0, 12.0)
+            assert _radii_for(p, q, modulus) == full(p, q, modulus)
 
     def test_singular_base_rejected(self):
         with pytest.raises(SingularFiber):
