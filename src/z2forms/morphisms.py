@@ -157,13 +157,13 @@ def fiber_windings(fb: Polyline) -> tuple[int, int]:
 # ``out=``.  Fresh 64 KiB temporaries would cost nearly as much as 1 MiB
 # ones under a fixed glibc mmap threshold: freed at the top of the heap,
 # they are trimmed back to the system and faulted in again every block.
-# The linking sums keep one sum per block and add them with one numpy sum,
+# The Gauss sum keeps one sum per block and adds them with one numpy sum,
 # which adds pairwise, where a running total over the many small blocks
-# would add round-off with every block.
+# would add round-off with every block; the crossing count adds integers.
 
 #: most point pairs of one block in the pairwise kernels (64 KiB of
-#: float64; the exact linking sum's vertex-pair grid adds one row and one
-#: column): a block's arrays stay in cache, and each lies under glibc's
+#: float64; the crossing count's sides of the partner's lines add one row):
+#: a block's arrays stay in cache, and each lies under glibc's
 #: 128 KiB mmap threshold, above which every array is mapped and faulted
 #: in afresh
 BLOCK_VALUES = 8192
@@ -299,97 +299,95 @@ def gauss_linking(c1: Polyline, c2: Polyline) -> float:
     return float(np.sum(sums) / (4.0 * np.pi))
 
 
-def polygon_linking(c1: Polyline, c2: Polyline) -> float:
-    """Exact linking number of two disjoint closed polygons in R^3.
+#: a positive orthonormal frame; ``polygon_linking`` projects onto its first
+#: two rows and views along (2, 3, 6) / 7, which no axis-aligned segment
+#: or coordinate plane holds
+VIEW_FRAME = np.array([[3.0, -6.0, 2.0], [6.0, 2.0, -3.0],
+                       [2.0, 3.0, 6.0]]) / 7.0
 
-    For segments a -> a' of ``c1`` and b -> b' of ``c2`` the directions
-    b(t) - a(s) sweep the parallelogram with corners r00 = b - a,
-    r10 = b - a', r11 = b' - a', r01 = b' - a; the signed solid angle it
-    subtends is that pair's term of the Gauss integral, in closed form
-    (Banchoff, Indiana Univ. Math. J. 25, 1976; Klenin & Langowski,
-    Biopolymers 54, 2000).  The sum over all pairs is 4 pi times an
-    integer, up to round-off, at any vertex count.
+#: crossing heights that differ by at most this fraction of the polygons'
+#: largest coordinate are equal up to round-off: the polygons meet there
+MEET_TOL = 1e-12
 
-    The parallelogram is split into the triangles (r00, r10, r11) and
-    (r00, r11, r01), each of solid angle 2 arg(den + i det) (Van Oosterom
-    & Strackee, IEEE Trans. Biomed. Eng. 30, 1983), where
-    den = |u||v||w| + (u.v)|w| + (u.w)|v| + (v.w)|u| for corners u, v, w.
-    With da = a' - a and db = b' - b, r10 = r00 - da and r11 = r00 - da + db,
-    so both triangles have one determinant,
-    det(r00, r10, r11) = det(r00, r11, r01) = r00 . (db x da).  The
-    parallelogram lies in one plane, which misses the origin (or holds it,
-    and then the pair subtends nothing), so its directions lie in an open
-    hemisphere and the pair's solid angle is below 2 pi in size.  The sum
-    of the two triangles' angles is therefore exactly
-    2 arg((den1 + i det)(den2 + i det)): one ``arctan2`` a pair.
 
-    Rows are summed one block of ``c1`` segments at a time.  A block of
-    rows lo..hi - 1 builds the vertex-pair grid D[i, j] = b_j - a_i for
-    i = lo..hi and all m + 1 vertices of the closed ``c2``, and takes the
-    norms and the dot products along the grid's edges once.  Raveled with
-    row length w = m + 1, the four corners of pair (i, j) sit at flat
-    offsets 0, 1, w and w + 1 from D[i, j], so every operation runs on
-    contiguous 1-D arrays; the column j = m is no segment pair and is
-    zeroed before the block's sum.
+def polygon_linking(c1: Polyline, c2: Polyline) -> int:
+    """Exact linking number of two disjoint closed polygons in R^3: the
+    signed count of the crossings where ``c1`` passes over ``c2`` in one
+    projection (Rolfsen, Knots and Links, 1976), here onto the first two
+    rows of ``VIEW_FRAME`` with heights along the last.
+
+    Segments a_i a_i+1 and b_j b_j+1 cross where each joins two vertices
+    on opposite sides of the other's line.  Each vertex's side of each
+    partner line is decided once, as ``side > 0``, so the two pairs that
+    share a vertex read the same sign and a crossing counts once.  A
+    crossing where ``c1`` is higher adds the sign of the projected
+    tangents' cross product.  ``CurvesTooClose`` is raised where two
+    vertices lie within 1e-3, or where a crossing's heights differ by
+    round-off (``MEET_TOL``): there the polygons meet.
+
+    Blocks of ``_block_rows(n, m + 1)`` segments of ``c1`` take the sides
+    from small products in homogeneous coordinates: the vertices
+    a_lo+1 .. a_hi, (x, y, 1), against the m lines of ``c2``, and the
+    block's lines against b_0 .. b_m, with b_m = b_0 copied.  The side of
+    a_lo is carried from the previous block and a_n reads a_0's, so every
+    side is computed once.  One more product, (x, y, z, 1, |a|^2) against
+    (-2 b, |b|^2, 1), gives the squared vertex distances.
     """
     a, b = _closed_coords(c1, c2)
-    n, w = a.shape[1] - 1, b.shape[1]
-    m = w - 1
-    da = np.diff(a, axis=1)
-    db = np.zeros((3, w))  # with a zero column j = m, as the grid has
-    np.subtract(b[:, 1:], b[:, :-1], out=db[:, :m])
-    # component k of db x da is db[i] da[j] - db[j] da[i], (i, j) cyclic
-    axes = ((1, 2), (2, 0), (0, 1))
-    da_pairs = [np.column_stack([da[j], -da[i]]) for i, j in axes]
-    db_pairs = [db[[i, j]] for i, j in axes]
-    step = _block_rows(n, m)
-    grid = [np.empty((step + 1) * w) for _ in range(7)]
-    pair = [np.empty(step * w) for _ in range(5)]
-    sums = []
+    a, b = VIEW_FRAME @ a, VIEW_FRAME @ b
+    n, m = a.shape[1] - 1, b.shape[1] - 1
+    da, db = np.diff(a, axis=1), np.diff(b, axis=1)
+    ones = np.ones(n + 1)
+    a_xy1 = np.column_stack([a[0], a[1], ones])
+    a_far = np.column_stack([a[0], a[1], a[2], ones, (a * a).sum(axis=0)])
+    a_lines = np.column_stack([-da[1], da[0],
+                               da[1] * a[0, :n] - da[0] * a[1, :n]])
+    b_xy1 = np.stack([b[0, :m], b[1, :m], np.ones(m)])
+    b_far = np.vstack([-2.0 * b[:, :m], (b[:, :m] ** 2).sum(axis=0),
+                       np.ones(m)])
+    b_lines = np.stack([-db[1], db[0], db[1] * b[0, :m] - db[0] * b[1, :m]])
+    meet = MEET_TOL * max(np.abs(a).max(), np.abs(b).max())
+    step = _block_rows(n, m + 1)
+    # rows 1..rows of a block: a_lo+1 .. a_hi; row 0 carries a_lo
+    side_a, up_a = np.empty((step + 1, m)), np.empty((step + 1, m), bool)
+    side_b, up_b = np.empty((step, m + 1)), np.empty((step, m + 1), bool)
+    dist, cut, cut_b = (np.empty((step, m), t) for t in (float, bool, bool))
+    first = a_xy1[0] @ b_lines
+    side_a[0] = first
+    np.greater(first, 0.0, out=up_a[0])
+    total = 0
     for lo in range(0, n, step):
-        rows = min(step, n - lo)
-        size, count = (rows + 1) * w, rows * w - 1
-        d = [np.subtract(y, x[lo:lo + rows + 1, None],
-                         out=g[:size].reshape(rows + 1, w))
-             .reshape(size) for x, y, g in zip(a, b, grid)]
-        norm, edge_j, edge_i, tmp = (g[:size] for g in grid[3:])
-        np.sqrt(_dot(d, d, norm, tmp), out=norm)
-        near = norm.min()
-        if near < 1e-3:
-            raise CurvesTooClose(f"min vertex distance {near:.2e}")
-        # D[k] . D[k + 1] and D[k] . D[k + w] for the flat index k
-        _dot([x[:-1] for x in d], [x[1:] for x in d], edge_j[:-1], tmp[:-1])
-        _dot([x[:-w] for x in d], [x[w:] for x in d], edge_i[:-w], tmp[:-w])
-        n00, n01, n10, n11 = (norm[k:k + count] for k in (0, 1, w, w + 1))
-        r00 = [x[:count] for x in d]
-        den1, den2, det, cross, work = (x[:count] for x in pair)
-        # den1 = s n10 + (r00.r10) n11 + (r10.r11) n00 and
-        # den2 = s n01 + (r00.r01) n11 + (r01.r11) n00, s = n00 n11 + r00.r11
-        _dot(r00, [x[w + 1:w + 1 + count] for x in d], den2, work)
-        den2 += np.multiply(n00, n11, out=work)
-        np.multiply(den2, n10, out=den1)
-        den1 += np.multiply(edge_i[:count], n11, out=work)
-        den1 += np.multiply(edge_j[w:w + count], n00, out=work)
-        den2 *= n01
-        den2 += np.multiply(edge_j[:count], n11, out=work)
-        den2 += np.multiply(edge_i[1:count + 1], n00, out=work)
-        # det = r00 . (db x da); each component of db x da over the
-        # (rows, w) grid is one product of a (rows, 2) and a (2, w) matrix
-        det[:] = 0.0
-        full = pair[3][:rows * w].reshape(rows, w)  # ``cross`` raveled
-        for x, left, right in zip(r00, da_pairs, db_pairs):
-            np.matmul(left[lo:lo + rows], right, out=full)
-            det += np.multiply(x, cross, out=cross)
-        # arg((den1 + i det)(den2 + i det))
-        np.add(den1, den2, out=work)
-        work *= det
-        den1 *= den2
-        det *= det
-        den1 -= det
-        angle = np.arctan2(work, den1, out=den2)
-        angle[m::w] = 0.0
-        sums.append(angle.sum())
-    return float(np.sum(sums) / (2.0 * np.pi))
+        hi = min(lo + step, n)
+        rows = hi - lo
+        near = np.matmul(a_far[lo + 1:hi + 1], b_far, out=dist[:rows]).min()
+        if near < 1e-3**2:
+            raise CurvesTooClose(
+                f"min vertex distance {np.sqrt(max(near, 0.0)):.2e}")
+        sa, ua = side_a[:rows + 1], up_a[:rows + 1]
+        np.matmul(a_xy1[lo + 1:hi + 1], b_lines, out=sa[1:])
+        if hi == n:
+            sa[rows] = first
+        np.greater(sa[1:], 0.0, out=ua[1:])
+        sb, ub = side_b[:rows], up_b[:rows]
+        np.matmul(a_lines[lo:hi], b_xy1, out=sb[:, :m])
+        sb[:, m] = sb[:, 0]
+        np.greater(sb, 0.0, out=ub)
+        both = np.not_equal(ua[:-1], ua[1:], out=cut[:rows])
+        both &= np.not_equal(ub[:, :-1], ub[:, 1:], out=cut_b[:rows])
+        k = both.ravel().nonzero()[0]
+        if k.size:
+            r, j = np.divmod(k, m)
+            i = lo + r
+            s0, s1 = sa.ravel()[k], sa.ravel()[k + m]
+            u0, u1 = sb.ravel()[k + r], sb.ravel()[k + r + 1]
+            gap = (a[2, i] + s0 / (s0 - s1) * da[2, i]
+                   - b[2, j] - u0 / (u0 - u1) * db[2, j])
+            if np.abs(gap).min() <= meet:
+                raise CurvesTooClose("the polygons meet at a crossing")
+            turn = da[0, i] * db[1, j] - da[1, i] * db[0, j]
+            total += int(np.sign(turn[gap > 0.0]).sum())
+        side_a[0], up_a[0] = sa[rows], ua[rows]
+    return total
 
 
 def linking_on_sphere(f1: Polyline, f2: Polyline) -> float:

@@ -52,22 +52,18 @@ MAX_POINTS = 10_000
 MAX_HALF_POWER = 24
 
 #: largest fiber index p or q: the topology suite passed every coprime
-#: p, q <= 26 at seeds 0-2 and eight bases; at (27, 28) and base 1e-3 its
-#: 256-vertex polygons linked 755 times, not 756
+#: p, q <= 26 at seeds 0-2, base angle 2.1 and eight |base| 10^(-3 + 6k/7)
+#: (10,152 jobs); at (27, 28), base 1e-3 and angle 0 its 256-gons linked
+#: 755 times, not 756
 MAX_FIBER_INDEX = 24
 
 #: range of |base| of a fiber spec: the topology suite passed every coprime
 #: p, q <= MAX_FIBER_INDEX at seeds 0-2 and base angles 0, 2.1 and -1.3 at
-#: |base| 1e-3 and 1e3 (3231 jobs each); at 1e-4 every (1, q) raised
-#: CurvesTooClose, at 3e3 (1, 1), (2, 1), (4, 1), (8, 1) and (16, 1) did,
-#: and (24, 1) at base 1e5 linked -8 times
+#: |base| 1e-3 and 1e3 (3231 jobs each; the closest vertices 1.35e-3
+#: apart); at 1e-4 every (1, q) raised CurvesTooClose, at 3e3 (1, 1),
+#: (2, 1), (4, 1), (8, 1) and (16, 1) did, and (24, 1) at base 1e5 linked
+#: -8 times
 MIN_FIBER_BASE, MAX_FIBER_BASE = 1e-3, 1e3
-
-#: distance from p * q within which the exact polygon linking number of a
-#: fiber pair counts as that integer; its round-off read at most 1.14e-13
-#: over the 2,872 fiber pairs of coprime p, q <= MAX_FIBER_INDEX (p * q up
-#: to 552) at |base| 1e-3, 0.3, 3 and 1e3, base angles 0 and 2.1, seed 0
-EXACT_LINKING_TOL = 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -385,14 +381,14 @@ def run_topology(descriptor: dict, seed: int, tol: dict) -> list[Check]:
     other = -2.0 * base  # |base| is bounded away from 0, a singular fiber
     checks = []
 
-    # exact linking of every 4th vertex; the windings read all 1024
+    # exact linking of two 256-gons; the windings read all 1024 vertices of
+    # f1, whose every 4th vertex is its 256-gon bit for bit (t = 2 pi k / n)
     f1 = fiber(p, q, base, n=1024)
-    a, b = project_curves([f1, fiber(p, q, other, n=1024)], seed=seed)
-    exact = polygon_linking(Polyline(a.points[::4], closed=True),
-                            Polyline(b.points[::4], closed=True))
+    a, b = project_curves([Polyline(f1.points[::4], closed=True),
+                           fiber(p, q, other, n=256)], seed=seed)
+    exact = polygon_linking(a, b)
     checks.append(Check(
-        "topology.fiber_linking",
-        abs(abs(exact) - p * q) < EXACT_LINKING_TOL, {},
+        "topology.fiber_linking", abs(exact) == p * q, {},
         {"expected": p * q, "linking_exact": exact}))
 
     wind = fiber_windings(f1)

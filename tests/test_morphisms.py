@@ -1,7 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from z2forms import Polyline, UnivariatePolynomial, circle
 from z2forms.branch import winding_number
@@ -20,7 +22,9 @@ from z2forms.morphisms import (BLOCK_VALUES, ComposedGerm, _circle_coords,
                                polygon_linking, project_curves, pullback,
                                pullback_form, seifert_value, stereo_embed,
                                stereographic_pole, stereographic_project)
-from z2forms.suites import normalize_descriptor, run_suite
+from z2forms.suites import (MAX_FIBER_BASE, MAX_FIBER_INDEX,
+                            MIN_FIBER_BASE, normalize_descriptor,
+                            run_suite)
 
 
 class TestPullback:
@@ -292,14 +296,15 @@ class TestKernelsAgainstReference:
         c1, c2 = noisy_hopf_link(n1, n2, seed)
         gauss, exact = gauss_linking(c1, c2), polygon_linking(c1, c2)
         assert abs(gauss - dense_gauss(c1, c2)) < 1e-12
-        assert abs(exact - dense_polygon(c1, c2)) < 1e-12
-        assert abs(abs(exact) - 1.0) < 1e-9
+        assert exact == round(dense_polygon(c1, c2)) and abs(exact) == 1
 
     @pytest.mark.parametrize("n1,n2", [(40, 30), (301, 100), (7, 5000),
                                        (256, 256)])
     def test_block_rows_follow_n_rows(self, n1, n2, monkeypatch):
-        # both kernels take blocks of n_rows(segments of c2) rows of c1
-        # segments, fewer only when c1 has fewer segments
+        # both kernels take blocks of rows of c1 segments, fewer only when
+        # c1 has fewer segments: n_rows(m) against the m segments of c2 in
+        # the Gauss sum, n_rows(m + 1) against the m + 1 vertices of the
+        # closed c2 in the crossing count
         seen = []
 
         def spy(n, cols):
@@ -311,29 +316,32 @@ class TestKernelsAgainstReference:
         c1, c2 = noisy_hopf_link(n1, n2, 0)
         gauss_linking(c1, c2)
         polygon_linking(c1, c2)
-        assert seen == [(n1, n2, min(n1, n_rows(n2)))] * 2
+        assert seen == [(n1, n2, min(n1, n_rows(n2))),
+                        (n1, n2 + 1, min(n1, n_rows(n2 + 1)))]
 
     @pytest.mark.parametrize("p,q", [(11, 12), (23, 24)])
     @pytest.mark.parametrize("modulus", [1e-3, 1e3])
     def test_exact_linking_of_suite_fibers(self, p, q, modulus):
-        # the topology suite's fiber pair, whose polygons link p * q times
+        # the topology suite's fiber pair, whose 256-gons link p * q times
         base = modulus * np.exp(0.4j)
-        a, b = project_curves([fiber(p, q, base), fiber(p, q, -2.0 * base)])
-        c1 = Polyline(a.points[::4], closed=True)
-        c2 = Polyline(b.points[::4], closed=True)
+        c1, c2 = project_curves([fiber(p, q, base, n=256),
+                                 fiber(p, q, -2.0 * base, n=256)])
         exact = polygon_linking(c1, c2)
-        assert abs(exact - dense_polygon(c1, c2)) < 1e-12
-        assert abs(abs(exact) - p * q) < 1e-12
+        assert exact == round(dense_polygon(c1, c2))
+        assert abs(exact) == p * q
 
     @pytest.mark.parametrize("kernel,vertex", [(gauss_linking, False),
                                                (polygon_linking, True)])
     def test_too_close_in_the_ragged_last_block(self, kernel, vertex):
-        # the close pair is c1's last segment, in its last block of
-        # 301 - 9 * 32 = 13 rows against 256 partner segments
+        # the close pair is c1's last segment, in its last block: of
+        # 301 - 9 * 32 = 13 rows against 256 partner segments in the Gauss
+        # sum, of 301 - 9 * 31 = 22 against 257 partner vertices in the
+        # crossing count
         c1 = circle([0, 0, 0], 1.0, n=301, plane=(0, 1))
         a = c1.vertices()
         point = a[300] if vertex else 0.5 * (a[300] + a[301])
         assert n_rows(256) == 32 and 301 % 32 == 13
+        assert n_rows(257) == 31 and 301 % 31 == 22
         with pytest.raises(CurvesTooClose):
             kernel(c1, loop_through(point, 256, vertex))
         # the same loop raised 0.5 away is accepted
@@ -351,30 +359,142 @@ class TestExactLinking:
     def test_unlinked_circles(self):
         c1 = circle([0, 0, 0], 1.0, n=256, plane=(0, 1))
         c2 = circle([5, 0, 0], 1.0, n=256, plane=(1, 2))
-        assert abs(polygon_linking(c1, c2)) < 1e-9
+        assert polygon_linking(c1, c2) == 0
 
     def test_standard_hopf_link(self):
         c1 = circle([0, 0, 0], 1.0, n=64, plane=(0, 1))
         c2 = circle([1, 0, 0], 1.0, n=64, plane=(0, 2))
-        assert abs(abs(polygon_linking(c1, c2)) - 1.0) < 1e-9
+        assert abs(polygon_linking(c1, c2)) == 1
 
     def test_fiber_vs_singular_fibers(self):
         # a regular fiber of pi_{2,3} links {z1 = 0} q = 3 times and
         # {z2 = 0} p = 2 times, the same integer at every vertex count
-        for core, want in ((1, 3.0), (0, 2.0)):
-            lk = [polygon_linking(*project_curves(
+        for core, want in ((1, 3), (0, 2)):
+            lk = {polygon_linking(*project_curves(
                       [fiber(2, 3, 100.0 + 0j, n=n), core_fiber(core, n=n)]))
-                  for n in (128, 256, 512)]
-            assert abs(abs(lk[0]) - want) < 1e-9
-            assert max(lk) - min(lk) < 1e-9
+                  for n in (128, 256, 512)}
+            assert len(lk) == 1 and abs(lk.pop()) == want
 
     def test_sign_independent_of_pole(self):
         f1, f2 = fiber(2, 3, 0.8 + 0.1j, n=256), fiber(2, 3, -1.6 - 0.2j, n=256)
-        lk = {seed: polygon_linking(*project_curves([f1, f2], seed=seed))
+        lk = {polygon_linking(*project_curves([f1, f2], seed=seed))
               for seed in range(10)}
-        # one sign at every pole: a flip is off by 12, round-off by ~1e-15
-        assert all(abs(v - lk[0]) < 1e-9 for v in lk.values())
-        assert abs(abs(lk[0]) - 6.0) < 1e-9
+        # one sign at every pole
+        assert len(lk) == 1 and abs(lk.pop()) == 6
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), half1=st.integers(1, 100),
+           half2=st.integers(1, 200))
+    def test_random_polygons_match_dense(self, seed, half1, half2):
+        # odd vertex counts 3..201 and 3..401: most leave the last block of
+        # n_rows(n2 + 1) rows ragged
+        n1, n2 = 2 * half1 + 1, 2 * half2 + 1
+        rng = np.random.default_rng(seed)
+        c1 = Polyline(rng.uniform(-1.0, 1.0, (n1, 3)), closed=True)
+        c2 = Polyline(rng.uniform(-1.0, 1.0, (n2, 3)), closed=True)
+        dense = dense_polygon(c1, c2)
+        assume(abs(dense - round(dense)) < 1e-9)
+        assert polygon_linking(c1, c2) == round(dense)
+
+    def test_coordinate_plane_hopf_circles(self):
+        # viewed along z, c2 (in the xz-plane) would project onto a line
+        # and, at n divisible by 4, its vertices (1, 0, +-1) onto c1's
+        # vertex (1, 0, 0); VIEW_FRAME views along no axis
+        frame = morphisms.VIEW_FRAME
+        np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-15)
+        assert np.linalg.det(frame) > 0.0
+        for n in range(4, 129):
+            c1 = circle([0, 0, 0], 1.0, n=n, plane=(0, 1))
+            for n2 in (n, 4):
+                c2 = circle([1, 0, 0], 1.0, n=n2, plane=(0, 2))
+                for pair in ((c1, c2), (c2, c1)):
+                    lk = polygon_linking(*pair)
+                    assert abs(lk) == 1 and lk == round(dense_polygon(*pair))
+
+    def test_segment_just_over_a_midpoint(self):
+        # the loop's top segment crosses c1's segment 300 -> 301 1e-5
+        # above its midpoint, while no two vertices lie within 1e-3
+        c1 = circle([0, 0, 0], 1.0, n=301, plane=(0, 1))
+        a = c1.vertices()
+        loop = loop_over(0.5 * (a[300] + a[301]), 256)
+        for pair in ((c1, loop), (loop, c1)):
+            lk = polygon_linking(*pair)
+            assert abs(lk) == 1 and lk == round(dense_polygon(*pair))
+
+    def test_loop_through_a_midpoint_meets_it(self):
+        # loop_through(..., vertex=False) puts the midpoint of its segment
+        # between t = -pi/n and pi/n 1e-5 above c1's segment midpoint; that
+        # segment is vertical and spans heights 1e-5 -+ sin(pi/n), so it
+        # passes through the midpoint itself
+        c1 = circle([0, 0, 0], 1.0, n=301, plane=(0, 1))
+        a = c1.vertices()
+        for k in (0, 150, 300):
+            loop = loop_through(0.5 * (a[k] + a[k + 1]), 256, vertex=False)
+            for pair in ((c1, loop), (loop, c1)):
+                with pytest.raises(CurvesTooClose, match="meet"):
+                    polygon_linking(*pair)
+
+    def test_polygons_meeting_at_a_crossing(self):
+        # c2's first segment passes through (0.5, 0.5, 0) on c1's first
+        # segment; no two vertices lie within 1
+        c1 = Polyline(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]),
+                      closed=True)
+        c2 = np.array([[0.0, 0.0, -1.0], [1.0, 1.0, 1.0], [2.0, -1.0, 0.0]])
+        for pair in ((c1, Polyline(c2, closed=True)),
+                     (Polyline(c2, closed=True), c1)):
+            with pytest.raises(CurvesTooClose, match="meet"):
+                polygon_linking(*pair)
+        # lifted 1e-6, c2 passes over c1 and the two link once
+        lifted = Polyline(c2 + [0.0, 0.0, 1e-6], closed=True)
+        lk = polygon_linking(c1, lifted)
+        assert abs(lk) == 1 and lk == round(dense_polygon(c1, lifted))
+
+
+def loop_over(point, n):
+    """A unit circle of ``n`` vertices perpendicular to the xy-plane whose
+    top segment, between its vertices at t = pi/2 -+ pi/n, passes 1e-5
+    above ``point``, a point inside the unit circle of the xy-plane, along
+    the radial direction: the loop dips through that circle's disk just
+    inside ``point`` and leaves it just outside."""
+    u, z = point / np.linalg.norm(point), np.array([0.0, 0.0, 1.0])
+    t = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    center = point + (1e-5 - np.cos(np.pi / n)) * z
+    return Polyline(center + np.outer(np.cos(t), u) + np.outer(np.sin(t), z),
+                    closed=True)
+
+
+class TestSuiteFibers:
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (3, 2), (2, 5)])
+    def test_256_gon_is_every_4th_vertex(self, p, q):
+        # t = 2 pi k / n scales by powers of two, so the topology suite's
+        # 256-gon is every 4th vertex of the 1024-vertex fiber, bit for bit
+        for base in (1e-3, 0.1 + 0.2j, -0.7 + 0.3j, 3.0 * np.exp(2.1j),
+                     -1e3j):
+            want = fiber(p, q, base, n=1024).points[::4]
+            assert fiber(p, q, base, n=256).points.tobytes() == \
+                want.tobytes()
+
+    def test_every_fiber_at_the_base_bounds(self):
+        # every coprime p, q <= MAX_FIBER_INDEX at |base| MIN_FIBER_BASE
+        # and MAX_FIBER_BASE, base angle 2.1, seed 0: 718 jobs, each
+        # linking exactly p * q times
+        failed, jobs = [], 0
+        for p in range(1, MAX_FIBER_INDEX + 1):
+            for q in range(1, MAX_FIBER_INDEX + 1):
+                if math.gcd(p, q) != 1:
+                    continue
+                for modulus in (MIN_FIBER_BASE, MAX_FIBER_BASE):
+                    base = [modulus * math.cos(2.1), modulus * math.sin(2.1)]
+                    report = run_suite("topology", normalize_descriptor(
+                        {"kind": "fiber", "p": p, "q": q, "base": base}))
+                    linking = next(c for c in report.checks
+                                   if c.name == "topology.fiber_linking")
+                    jobs += 1
+                    if not (report.passed and abs(
+                            linking.details["linking_exact"]) == p * q):
+                        failed.append((p, q, modulus))
+        assert jobs == 718 and not failed
 
 
 class TestPole:
