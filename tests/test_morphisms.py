@@ -270,7 +270,9 @@ def noisy_hopf_link(n1, n2, seed):
 def loop_through(point, n, vertex):
     """A unit circle of ``n`` vertices perpendicular to the xy-plane that
     passes 1e-5 above ``point``, which lies on the unit circle of the
-    xy-plane; through a vertex if ``vertex``, else a segment midpoint."""
+    xy-plane; through a vertex if ``vertex``, else a segment midpoint.
+    That segment is vertical and spans heights 1e-5 -+ sin(pi/n), so the
+    polygon passes through ``point`` itself."""
     u, z = point / np.linalg.norm(point), np.array([0.0, 0.0, 1.0])
     half = 0.0 if vertex else 0.5
     t = 2.0 * np.pi * (np.arange(n) + half) / n
@@ -283,7 +285,9 @@ def loop_through(point, n, vertex):
 class TestKernelsAgainstReference:
     """The blocked kernels against whole-array formulas.  A closed curve
     of n points has n segments; a block holds BLOCK_VALUES // n rows
-    against a partner of n segments."""
+    against a partner of n segments in the Gauss sum, and
+    BLOCK_VALUES // (n + 1) against its n + 1 vertices in the crossing
+    count."""
 
     @pytest.mark.parametrize("n1,n2,rows", [
         (40, 30, 273),   # one block, fewer rows than the budget
@@ -422,10 +426,8 @@ class TestExactLinking:
             assert abs(lk) == 1 and lk == round(dense_polygon(*pair))
 
     def test_loop_through_a_midpoint_meets_it(self):
-        # loop_through(..., vertex=False) puts the midpoint of its segment
-        # between t = -pi/n and pi/n 1e-5 above c1's segment midpoint; that
-        # segment is vertical and spans heights 1e-5 -+ sin(pi/n), so it
-        # passes through the midpoint itself
+        # loop_through(..., vertex=False) passes through c1's segment
+        # midpoint, so the polygons meet there
         c1 = circle([0, 0, 0], 1.0, n=301, plane=(0, 1))
         a = c1.vertices()
         for k in (0, 150, 300):
@@ -551,7 +553,8 @@ class TestCoveringDegree:
 
     def test_topology_suite_memory(self):
         # no O(N * M) temporary: dense kernels peak at 288 MB and 128-row
-        # blocks at 12.2 MiB; blocks of BLOCK_VALUES values stay near 1.7 MiB
+        # blocks at 12.2 MiB; blocks of BLOCK_VALUES values stay near
+        # 0.35 MiB
         descriptor = normalize_descriptor({"kind": "fiber", "p": 2, "q": 5})
         tracemalloc.start()
         try:
