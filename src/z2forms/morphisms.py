@@ -152,14 +152,13 @@ def fiber_windings(fb: Polyline) -> tuple[int, int]:
 #
 # The pairwise kernels below take the points of one curve against all of
 # its partner's points, one block of rows at a time; the linking sums hold
-# each curve as coordinate rows, one contiguous array per coordinate.  A
-# block works in scratch arrays allocated once per call and written through
-# ``out=``.  Fresh 64 KiB temporaries would cost nearly as much as 1 MiB
-# ones under a fixed glibc mmap threshold: freed at the top of the heap,
-# they are trimmed back to the system and faulted in again every block.
-# The Gauss sum keeps one sum per block and adds them with one numpy sum,
-# which adds pairwise, where a running total over the many small blocks
-# would add round-off with every block; the crossing count adds integers.
+# each curve as coordinate rows, one contiguous array per coordinate.  The
+# crossing count and the projection pole, which every topology job runs,
+# write their blocks into arrays allocated once per call: fresh 64 KiB
+# temporaries, freed at the top of the heap under a fixed glibc mmap
+# threshold, would be trimmed and faulted in again every block.  The Gauss
+# sum adds its per-block sums with one pairwise numpy sum, where a running
+# total over many small blocks would add round-off with every block.
 
 #: most point pairs of one block in the pairwise kernels (64 KiB of
 #: float64; the crossing count's sides of the partner's lines add one row):
@@ -175,52 +174,6 @@ def _block_rows(n: int, cols: int) -> int:
     return min(n, max(1, BLOCK_VALUES // cols))
 
 
-def _row_blocks(n: int, cols: int, count: int):
-    """Row blocks of ``range(n)`` against ``cols`` partner points, each of
-    ``_block_rows`` rows but the last.
-
-    Yields each block's slice with ``count`` scratch arrays of shape
-    (block rows, cols), allocated once and reused by every block.
-    """
-    step = _block_rows(n, cols)
-    scratch = [np.empty((step, cols)) for _ in range(count)]
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        yield slice(lo, hi), [s[:hi - lo] for s in scratch]
-
-
-def _coords(points: np.ndarray) -> np.ndarray:
-    """Points (n, d) as d contiguous coordinate rows, shape (d, n)."""
-    return np.ascontiguousarray(points.T)
-
-
-def _column(coords, rows: slice) -> list[np.ndarray]:
-    """Coordinate rows restricted to ``rows``, as columns (rows, 1) that
-    broadcast against a partner's coordinate rows."""
-    return [x[rows, None] for x in coords]
-
-
-def _minus(u, v, out) -> list[np.ndarray]:
-    """u - v of two vectors given as coordinate arrays, into ``out``."""
-    return [np.subtract(x, y, out=o) for x, y, o in zip(u, v, out)]
-
-
-def _dot(u, v, out, tmp) -> np.ndarray:
-    """u . v of two vectors given as coordinate arrays, into ``out``."""
-    np.multiply(u[0], v[0], out=out)
-    for x, y in zip(u[1:], v[1:]):
-        out += np.multiply(x, y, out=tmp)
-    return out
-
-
-def _cross(u, v, out, tmp) -> list[np.ndarray]:
-    """u x v of two vectors given as coordinate triples, into ``out``."""
-    for o, (i, j) in zip(out, ((1, 2), (2, 0), (0, 1))):
-        np.multiply(u[i], v[j], out=o)
-        o -= np.multiply(u[j], v[i], out=tmp)
-    return out
-
-
 def stereographic_pole(curves: list[np.ndarray], seed: int = 0) -> np.ndarray:
     """The point farthest from all given S^3 curves among 256 seeded random
     points of S^3.
@@ -232,12 +185,14 @@ def stereographic_pole(curves: list[np.ndarray], seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     cand = rng.normal(size=(256, 4))
     cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-    cols = _coords(cand)
+    cols = np.ascontiguousarray(cand.T)
     pts = np.vstack(curves)
     largest = np.full(len(cand), -np.inf)
-    for rows, (dots,) in _row_blocks(len(pts), len(cand), 1):
-        np.matmul(pts[rows], cols, out=dots)
-        np.maximum(largest, dots.max(axis=0), out=largest)
+    step = _block_rows(len(pts), len(cand))
+    dots = np.empty((step, len(cand)))
+    for lo in range(0, len(pts), step):
+        block = np.matmul(pts[lo:lo + step], cols, out=dots[:len(pts) - lo])
+        np.maximum(largest, block.max(axis=0), out=largest)
     return cand[np.argmin(largest)]
 
 
@@ -271,31 +226,36 @@ def _closed_coords(c1: Polyline, c2: Polyline) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate rows of both curves' vertices, the first repeated last."""
     if not (c1.closed and c2.closed):
         raise ValueError("linking number needs closed curves")
-    return _coords(c1.vertices()), _coords(c2.vertices())
+    return (np.ascontiguousarray(c1.vertices().T),
+            np.ascontiguousarray(c2.vertices().T))
 
 
 def gauss_linking(c1: Polyline, c2: Polyline) -> float:
     """Gauss double-sum linking number of two disjoint closed curves in R^3.
 
     A midpoint-rule float oracle: it tends to the linking number as the
-    curves are refined.  Rows of ``c1`` segments are summed one block at a
-    time against all of ``c2``'s.
+    curves are refined.  Tests check other kernels against it; no suite
+    runs it.  Blocks of ``_block_rows(n, m)`` rows of ``c1`` segments are
+    summed against all m of ``c2``'s in plain numpy, each array of a block
+    at most ``BLOCK_VALUES`` values.
     """
     a, b = _closed_coords(c1, c2)
     ra, dra = 0.5 * (a[:, :-1] + a[:, 1:]), np.diff(a, axis=1)
     rb, drb = 0.5 * (b[:, :-1] + b[:, 1:]), np.diff(b, axis=1)
+    step = _block_rows(ra.shape[1], rb.shape[1])
     sums = []
-    for rows, s in _row_blocks(ra.shape[1], rb.shape[1], 10):
-        dist, cube, integrand, tmp = s[6:10]
-        diff = _minus(_column(ra, rows), rb, s[0:3])
-        np.sqrt(_dot(diff, diff, cube, tmp), out=dist)
+    for lo in range(0, ra.shape[1], step):
+        rows = slice(lo, lo + step)
+        x, y, z = (u[rows, None] - v for u, v in zip(ra, rb))
+        square = x * x + y * y + z * z
+        dist = np.sqrt(square)
         if dist.min() < 1e-3:
             raise CurvesTooClose(f"min curve distance {dist.min():.2e}")
-        cube *= dist  # |diff|^3
-        cross = _cross(_column(dra, rows), drb, s[3:6], tmp)
-        _dot(cross, diff, integrand, tmp)
-        integrand /= cube
-        sums.append(integrand.sum())
+        # (dra x drb) . (ra - rb), with dra = (p, q, r) and drb = (s, t, u)
+        (p, q, r), (s, t, u) = (d[rows, None] for d in dra), drb
+        integrand = ((q * u - r * t) * x + (r * s - p * u) * y
+                     + (p * t - q * s) * z)
+        sums.append((integrand / (square * dist)).sum())
     return float(np.sum(sums) / (4.0 * np.pi))
 
 

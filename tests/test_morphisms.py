@@ -221,6 +221,19 @@ class TestLinking:
             want = dense_gauss(c1, c2)
             assert abs(gauss_linking(c1, c2) - want) <= 1e-12 * abs(want)
 
+    def test_gauss_sum_memory(self):
+        # blocks of BLOCK_VALUES values: each (2048, 2048) array of a sum
+        # over all segment pairs at once would take 32 MiB
+        c1, c2 = project_curves([fiber(2, 3, 0.8 + 0.1j, n=2048),
+                                 fiber(2, 3, -3.0 + 2.0j, n=2048)])
+        tracemalloc.start()
+        try:
+            gauss_linking(c1, c2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_projection_preserves_pole_distance(self):
         fb = fiber(1, 1, 0.5 + 0.2j, n=128)
         pole = stereographic_pole([fb.points])
@@ -285,9 +298,9 @@ def loop_through(point, n, vertex):
 class TestKernelsAgainstReference:
     """The blocked kernels against whole-array formulas.  A closed curve
     of n points has n segments; a block holds BLOCK_VALUES // n rows
-    against a partner of n segments in the Gauss sum, and
-    BLOCK_VALUES // (n + 1) against its n + 1 vertices in the crossing
-    count."""
+    against a partner of n segments in the Gauss sum, in fresh arrays of
+    each block, and BLOCK_VALUES // (n + 1) against its n + 1 vertices in
+    the crossing count, in arrays allocated once per call."""
 
     @pytest.mark.parametrize("n1,n2,rows", [
         (40, 30, 273),   # one block, fewer rows than the budget
@@ -308,7 +321,8 @@ class TestKernelsAgainstReference:
         # both kernels take blocks of rows of c1 segments, fewer only when
         # c1 has fewer segments: n_rows(m) against the m segments of c2 in
         # the Gauss sum, n_rows(m + 1) against the m + 1 vertices of the
-        # closed c2 in the crossing count
+        # closed c2 in the crossing count.  The pole takes blocks of the
+        # curves' points against its 256 candidates
         seen = []
 
         def spy(n, cols):
@@ -320,8 +334,11 @@ class TestKernelsAgainstReference:
         c1, c2 = noisy_hopf_link(n1, n2, 0)
         gauss_linking(c1, c2)
         polygon_linking(c1, c2)
+        stereographic_pole([core_fiber(0, n=n1).points,
+                            core_fiber(1, n=n2).points])
         assert seen == [(n1, n2, min(n1, n_rows(n2))),
-                        (n1, n2 + 1, min(n1, n_rows(n2 + 1)))]
+                        (n1, n2 + 1, min(n1, n_rows(n2 + 1))),
+                        (n1 + n2, 256, min(n1 + n2, n_rows(256)))]
 
     @pytest.mark.parametrize("p,q", [(11, 12), (23, 24)])
     @pytest.mark.parametrize("modulus", [1e-3, 1e3])

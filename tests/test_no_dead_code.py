@@ -1,13 +1,16 @@
-"""Every public module-level function and class of the library, and every
-public method of a public class, has a caller.
+"""Every public module-level function and class of the library, every
+private module-level function, and every public method of a public class,
+has a caller.
 
 A definition counts as used when some module of ``src/z2forms`` other than
 ``__init__.py`` loads its name (as a name or an attribute) outside the
-definition's own body; a method is known by its name alone, so any
-attribute of that name counts.  Definitions that only tests, the
-acceptance gate or planned suites use are listed in ``KEEP`` (methods as
-``Class.method``) with the reason; what a kept definition calls
-(``pullback``, ``fd_laplacian_order4``, ...) counts as used.
+definition's own body; calls from tests do not count.  A method is known
+by its name alone, so any attribute of that name counts.  Public
+definitions that only tests, the acceptance gate or planned suites use
+are listed in ``KEEP`` (methods as ``Class.method``) with the reason; what
+a kept definition calls (``pullback``, ``fd_laplacian_order4``, ...)
+counts as used.  A private function has no such list: one that only its
+unit test calls is dead code.
 
 Every defaulted parameter of a library function or method is also passed,
 by keyword or by position, by some call in ``src/z2forms``, or listed in
@@ -118,6 +121,24 @@ def _unreferenced():
 def test_every_definition_has_a_caller_or_a_reason():
     dead = sorted(_unreferenced() - set(KEEP))
     assert not dead, f"no caller in src/ and not in KEEP: {dead}"
+
+
+def _private_functions():
+    """(module, name) of every private module-level function."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")):
+                yield path.name, node.name
+
+
+def test_every_private_function_has_a_caller():
+    refs = _references()
+    dead = sorted(f"{module}:{name}" for module, name in _private_functions()
+                  if not refs.get(name, set()) - {(module, name)})
+    assert not dead, f"private functions with no caller in src/: {dead}"
 
 
 def test_keep_list_names_only_unreferenced_definitions():
